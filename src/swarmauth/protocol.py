@@ -12,6 +12,14 @@ Three flows are implemented as explicit message sequences:
   share for the other swarm from the core network, is group-verified by
   the other swarm's guards, and relays that swarm's key back to its own.
 
+Inclusion and unification are step generators. Before each modeled wait
+a flow yields the wait's name -- "core" (each half of the cross-issue
+round trip), "transfer" (the first share round of a guard check), "round"
+(each later share round), "verdict" (before the guards' verdicts) or
+"hop" (key delivery, key return, rebroadcast) -- and returns its Outcome.
+``run_inclusion`` and ``run_unification`` run a flow with no clock;
+``simnet`` runs the same flows on its event loop.
+
 Every message carries a fresh nonce; receivers keep a per-sender nonce
 cache for the scenario lifetime, so replayed messages are rejected.
 All randomness flows through a caller-provided ``random.Random``, which
@@ -34,6 +42,8 @@ from .shares import (
     GroupCommitment,
     PrivateShare,
     PublicShare,
+    _lp,
+    _read_lp,
     decode_private_share,
     decode_public_share,
     encode_private_share,
@@ -67,6 +77,8 @@ __all__ = [
     "open_sealed",
     "deliver_group_key",
     "open_group_key",
+    "inclusion_flow",
+    "unification_flow",
     "run_inclusion",
     "run_unification",
 ]
@@ -165,22 +177,12 @@ class ProtocolMessage:
         payload, off = _read_lp(data, off + NONCE_BYTES)
         if off != len(data):
             raise DecodeError("trailing bytes in message")
-        sender = DroneId(swarm_b.decode(), int.from_bytes(x_b, "big"))
+        try:
+            swarm = swarm_b.decode()
+        except UnicodeDecodeError:
+            raise DecodeError("sender swarm id is not UTF-8") from None
+        sender = DroneId(swarm, int.from_bytes(x_b, "big"))
         return cls(kind, sender, receiver, nonce, payload)
-
-
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(2, "big") + data
-
-
-def _read_lp(buf: bytes, off: int):
-    if off + 2 > len(buf):
-        raise DecodeError("truncated length prefix")
-    n = int.from_bytes(buf[off:off + 2], "big")
-    off += 2
-    if off + n > len(buf):
-        raise DecodeError("truncated field")
-    return buf[off:off + n], off + n
 
 
 @dataclass(frozen=True)
@@ -400,26 +402,80 @@ def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng):
 def _send_group_key(group, deliverer: Drone, recipient: Drone,
                     recipient_pub: PublicShare, transport: Transport, rng) -> int | None:
     """KEY_AGREEMENT_INIT (deliverer's public share) followed by the
-    encrypted group key; returns the key as recovered by the recipient."""
+    encrypted group key; returns the key as recovered by the recipient, or
+    None when the recipient rejects a message as a replay or cannot decode
+    or authenticate it."""
     deliverer_pub = deliverer.public_share(group)
     init = ProtocolMessage(MessageKind.KEY_AGREEMENT_INIT, deliverer.id,
                            recipient.label, fresh_nonce(rng),
                            encode_public_share(group, deliverer_pub))
-    delivered = transport.deliver(init, recipient)
-    if delivered is None:
+    try:
+        delivered = transport.deliver(init, recipient)
+        if delivered is None:
+            return None
+        seen_pub = decode_public_share(group, delivered.payload)
+        key_msg = deliver_group_key(group, deliverer, recipient_pub,
+                                    recipient.label, rng)
+        delivered = transport.deliver(key_msg, recipient)
+        if delivered is None:
+            return None
+        return open_group_key(group, recipient, seen_pub, delivered)
+    except (DecryptionFailed, DecodeError):
         return None
-    seen_pub = decode_public_share(group, delivered.payload)
-    key_msg = deliver_group_key(group, deliverer, recipient_pub,
-                                recipient.label, rng)
-    delivered = transport.deliver(key_msg, recipient)
-    if delivered is None:
-        return None
-    return open_group_key(group, recipient, seen_pub, delivered)
 
 
-def run_inclusion(swarm: Swarm, candidate: Drone, rng,
-                  transport: Transport | None = None):
-    """Authenticate a new arrival against the swarm's guards.
+def _quorum(swarm: Swarm) -> list[Drone]:
+    """The t-1 lowest-x guards that take part in a threshold-t check."""
+    t = swarm.threshold
+    guards = swarm.guards()
+    if len(guards) < t - 1:
+        raise NotEnoughGuards(f"need {t - 1} guards in swarm {swarm.id}, "
+                              f"have {len(guards)}")
+    return guards[:t - 1]
+
+
+def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
+                 share: PublicShare, transport: Transport, rng):
+    """Step generator of one guard-quorum check of ``share``.
+
+    The publisher sends the pair to every guard, the guards exchange their
+    own pairs, and each guard checks the t-point Lagrange sum against the
+    swarm's commitment and sends its verdict to the publisher. Returns
+    (unanimous, views); views maps a guard's x to the published pair as
+    that guard received it.
+    """
+    group = swarm.group
+    t = swarm.threshold
+    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
+    views: dict[int, PublicShare] = {}
+    yield "transfer"
+    for g in guards:
+        seen = _publish_share(group, publisher, share, g, transport, rng)
+        if seen is not None:
+            received[g.id.x][seen.x] = seen
+            views[g.id.x] = seen
+    for g in guards:
+        yield "round"
+        g_pub = g.public_share(group)
+        for h in guards:
+            if h.id.x != g.id.x:
+                seen = _publish_share(group, g, g_pub, h, transport, rng)
+                if seen is not None:
+                    received[h.id.x][seen.x] = seen
+    yield "verdict"
+    unanimous = True
+    for g in guards:
+        shares = sorted([*received[g.id.x].values(), g.public_share(group)],
+                        key=lambda s: s.x)
+        ok = (len(shares) == t and len({s.x for s in shares}) == t
+              and verify_group(shares, swarm.commitment, group, t))
+        unanimous = unanimous and ok
+        _send_verdict(g, ok, publisher, transport, rng)
+    return unanimous, views
+
+
+def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
+    """Step generator of an inclusion; returns its Outcome.
 
     The candidate publishes its public share to the t-1 participating
     guards (the lowest identifiers when more are available), the guards
@@ -427,73 +483,47 @@ def run_inclusion(swarm: Swarm, candidate: Drone, rng,
     Lagrange sum against the commitment. Acceptance is unanimous; on
     acceptance the lowest-x guard delivers the group key and the
     candidate joins the swarm as a member.
+    """
+    guards = _quorum(swarm)
+    if candidate.id.x in swarm.drones:
+        raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
+    group = swarm.group
+    ok, views = yield from _guard_check(swarm, guards, candidate,
+                                        candidate.public_share(group), transport, rng)
+    if not ok:
+        return Outcome(False, "verification-failed")
+
+    yield "hop"
+    recovered = _send_group_key(group, guards[0], candidate,
+                                views[guards[0].id.x], transport, rng)
+    if recovered is None:
+        return Outcome(False, "key-delivery-failed")
+    candidate.group_key = recovered
+    candidate.role = Role.MEMBER
+    swarm.add_drone(candidate)
+    return Outcome(True)
+
+
+def _drain(flow, transport: Transport):
+    """Run a flow with no clock; returns (outcome, transcript)."""
+    while True:
+        try:
+            next(flow)
+        except StopIteration as stop:
+            transport.transcript.set_outcome(stop.value)
+            return stop.value, transport.transcript
+
+
+def run_inclusion(swarm: Swarm, candidate: Drone, rng,
+                  transport: Transport | None = None):
+    """Authenticate a new arrival against the swarm's guards (see
+    :func:`inclusion_flow`). The transport's step counter stamps the
+    transcript.
 
     Returns (outcome, transcript).
     """
     transport = transport if transport is not None else Transport()
-    transcript = transport.transcript
-    t = swarm.threshold
-
-    all_guards = swarm.guards()
-    if len(all_guards) < t - 1:
-        raise NotEnoughGuards(f"need {t - 1} guards, have {len(all_guards)}")
-    guards = all_guards[:t - 1]
-    if candidate.id.x in swarm.drones:
-        raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
-
-    group = swarm.group
-    candidate_pub = candidate.public_share(group)
-
-    # step 1: candidate publishes its public pair to every guard
-    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
-    for g in guards:
-        seen = _publish_share(group, candidate, candidate_pub, g, transport, rng)
-        if seen is not None:
-            received[g.id.x][candidate.id.x] = seen
-
-    # step 2: guards exchange public pairs among themselves
-    for g in guards:
-        g_pub = g.public_share(group)
-        for h in guards:
-            if h.id.x == g.id.x:
-                continue
-            seen = _publish_share(group, g, g_pub, h, transport, rng)
-            if seen is not None:
-                received[h.id.x][g.id.x] = seen
-
-    # steps 3-4: every guard forms the weighted point sum and compares to Q
-    verdicts = []
-    for g in guards:
-        shares = list(received[g.id.x].values()) + [g.public_share(group)]
-        shares.sort(key=lambda s: s.x)
-        xs = [s.x for s in shares]
-        ok = (len(shares) == t and len(set(xs)) == len(xs)
-              and verify_group(shares, swarm.commitment, group, t))
-        verdicts.append(ok)
-        _send_verdict(g, ok, candidate, transport, rng)
-
-    if not all(verdicts):
-        outcome = Outcome(False, "verification-failed")
-        transcript.set_outcome(outcome)
-        return outcome, transcript
-
-    # group-key delivery by the lowest-x guard
-    try:
-        recovered = _send_group_key(group, guards[0], candidate, candidate_pub,
-                                    transport, rng)
-    except (DecryptionFailed, DecodeError):
-        recovered = None
-    if recovered is None:
-        outcome = Outcome(False, "key-delivery-failed")
-        transcript.set_outcome(outcome)
-        return outcome, transcript
-
-    candidate.group_key = recovered
-    candidate.role = Role.MEMBER
-    swarm.add_drone(candidate)
-    outcome = Outcome(True)
-    transcript.set_outcome(outcome)
-    return outcome, transcript
+    return _drain(inclusion_flow(swarm, candidate, rng, transport), transport)
 
 
 class CoreNetwork:
@@ -592,51 +622,36 @@ def _open_cross_share(group, swarm: Swarm, drone: Drone,
     return decode_private_share(group.field, open_sealed(key, msg.nonce, msg.payload, aad))
 
 
-def _cross_verification(swarm_b: Swarm, publisher: Drone, cross_pub: PublicShare,
-                        transport: Transport, rng):
-    """Steps shared by unification passes: publisher hands the cross public
-    pair to swarm B's guards, the guards exchange pairs, and each checks the
-    t-share sum against swarm B's commitment. Returns (ok, b_guards, views)
-    where views maps guard x -> the cross share as that guard saw it."""
-    t = swarm_b.threshold
-    all_guards = swarm_b.guards()
-    if len(all_guards) < t - 1:
-        raise NotEnoughGuards(f"need {t - 1} guards in swarm {swarm_b.id}, "
-                              f"have {len(all_guards)}")
-    b_guards = all_guards[:t - 1]
-    group = swarm_b.group
-
-    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in b_guards}
-    views: dict[int, PublicShare] = {}
-    for g in b_guards:
-        seen = _publish_share(group, publisher, cross_pub, g, transport, rng)
-        if seen is not None:
-            received[g.id.x][seen.x] = seen
-            views[g.id.x] = seen
-    for g in b_guards:
-        g_pub = g.public_share(group)
-        for h in b_guards:
-            if h.id.x == g.id.x:
-                continue
-            seen = _publish_share(group, g, g_pub, h, transport, rng)
-            if seen is not None:
-                received[h.id.x][seen.x] = seen
-
-    verdicts = []
-    for g in b_guards:
-        shares = list(received[g.id.x].values()) + [g.public_share(group)]
-        shares.sort(key=lambda s: s.x)
-        xs = [s.x for s in shares]
-        ok = (len(shares) == t and len(set(xs)) == len(xs)
-              and verify_group(shares, swarm_b.commitment, group, t))
-        verdicts.append(ok)
-        _send_verdict(g, ok, publisher, transport, rng)
-    return all(verdicts), b_guards, views
+def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
+                away_guards: list[Drone], transport: Transport, rng):
+    """Step generator of one direction of a unification: the designated
+    guard of ``home`` obtains a share under ``away``'s polynomial and
+    ``away``'s guards check it. Returns (failure reason or None, cross
+    share, guard views of the cross public pair)."""
+    group = home.group
+    yield "core"
+    request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
+                              core.label, fresh_nonce(rng), away.id.encode())
+    transport.deliver(request, core)
+    yield "core"
+    response = core.core_issue_cross_share(designated.id, away.id, rng)
+    delivered = transport.deliver(response, designated)
+    if delivered is None:
+        return "cross-issue-undelivered", None, None
+    try:
+        cross = _open_cross_share(group, home, designated, delivered)
+    except (DecryptionFailed, DecodeError):
+        return "cross-share-unusable", None, None
+    ok, views = yield from _guard_check(away, away_guards, designated,
+                                        public_share(cross, group), transport, rng)
+    if not ok:
+        return "verification-failed", None, None
+    return None, cross, views
 
 
-def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
-                    transport: Transport | None = None, mutual: bool = False):
-    """Merge two swarms onto swarm B's group key.
+def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
+                     transport: Transport, mutual: bool = False):
+    """Step generator of a merge onto swarm B's group key; returns its Outcome.
 
     A designated guard of swarm A (lowest x) obtains a share under swarm
     B's polynomial from the core, swarm B's guards group-verify the cross
@@ -645,69 +660,42 @@ def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     verification is one-directional by default; ``mutual=True`` adds the
     mirrored pass (a swarm-B guard verified by swarm A) before any key
     moves.
-
-    Returns (outcome, transcript).
     """
     if swarm_a.group is not swarm_b.group:
         raise ValueError("swarms must share one group configuration")
     group = swarm_a.group
-    transport = transport if transport is not None else Transport()
-    transcript = transport.transcript
-
     a_guards = swarm_a.guards()
     if not a_guards:
         raise NotEnoughGuards(f"swarm {swarm_a.id} has no guards")
     d_a = a_guards[0]
+    if d_a.group_key is None:
+        raise MissingGroupKey(f"{d_a.label} holds no group key to rebroadcast under")
+    b_guards = _quorum(swarm_b)
+    a_quorum = _quorum(swarm_a) if mutual else None
 
-    def finish(outcome: Outcome):
-        transcript.set_outcome(outcome)
-        return outcome, transcript
-
-    def cross_pass(designated: Drone, home: Swarm, away: Swarm):
-        """Steps 1-5 for one direction; returns (ok_or_reason, cross share,
-        guard views of the cross public pair, away guards)."""
-        request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
-                                  core.label, fresh_nonce(rng),
-                                  away.id.encode())
-        transport.deliver(request, core)
-        response = core.core_issue_cross_share(designated.id, away.id, rng)
-        delivered = transport.deliver(response, designated)
-        if delivered is None:
-            return "cross-issue-undelivered", None, None, None
-        try:
-            cross = _open_cross_share(group, home, designated, delivered)
-        except (DecryptionFailed, DecodeError):
-            return "cross-share-unusable", None, None, None
-        ok, away_guards, views = _cross_verification(
-            away, designated, public_share(cross, group), transport, rng)
-        if not ok:
-            return "verification-failed", None, None, None
-        return None, cross, views, away_guards
-
-    failure, cross_share, views, b_guards = cross_pass(d_a, swarm_a, swarm_b)
+    failure, cross, views = yield from _cross_pass(core, d_a, swarm_a, swarm_b,
+                                                   b_guards, transport, rng)
     if failure:
-        return finish(Outcome(False, failure))
-
+        return Outcome(False, failure)
     if mutual:
-        d_b = swarm_b.guards()[0]
-        failure, _, _, _ = cross_pass(d_b, swarm_b, swarm_a)
+        failure, _, _ = yield from _cross_pass(core, b_guards[0], swarm_b, swarm_a,
+                                               a_quorum, transport, rng)
         if failure:
-            return finish(Outcome(False, f"mutual-{failure}"))
+            return Outcome(False, f"mutual-{failure}")
 
-    # step 6: a swarm-B guard returns swarm B's key to the designated guard,
+    # a swarm-B guard returns swarm B's key to the designated guard,
     # encrypted under the pairwise key of the cross share
+    yield "hop"
     deliverer = b_guards[0]
-    cross_holder = Drone(d_a.id, Role.GUARD, cross_share, swarm_b.commitment,
+    cross_holder = Drone(d_a.id, Role.GUARD, cross, swarm_b.commitment,
                          group_key=d_a.group_key, nonce_cache=d_a.nonce_cache)
-    try:
-        unified_key = _send_group_key(group, deliverer, cross_holder,
-                                      views[deliverer.id.x], transport, rng)
-    except (DecryptionFailed, DecodeError):
-        unified_key = None
+    unified_key = _send_group_key(group, deliverer, cross_holder,
+                                  views[deliverer.id.x], transport, rng)
     if unified_key is None:
-        return finish(Outcome(False, "key-return-failed"))
+        return Outcome(False, "key-return-failed")
 
-    # step 7: rebroadcast under swarm A's current group key
+    # rebroadcast under swarm A's current group key
+    yield "hop"
     relay_key = group_key_cipher_key(group.field, d_a.group_key)
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
@@ -719,13 +707,25 @@ def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
                               member.label, nonce, ct)
         delivered = transport.deliver(msg, member)
         if delivered is None:
-            return finish(Outcome(False, "broadcast-rejected"))
+            return Outcome(False, "broadcast-rejected")
         try:
             member.group_key = group.field.decode(
                 open_sealed(relay_key, delivered.nonce, delivered.payload, aad))
         except (DecryptionFailed, DecodeError):
-            return finish(Outcome(False, "broadcast-tampered"))
+            return Outcome(False, "broadcast-tampered")
     d_a.group_key = unified_key
+    # both swarms now share swarm B's key for intra-group traffic
+    return Outcome(True)
 
-    # step 8: both swarms now share swarm B's key for intra-group traffic
-    return finish(Outcome(True))
+
+def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
+                    transport: Transport | None = None, mutual: bool = False):
+    """Merge two swarms onto swarm B's group key (see
+    :func:`unification_flow`). The transport's step counter stamps the
+    transcript.
+
+    Returns (outcome, transcript).
+    """
+    transport = transport if transport is not None else Transport()
+    return _drain(unification_flow(swarm_a, swarm_b, core, rng, transport, mutual),
+                  transport)

@@ -250,10 +250,13 @@ class Dealer:
         return public_share(share, self.group)
 
 
-# Wire form: each fixed-width field encoding preceded by a 2-byte
-# big-endian length, concatenated. Used in simulator messages and fixtures.
+# Wire form: each field preceded by a 2-byte big-endian length, concatenated.
+# Share encodings and protocol messages both use it.
 
 def _lp(data: bytes) -> bytes:
+    if len(data) > 0xFFFF:
+        raise ValueError(f"field of {len(data)} bytes exceeds the 65535-byte "
+                         f"length prefix")
     return len(data).to_bytes(2, "big") + data
 
 
@@ -267,6 +270,13 @@ def _read_lp(buf: bytes, off: int) -> tuple[bytes, int]:
     return buf[off:off + n], off + n
 
 
+def _decode_identifier(field: ScalarField, data: bytes) -> int:
+    x = field.decode(data)
+    if x == 0:
+        raise DecodeError("share identifier must be nonzero")
+    return x
+
+
 def encode_private_share(field: ScalarField, share: PrivateShare) -> bytes:
     return _lp(field.encode(share.x)) + _lp(field.encode(share.y))
 
@@ -276,7 +286,7 @@ def decode_private_share(field: ScalarField, data: bytes) -> PrivateShare:
     yb, off = _read_lp(data, off)
     if off != len(data):
         raise DecodeError("trailing bytes in private share encoding")
-    return PrivateShare(x=field.decode(xb), y=field.decode(yb))
+    return PrivateShare(x=_decode_identifier(field, xb), y=field.decode(yb))
 
 
 def encode_public_share(group, share: PublicShare) -> bytes:
@@ -288,7 +298,7 @@ def decode_public_share(group, data: bytes) -> PublicShare:
     pb, off = _read_lp(data, off)
     if off != len(data):
         raise DecodeError("trailing bytes in public share encoding")
-    return PublicShare(x=group.field.decode(xb), point=group.decode(pb))
+    return PublicShare(x=_decode_identifier(group.field, xb), point=group.decode(pb))
 
 
 def encode_commitment(group, commitment: GroupCommitment) -> bytes:

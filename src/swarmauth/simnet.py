@@ -40,9 +40,7 @@ from .protocol import (
     Drone,
     MessageKind,
     Outcome,
-    Role,
     Transport,
-    open_sealed,
 )
 from .shares import PublicShare, decode_public_share, encode_public_share
 
@@ -106,6 +104,8 @@ def parse_duration(text: str, field_name: str = "duration") -> float:
                 value = float(text[:-len(suffix)])
             except ValueError:
                 raise ConfigError(f"{field_name}: bad duration literal {text!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{field_name}: duration {text!r} is not finite")
             return value * scale
     raise ConfigError(f"{field_name}: duration {text!r} needs a us or ms suffix")
 
@@ -146,9 +146,13 @@ class ScenarioConfig:
                 1 if self.scenario == "nr5g" else self.guards)
         if self.n_drones < 0:
             raise ConfigError(f"n_drones: must be >= 0, got {self.n_drones}")
-        if self.scenario in ("inclusion", "unification") and self.n_drones < self.guards:
-            raise ConfigError(f"n_drones: swarm of {self.n_drones} cannot hold "
-                              f"{self.guards} guards")
+        if self.scenario in ("inclusion", "unification"):
+            if self.guards < self.threshold - 1:
+                raise ConfigError(f"guards: a threshold-{self.threshold} check "
+                                  f"needs {self.threshold - 1} guards, got {self.guards}")
+            if self.n_drones < self.guards:
+                raise ConfigError(f"n_drones: swarm of {self.n_drones} cannot hold "
+                                  f"{self.guards} guards")
 
 
 _INT_KEYS = ("threshold", "n_drones", "guards", "seed")
@@ -463,10 +467,14 @@ def _run_nr5g(config: ScenarioConfig, rng) -> _ScenarioResult:
                            [group.field.encode(keys.private)])
 
 
-def _adversary_for(config: ScenarioConfig, group, rng) -> Adversary | None:
+def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
+    """(transport, adversary): the configured in-path adversary, if any,
+    aims its substitutions at ``target``'s share publishes."""
     if config.adversary == "none":
-        return None
-    return Adversary(mode=config.adversary, group=group, rng=rng)
+        return Transport(), None
+    adversary = Adversary(mode=config.adversary, group=group, rng=rng,
+                          mitm_target=str(target.id))
+    return Transport(intercept=adversary.intercept), adversary
 
 
 def _scenario_secrets(group, core: CoreNetwork, *swarm_ids) -> list:
@@ -479,103 +487,77 @@ def _scenario_secrets(group, core: CoreNetwork, *swarm_ids) -> list:
     return secrets
 
 
-def _run_inclusion(config: ScenarioConfig, rng) -> _ScenarioResult:
+def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
+    """Run a protocol flow on the event loop and return its outcome.
+
+    Each yielded step resumes the flow at its modeled time, with the
+    transcript clock set to the loop's. A guard check is timed from its
+    start, as the closed forms add it up, so event times round like them
+    under fractional latency models: serialized guards get share k at
+    k*(d2d + ecmul) + d2d, parallel guards get every share at d2d, and the
+    verdicts follow the transfers and one multiply per share.
+    """
     model = config.latency
+    parallel = config.parallel_guards
+    slot = 0.0 if parallel else model.drone_to_drone + model.ec_point_mul
+    loop = EventLoop()
+    start, shares = 0.0, 0
+    done = []
+
+    def resume():
+        nonlocal start, shares
+        transport.clock_us = now = loop.now_us
+        try:
+            step = next(flow)
+        except StopIteration as stop:
+            done.append(stop.value)
+            return
+        if step == "transfer":
+            start, shares = now, 0
+        if step in ("transfer", "round"):
+            at = start + shares * slot + model.drone_to_drone
+            shares += 1
+        elif step == "verdict":
+            transfers = 1 if parallel else shares
+            at = start + (transfers * model.drone_to_drone
+                          + shares * model.ec_point_mul)
+        elif step == "core":
+            at = now + model.ue_core_round_trip / 2.0
+        else:  # "hop"
+            at = now + model.drone_to_drone
+        loop.schedule_at(at, resume)
+
+    resume()
+    loop.run()
+    # resume refers to itself; break that cycle so that a finished run's
+    # swarms are freed now rather than at the next garbage collection
+    del resume
+    transport.transcript.set_outcome(done[0])
+    return done[0]
+
+
+def _run_inclusion(config: ScenarioConfig, rng) -> _ScenarioResult:
     t = config.threshold
     group = make_group(config.group)
     core = CoreNetwork(group, rng)
     swarm = core.provision_swarm("A", t, n_drones=config.n_drones,
                                  n_guards=config.guards)
     candidate = core.issue_candidate("A")
+    transport, adversary = _transport_for(config, group, rng, candidate)
+    outcome = _drive(protocol.inclusion_flow(swarm, candidate, rng, transport),
+                     config, transport)
 
-    adversary = _adversary_for(config, group, rng)
-    if adversary is not None:
-        adversary.mitm_target = str(candidate.id)
-    transport = Transport(intercept=adversary.intercept if adversary else None)
-    transcript = transport.transcript
-    loop = EventLoop()
-
-    guards = swarm.guards()[:t - 1]
-    if len(guards) < t - 1:
-        raise protocol.NotEnoughGuards(f"need {t - 1} guards, have {len(guards)}")
-    if candidate.id.x in swarm.drones:
-        raise protocol.DuplicateIdentifier(
-            f"candidate identifier {candidate.id.x} collides")
-
-    step = model.drone_to_drone + model.ec_point_mul
-    phases = group_auth_phases(t, model, config.parallel_guards)
-    auth_total = sum(phases.values())
-    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
-    state = {"verdicts": []}
-
-    def make_round(publisher):
-        # one transfer-then-multiply slot per participant share
-        def fire():
-            transport.clock_us = loop.now_us
-            if publisher is candidate:
-                pub = candidate.public_share(group)
-                targets = guards
-            else:
-                pub = publisher.public_share(group)
-                targets = [g for g in guards if g.id.x != publisher.id.x]
-            for g in targets:
-                seen = protocol._publish_share(group, publisher, pub, g,
-                                               transport, rng)
-                if seen is not None:
-                    received[g.id.x][seen.x] = seen
-        return fire
-
-    def verdict_phase():
-        transport.clock_us = loop.now_us
-        for g in guards:
-            shares = list(received[g.id.x].values()) + [g.public_share(group)]
-            shares.sort(key=lambda s: s.x)
-            xs = [s.x for s in shares]
-            ok = (len(shares) == t and len(set(xs)) == len(xs)
-                  and protocol.verify_group(shares, swarm.commitment, group, t))
-            state["verdicts"].append(ok)
-            protocol._send_verdict(g, ok, candidate, transport, rng)
-        if all(state["verdicts"]):
-            loop.schedule(model.drone_to_drone, key_delivery)
-        else:
-            state["outcome"] = Outcome(False, "verification-failed")
-
-    def key_delivery():
-        transport.clock_us = loop.now_us
-        try:
-            recovered = protocol._send_group_key(
-                group, guards[0], candidate,
-                received[guards[0].id.x].get(candidate.id.x), transport, rng)
-        except (protocol.DecryptionFailed, protocol.DecodeError):
-            recovered = None
-        if recovered is None:
-            state["outcome"] = Outcome(False, "key-delivery-failed")
-            return
-        candidate.group_key = recovered
-        candidate.role = Role.MEMBER
-        swarm.add_drone(candidate)
-        state["outcome"] = Outcome(True)
-
-    publishers = [candidate] + guards
-    for idx, publisher in enumerate(publishers):
-        if config.parallel_guards:
-            arrival = model.drone_to_drone  # one shared broadcast slot
-        else:
-            arrival = idx * step + model.drone_to_drone
-        loop.schedule_at(arrival, make_round(publisher))
-    loop.schedule_at(auth_total, verdict_phase)
-    loop.run()
-
-    outcome = state["outcome"]
-    transcript.set_outcome(outcome)
+    phases = group_auth_phases(t, config.latency, config.parallel_guards)
     report = TimingReport("inclusion", "group-auth", t, 1,
-                          auth_total, phases, str(outcome))
+                          sum(phases.values()), phases, str(outcome))
     secrets = _scenario_secrets(group, core, "A")
     secrets.append(group.field.encode(candidate.private_share.y))
-    return _ScenarioResult(report, transcript, group, secrets, adversary)
+    return _ScenarioResult(report, transport.transcript, group, secrets, adversary)
 
 
 def _run_unification(config: ScenarioConfig, rng) -> _ScenarioResult:
+    """The report charges the full modeled path (cross issue, guard check,
+    key return, rebroadcast) whatever the outcome."""
     model = config.latency
     t = config.threshold
     group = make_group(config.group)
@@ -584,148 +566,17 @@ def _run_unification(config: ScenarioConfig, rng) -> _ScenarioResult:
                                    n_guards=config.guards)
     swarm_b = core.provision_swarm("B", t, n_drones=config.n_drones,
                                    n_guards=config.guards)
+    transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
+    outcome = _drive(protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
+                     config, transport)
 
-    a_guards = swarm_a.guards()
-    d_a = a_guards[0]
-    adversary = _adversary_for(config, group, rng)
-    if adversary is not None:
-        adversary.mitm_target = str(d_a.id)
-    transport = Transport(intercept=adversary.intercept if adversary else None)
-    transcript = transport.transcript
-    loop = EventLoop()
-
-    b_guards = swarm_b.guards()[:t - 1]
-    if len(b_guards) < t - 1:
-        raise protocol.NotEnoughGuards(
-            f"need {t - 1} guards in swarm B, have {len(b_guards)}")
-
-    half_rtt = model.ue_core_round_trip / 2.0
-    step = model.drone_to_drone + model.ec_point_mul
-    auth_start = model.ue_core_round_trip
-    auth_phases = group_auth_phases(t, model, config.parallel_guards)
-    verdict_time = auth_start + sum(auth_phases.values())
-    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in b_guards}
-    views: dict[int, PublicShare] = {}
-    state = {"verdicts": []}
-
-    def request_at_core():
-        transport.clock_us = loop.now_us
-        msg = protocol.ProtocolMessage(
-            MessageKind.CROSS_ISSUE_REQUEST, d_a.id, core.label,
-            protocol.fresh_nonce(rng), swarm_b.id.encode())
-        transport.deliver(msg, core)
-
-    def response_at_guard():
-        transport.clock_us = loop.now_us
-        response = core.core_issue_cross_share(d_a.id, swarm_b.id, rng)
-        delivered = transport.deliver(response, d_a)
-        if delivered is None:
-            state["outcome"] = Outcome(False, "cross-issue-undelivered")
-            return
-        try:
-            state["cross"] = protocol._open_cross_share(group, swarm_a, d_a,
-                                                        delivered)
-        except (protocol.DecryptionFailed, protocol.DecodeError):
-            state["outcome"] = Outcome(False, "cross-share-unusable")
-            return
-        publishers = [None] + b_guards  # None marks the cross-share round
-        for idx, publisher in enumerate(publishers):
-            if config.parallel_guards:
-                arrival = auth_start + model.drone_to_drone
-            else:
-                arrival = auth_start + idx * step + model.drone_to_drone
-            loop.schedule_at(arrival, make_round(publisher))
-        loop.schedule_at(verdict_time, verdict_phase)
-
-    def make_round(publisher):
-        def fire():
-            transport.clock_us = loop.now_us
-            if publisher is None:
-                pub = protocol.public_share(state["cross"], group)
-                sender, targets = d_a, b_guards
-            else:
-                pub = publisher.public_share(group)
-                sender = publisher
-                targets = [g for g in b_guards if g.id.x != publisher.id.x]
-            for g in targets:
-                seen = protocol._publish_share(group, sender, pub, g,
-                                               transport, rng)
-                if seen is not None:
-                    received[g.id.x][seen.x] = seen
-                    if publisher is None:
-                        views[g.id.x] = seen
-        return fire
-
-    def verdict_phase():
-        transport.clock_us = loop.now_us
-        for g in b_guards:
-            shares = list(received[g.id.x].values()) + [g.public_share(group)]
-            shares.sort(key=lambda s: s.x)
-            xs = [s.x for s in shares]
-            ok = (len(shares) == t and len(set(xs)) == len(xs)
-                  and protocol.verify_group(shares, swarm_b.commitment, group, t))
-            state["verdicts"].append(ok)
-            protocol._send_verdict(g, ok, d_a, transport, rng)
-        if all(state["verdicts"]):
-            loop.schedule(model.drone_to_drone, key_return)
-        else:
-            state["outcome"] = Outcome(False, "verification-failed")
-
-    def key_return():
-        transport.clock_us = loop.now_us
-        holder = Drone(d_a.id, Role.GUARD, state["cross"], swarm_b.commitment,
-                       group_key=d_a.group_key, nonce_cache=d_a.nonce_cache)
-        try:
-            unified = protocol._send_group_key(group, b_guards[0], holder,
-                                               views[b_guards[0].id.x],
-                                               transport, rng)
-        except (protocol.DecryptionFailed, protocol.DecodeError):
-            unified = None
-        if unified is None:
-            state["outcome"] = Outcome(False, "key-return-failed")
-            return
-        state["unified"] = unified
-        loop.schedule(model.drone_to_drone, broadcast)
-
-    def broadcast():
-        transport.clock_us = loop.now_us
-        relay_key = protocol.group_key_cipher_key(group.field, d_a.group_key)
-        unified = state["unified"]
-        for member in swarm_a.members():
-            if member.id.x == d_a.id.x:
-                continue
-            nonce = protocol.fresh_nonce(rng)
-            aad = protocol._aad(d_a.id, member.label, nonce)
-            ct = protocol.seal(relay_key, nonce,
-                               group.field.encode(unified), aad)
-            msg = protocol.ProtocolMessage(MessageKind.UNIFIED_KEY_BROADCAST,
-                                           d_a.id, member.label, nonce, ct)
-            delivered = transport.deliver(msg, member)
-            if delivered is None:
-                state["outcome"] = Outcome(False, "broadcast-rejected")
-                return
-            try:
-                member.group_key = group.field.decode(
-                    open_sealed(relay_key, delivered.nonce, delivered.payload, aad))
-            except (protocol.DecryptionFailed, protocol.DecodeError):
-                state["outcome"] = Outcome(False, "broadcast-tampered")
-                return
-        d_a.group_key = unified
-        state["outcome"] = Outcome(True)
-
-    loop.schedule_at(half_rtt, request_at_core)
-    loop.schedule_at(model.ue_core_round_trip, response_at_guard)
-    loop.run()
-
-    outcome = state["outcome"]
-    transcript.set_outcome(outcome)
     phases = {"cross_issue": model.ue_core_round_trip}
-    phases.update(auth_phases)
+    phases.update(group_auth_phases(t, model, config.parallel_guards))
     phases["key_return"] = model.drone_to_drone
     phases["unified_broadcast"] = model.drone_to_drone
     report = TimingReport("unification", "group-auth", t, 2 * config.n_drones,
                           sum(phases.values()), phases, str(outcome))
-    return _ScenarioResult(report, transcript, group,
+    return _ScenarioResult(report, transport.transcript, group,
                            _scenario_secrets(group, core, "A", "B"), adversary)
 
 

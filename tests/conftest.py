@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from swarmauth.algebra import CurveGroup, ToyGroup
+
+# Fixed example sequences and no per-example deadline, so that property
+# tests pass or fail the same way on every run and on a loaded machine.
+settings.register_profile("swarmauth", derandomize=True, deadline=None)
+settings.load_profile("swarmauth")
 
 
 @pytest.fixture

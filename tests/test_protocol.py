@@ -5,7 +5,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swarmauth.algebra import CurveGroup, DecodeError, ToyGroup
 from swarmauth.protocol import (
     AuthTranscript,
     CoreNetwork,
@@ -39,12 +41,17 @@ from swarmauth.shares import (
     GroupPolynomial,
     PrivateShare,
     PublicShare,
+    _lp,
+    decode_commitment,
+    decode_private_share,
     decode_public_share,
     encode_public_share,
     group_commitment,
     issue_share,
     public_share,
 )
+
+GROUPS = (ToyGroup(), CurveGroup())
 
 
 def manual_swarm(toy101):
@@ -342,11 +349,51 @@ class TestMessageWire:
         assert msg.to_bytes()[0] == MessageKind.SHARE_PUBLISH.value
 
     def test_malformed_rejected(self):
-        from swarmauth.algebra import DecodeError
         with pytest.raises(DecodeError):
             ProtocolMessage.from_bytes(b"")
         with pytest.raises(DecodeError):
             ProtocolMessage.from_bytes(bytes([99]) + bytes(40))
+
+    def test_non_utf8_sender_rejected(self):
+        data = bytes([2]) + b"\x00\x02\xff\xfe\x00\x01\x01" + bytes(16) + b"\x00\x00"
+        with pytest.raises(DecodeError):
+            ProtocolMessage.from_bytes(data)
+
+    def test_over_long_field_names_the_limit(self, rng):
+        msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
+                              "A/2", fresh_nonce(rng), bytes(65_536))
+        with pytest.raises(ValueError, match="65535"):
+            msg.to_bytes()
+        limit = replace(msg, payload=bytes(65_535))
+        assert ProtocolMessage.from_bytes(limit.to_bytes(), "A/2") == limit
+
+    # Valid length prefixes around arbitrary bytes (some of them exactly
+    # as wide as a toy or curve scalar or point), mixed with raw runs
+    # (nonce-sized and short), reach the decoders' inner checks; raw random
+    # bytes mostly stop at the first length prefix.
+    _widths = st.sampled_from((8, 32, 65)).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n))
+    _pieces = st.lists(st.one_of(st.binary(max_size=70).map(_lp),
+                                 _widths.map(_lp),
+                                 st.binary(min_size=16, max_size=16),
+                                 st.binary(max_size=2)), max_size=6)
+
+    @settings(max_examples=400)
+    @given(kind=st.integers(0, 8), pieces=_pieces)
+    def test_decoders_fail_typed(self, kind, pieces):
+        data = bytes([kind]) + b"".join(pieces)
+        for blob in (data, data[1:]):
+            for group in GROUPS:
+                decoders = (group.field.decode, group.decode,
+                            lambda b: decode_private_share(group.field, b),
+                            lambda b: decode_public_share(group, b),
+                            lambda b: decode_commitment(group, b),
+                            ProtocolMessage.from_bytes)
+                for decode in decoders:
+                    try:
+                        decode(blob)
+                    except DecodeError:
+                        pass
 
 
 class TestCrossIssue:
@@ -474,6 +521,14 @@ class TestRunUnification:
         requests = [e for e in transcript.entries
                     if e.kind == "CROSS_ISSUE_REQUEST"]
         assert len(requests) == 2
+
+    def test_designated_guard_without_key(self, toy61):
+        core, swarm_a, swarm_b, rng = self.setup_swarms(toy61, 27)
+        swarm_a.guards()[0].group_key = None
+        transport = Transport()
+        with pytest.raises(MissingGroupKey):
+            run_unification(swarm_a, swarm_b, core, rng, transport)
+        assert transport.transcript.entries == []
 
     def test_deterministic_transcript(self, toy61):
         def one_run():

@@ -107,6 +107,10 @@ class TestParseConfig:
         ("scenario = inclusion\nadversary = troll", "adversary"),
         ("scenario = inclusion\nthreshold = 1", "threshold"),
         ("scenario = inclusion\nguards = 0", "guards"),
+        ("scenario = inclusion\nthreshold = 5\nguards = 3", "guards"),
+        ("scenario = unification\nthreshold = 4\nguards = 2", "guards"),
+        ("scenario = nr5g\nhash_op = nanms", "hash_op"),
+        ("scenario = inclusion\nec_point_mul = infms", "ec_point_mul"),
         ("scenario = inclusion\nguards = 4\nn_drones = 2", "n_drones"),
         ("scenario = nr5g\ngroup = weird", "group"),
         ("scenario: nr5g", "key = value"),                  # wrong separator
@@ -268,6 +272,26 @@ class TestScenarios:
                     + 2 * m.drone_to_drone)
         assert report.total_us == expected
         assert report.outcome == "accepted"
+
+    def test_event_loop_meets_closed_forms_under_random_models(self):
+        # the event loop times every flow step, apart from the closed
+        # forms: an accepted run's last authentication message must land
+        # exactly at the reported total
+        rng = random.Random(405)
+        for trial in range(12):
+            model = LatencyModel(**{name: float(rng.randrange(0, 20_000))
+                                    for name in LATENCY_FIELDS})
+            t = rng.randrange(2, 7)
+            parallel = trial % 2 == 1
+            for scenario, last in (("inclusion", "AUTH_VERDICT"),
+                                   ("unification", "UNIFIED_KEY_BROADCAST")):
+                config = toy_config(scenario=scenario, threshold=t, seed=trial,
+                                    n_drones=t + 1, latency=model,
+                                    parallel_guards=parallel)
+                report, transcript = run_scenario(config)
+                assert report.outcome == "accepted"
+                times = {e.time_us for e in transcript.entries if e.kind == last}
+                assert times == {report.total_us}, (scenario, t, parallel)
 
     def test_bulk_totals(self):
         config = toy_config(scenario="bulk", threshold=5, n_drones=100)
