@@ -6,7 +6,9 @@ challenge, and the AUSF/SEAF pair confirm the UE's response by hash and
 byte comparison. Responses are modeled as the challenge concatenated
 with the SUCI bytes, which keeps the flow's operation counts (one
 asymmetric encryption, one decryption, two hashes, two round trips)
-exactly those the latency model charges for.
+exactly those the latency model charges for. The exchange is written once,
+as ``ue_authentication_flow``: ``run_ue_authentication`` runs it with no
+clock and ``simnet`` runs it on its event loop.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "ue_response",
     "seaf_check",
     "ausf_confirm",
+    "ue_authentication_flow",
     "run_ue_authentication",
 ]
 
@@ -179,19 +182,51 @@ def ausf_confirm(res: bytes, state: ChallengeState) -> Supi:
     return state.supi
 
 
-def run_ue_authentication(group, supi: Supi, keys: BaseStationKeys, rng,
-                          counter: OpCounter | None = None) -> Supi:
-    """Full happy-path flow; returns the SUPI as recovered by the serving
-    network. Raises AuthenticationFailure or DecryptError on any mismatch.
+def ue_authentication_flow(group, supi: Supi, keys: BaseStationKeys, rng,
+                           counter: OpCounter, record):
+    """Step generator of one UE authentication; returns the SUPI as
+    recovered by the serving network and raises AuthenticationFailure on a
+    mismatch. Before each modeled wait it yields "encrypt", "core" (each
+    half of a round trip), "decrypt" (UDM) or "hash" (AUSF, then SEAF), and
+    it logs SUCI, CHALLENGE, RES and CONFIRM on arrival through
+    ``record(kind, sender, receiver, payload)``.
     """
-    counter = counter if counter is not None else OpCounter()
+    yield "encrypt"
     suci = compute_suci(group, supi, keys.public, rng, counter)
+    yield "core"
+    record("SUCI", "ue", "core", suci.ciphertext)
+    yield "decrypt"
     state = udm_challenge(group, suci, keys, rng, counter)
+    yield "hash"
     hxres = ausf_hxres(state, counter)
+    yield "core"
+    record("CHALLENGE", "core", "ue", state.rand)
     counter.round_trips += 1  # SUCI up, challenge down
     res = ue_response(suci, state.rand)
-    if not seaf_check(res, hxres, counter):
-        raise AuthenticationFailure("HXRES mismatch at SEAF")
-    recovered = ausf_confirm(res, state)
+    yield "core"
+    record("RES", "ue", "core", res)
+    yield "hash"
+    ok = seaf_check(res, hxres, counter)
+    yield "core"
     counter.round_trips += 1  # RES up, confirmation down
+    recovered = ausf_confirm(res, state) if ok else None
+    record("CONFIRM", "core", "ue", b"ok" if ok else b"fail")
+    if not ok:
+        raise AuthenticationFailure("HXRES mismatch at SEAF")
     return recovered
+
+
+def run_ue_authentication(group, supi: Supi, keys: BaseStationKeys, rng,
+                          counter: OpCounter | None = None) -> Supi:
+    """Full flow with no clock (see :func:`ue_authentication_flow`); returns
+    the SUPI as recovered by the serving network. Raises
+    AuthenticationFailure or DecryptError on any mismatch.
+    """
+    flow = ue_authentication_flow(group, supi, keys, rng,
+                                  counter if counter is not None else OpCounter(),
+                                  lambda *message: None)
+    while True:
+        try:
+            next(flow)
+        except StopIteration as stop:
+            return stop.value

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 from .simnet import (
     ConfigError,
@@ -39,18 +40,23 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+def _load_config(path: str, **changes) -> ScenarioConfig | None:
+    """The config file at ``path`` with ``changes`` applied, or None after
+    reporting why it cannot be read or is invalid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return replace(parse_config(fh.read()), **changes)
+    except OSError as exc:
+        _fail(f"cannot read config: {exc}")
+    except ConfigError as exc:
+        _fail(f"config error: {exc}")
+    return None
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        return _fail(f"cannot read config: {exc}")
-    except ConfigError as exc:
-        return _fail(f"config error: {exc}")
+    config = _load_config(args.config)
+    if config is None:
+        return 1
     if args.seed is not None:
         config.seed = args.seed
 
@@ -97,12 +103,9 @@ def cmd_sweep(args) -> int:
         return _fail(f"n_drones sweep must start at 0 or above, got {points[0]}")
 
     if args.config is not None:
-        try:
-            config = _load_config(args.config)
-        except OSError as exc:
-            return _fail(f"cannot read config: {exc}")
-        except ConfigError as exc:
-            return _fail(f"config error: {exc}")
+        config = _load_config(args.config)
+        if config is None:
+            return 1
     else:
         scenario = "inclusion" if args.variable == "threshold" else "bulk"
         config = ScenarioConfig(scenario=scenario, latency=LatencyModel())
@@ -130,12 +133,9 @@ def cmd_attack(args) -> int:
         return _fail(f"usage: attack --mode must be one of {ATTACK_MODES}, "
                      f"got {args.mode!r}")
     if args.config is not None:
-        try:
-            configs = [_load_config(args.config)]
-        except OSError as exc:
-            return _fail(f"cannot read config: {exc}")
-        except ConfigError as exc:
-            return _fail(f"config error: {exc}")
+        configs = [_load_config(args.config, adversary=args.mode)]
+        if configs[0] is None:
+            return 1
     else:
         # default harness: hit both protocol scenarios
         configs = [ScenarioConfig(scenario="inclusion", adversary=args.mode),
@@ -146,7 +146,6 @@ def cmd_attack(args) -> int:
 
     all_thwarted = True
     for config in configs:
-        config.adversary = args.mode
         result = inject_adversary(config)
         status = "thwarted" if result.thwarted else "NOT THWARTED"
         print(f"{config.scenario} {args.mode}: {status} ({result.detail})")

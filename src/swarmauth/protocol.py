@@ -1,6 +1,6 @@
 """Swarm membership protocols over threshold shares.
 
-Three flows are implemented as explicit message sequences:
+Four flows are implemented as explicit message sequences:
 
 * inclusion -- a new drone publishes its public share to the guard
   drones, every guard checks the t-share Lagrange sum against the group
@@ -11,14 +11,17 @@ Three flows are implemented as explicit message sequences:
 * unification -- a designated guard of one swarm obtains a cross-issued
   share for the other swarm from the core network, is group-verified by
   the other swarm's guards, and relays that swarm's key back to its own.
+* bulk admission -- n arrivals broadcast their public shares, and one
+  threshold check of the guards plus the first arrival admits them all.
 
-Inclusion and unification are step generators. Before each modeled wait
-a flow yields the wait's name -- "core" (each half of the cross-issue
-round trip), "transfer" (the first share round of a guard check), "round"
-(each later share round), "verdict" (before the guards' verdicts) or
-"hop" (key delivery, key return, rebroadcast) -- and returns its Outcome.
-``run_inclusion`` and ``run_unification`` run a flow with no clock;
-``simnet`` runs the same flows on its event loop.
+Inclusion, unification and bulk admission are step generators. Before
+each modeled wait a flow yields the wait's name -- "core" (each half of
+the cross-issue round trip), "transfer" (the first share round of a guard
+check), "round" (each later share round), "verdict" (before the guards'
+verdicts), "hop" (key delivery, key return, rebroadcast), "broadcast"
+(each bulk arrival) or "check" (the bulk check) -- and returns its
+Outcome. ``run_inclusion`` and ``run_unification`` run a flow with no
+clock; ``simnet`` runs the same flows on its event loop.
 
 Every message carries a fresh nonce; receivers keep a per-sender nonce
 cache for the scenario lifetime, so replayed messages are rejected.
@@ -79,6 +82,7 @@ __all__ = [
     "open_group_key",
     "inclusion_flow",
     "unification_flow",
+    "bulk_flow",
     "run_inclusion",
     "run_unification",
 ]
@@ -312,6 +316,10 @@ class Transport:
         self._step += 1
         return t
 
+    def record(self, kind: str, sender: str, receiver: str, payload: bytes):
+        """Log a message that no receiver checks, stamped like a delivery."""
+        self.transcript.record(self._stamp(), kind, sender, receiver, payload)
+
     def deliver(self, msg: ProtocolMessage, receiver) -> ProtocolMessage | None:
         """Deliver to anything with ``label`` and ``nonce_cache``; returns the
         (possibly intercepted) message, or None when rejected as a replay."""
@@ -501,6 +509,30 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     candidate.group_key = recovered
     candidate.role = Role.MEMBER
     swarm.add_drone(candidate)
+    return Outcome(True)
+
+
+def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
+    """Step generator of a bulk admission; returns its Outcome.
+
+    Each arrival broadcasts its public share to the swarm; one threshold
+    check of the guard quorum plus the first arrival admits the batch, and
+    the other arrivals are not verified. An empty batch needs no check.
+    """
+    group = swarm.group
+    for arrival in arrivals:
+        yield "broadcast"
+        transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
+                         f"{swarm.id}/*",
+                         encode_public_share(group, arrival.public_share(group)))
+    if not arrivals:
+        return Outcome(True)
+    yield "check"
+    shares = [g.public_share(group) for g in _quorum(swarm)]
+    shares.append(arrivals[0].public_share(group))
+    shares.sort(key=lambda s: s.x)
+    if not verify_group(shares, swarm.commitment, group, swarm.threshold):
+        return Outcome(False, "verification-failed")
     return Outcome(True)
 
 

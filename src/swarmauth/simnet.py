@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulation of the authentication scenarios.
 
-A scenario runs real protocol cryptography while a heap-ordered event
-loop assigns modeled timestamps from a configurable latency model. The
-group-authentication critical path is serialized per share (one
-drone-to-drone transfer followed by one curve multiplication per
-participant), so an inclusion at threshold t costs
-t * (drone_to_drone + ec_point_mul); the 5G NR baseline costs
+Each scenario (5G NR, inclusion, unification, bulk admission) runs its
+flow, a step generator from ``baseline5g`` or ``protocol``, with real
+cryptography while a heap-ordered event loop assigns modeled timestamps
+from a configurable latency model. The group-authentication critical
+path is serialized per share (one drone-to-drone transfer followed by one
+curve multiplication per participant), so an inclusion at threshold t
+costs t * (drone_to_drone + ec_point_mul) and a bulk admission of n
+drones n * drone_to_drone plus one such check; the 5G NR baseline costs
 2 * round_trip + asym_encrypt + asym_decrypt + 2 * hash_op.
 
 Identical (config, seed) pairs produce identical timing reports and
@@ -24,15 +26,11 @@ from dataclasses import dataclass, field as dc_field, replace
 from . import protocol
 from .algebra import make_group
 from .baseline5g import (
+    AuthenticationFailure,
     OpCounter,
-    compute_suci,
     gen_bs_keys,
     random_supi,
-    seaf_check,
-    udm_challenge,
-    ue_response,
-    ausf_confirm,
-    ausf_hxres,
+    ue_authentication_flow,
 )
 from .protocol import (
     AuthTranscript,
@@ -91,8 +89,9 @@ class LatencyModel:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ConfigError(f"latency field {name} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"latency field {name} must be finite and >= 0, "
+                                  f"got {value}")
 
 
 def parse_duration(text: str, field_name: str = "duration") -> float:
@@ -392,79 +391,46 @@ def run_scenario(config: ScenarioConfig):
 
 
 def _run(config: ScenarioConfig) -> _ScenarioResult:
+    """Provision the configured scenario, run its flow on the event loop and
+    report the closed-form phases with the flow's outcome."""
     rng = random.Random(config.seed)
-    runner = {
-        "nr5g": _run_nr5g,
-        "inclusion": _run_inclusion,
-        "unification": _run_unification,
-        "bulk": _run_bulk,
-    }[config.scenario]
-    return runner(config, rng)
-
-
-def _run_nr5g(config: ScenarioConfig, rng) -> _ScenarioResult:
-    model = config.latency
     group = make_group(config.group)
-    keys = gen_bs_keys(group, rng)
-    supi = random_supi(rng)
-    counter = OpCounter()
-    transcript = AuthTranscript()
-    loop = EventLoop()
-    half_rtt = model.ue_core_round_trip / 2.0
-    state = {}
+    setup = {
+        "nr5g": _setup_nr5g,
+        "inclusion": _setup_inclusion,
+        "unification": _setup_unification,
+        "bulk": _setup_bulk,
+    }[config.scenario]
+    flow, transport, adversary, secrets = setup(config, group, rng)
+    outcome = _drive(flow, config, transport)
+    phases = _phases(config)
+    n_drones = {"nr5g": 1, "inclusion": 1, "unification": 2 * config.n_drones,
+                "bulk": config.n_drones}[config.scenario]
+    report = TimingReport(config.scenario,
+                          "nr-5g" if config.scenario == "nr5g" else "group-auth",
+                          config.threshold, n_drones, sum(phases.values(), 0.0),
+                          phases, str(outcome))
+    return _ScenarioResult(report, transport.transcript, group, secrets, adversary)
 
-    def ue_encrypts():
-        state["suci"] = compute_suci(group, supi, keys.public, rng, counter)
-        loop.schedule(half_rtt, suci_at_core)
 
-    def suci_at_core():
-        transcript.record(loop.now_us, "SUCI", "ue", "core", state["suci"].ciphertext)
-        loop.schedule(model.asym_decrypt, core_decrypts)
-
-    def core_decrypts():
-        state["challenge"] = udm_challenge(group, state["suci"], keys, rng, counter)
-        loop.schedule(model.hash_op, ausf_hashes)
-
-    def ausf_hashes():
-        state["hxres"] = ausf_hxres(state["challenge"], counter)
-        loop.schedule(half_rtt, challenge_at_ue)
-
-    def challenge_at_ue():
-        transcript.record(loop.now_us, "CHALLENGE", "core", "ue",
-                          state["challenge"].rand)
-        counter.round_trips += 1
-        state["res"] = ue_response(state["suci"], state["challenge"].rand)
-        loop.schedule(half_rtt, res_at_core)
-
-    def res_at_core():
-        transcript.record(loop.now_us, "RES", "ue", "core", state["res"])
-        loop.schedule(model.hash_op, seaf_hashes)
-
-    def seaf_hashes():
-        state["seaf_ok"] = seaf_check(state["res"], state["hxres"], counter)
-        loop.schedule(half_rtt, confirm_at_ue)
-
-    def confirm_at_ue():
-        counter.round_trips += 1
-        ok = state["seaf_ok"]
-        if ok:
-            recovered = ausf_confirm(state["res"], state["challenge"])
-            ok = recovered == supi
-        transcript.record(loop.now_us, "CONFIRM", "core", "ue",
-                          b"ok" if ok else b"fail")
-        state["accepted"] = ok
-
-    loop.schedule_at(model.asym_encrypt, ue_encrypts)
-    loop.run()
-
-    outcome = Outcome(bool(state.get("accepted")),
-                      "" if state.get("accepted") else "confirmation-failed")
-    transcript.set_outcome(outcome)
-    phases = baseline_phases(model)
-    report = TimingReport("nr5g", "nr-5g", config.threshold, 1,
-                          sum(phases.values()), phases, str(outcome))
-    return _ScenarioResult(report, transcript, group,
-                           [group.field.encode(keys.private)])
+def _phases(config: ScenarioConfig) -> dict:
+    """The closed-form phases a scenario's report charges. A unification
+    is charged its full modeled path (cross issue, guard check, key
+    return, rebroadcast) whatever the outcome."""
+    model, t = config.latency, config.threshold
+    if config.scenario == "nr5g":
+        return baseline_phases(model)
+    if config.scenario == "inclusion":
+        return group_auth_phases(t, model, config.parallel_guards)
+    if config.scenario == "unification":
+        return {"cross_issue": model.ue_core_round_trip,
+                **group_auth_phases(t, model, config.parallel_guards),
+                "key_return": model.drone_to_drone,
+                "unified_broadcast": model.drone_to_drone}
+    if config.n_drones == 0:
+        return {}
+    return {"broadcast": config.n_drones * model.drone_to_drone,
+            **group_auth_phases(t, model)}
 
 
 def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
@@ -488,24 +454,29 @@ def _scenario_secrets(group, core: CoreNetwork, *swarm_ids) -> list:
 
 
 def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
-    """Run a protocol flow on the event loop and return its outcome.
+    """Run a flow on the event loop and return its outcome.
 
     Each yielded step resumes the flow at its modeled time, with the
-    transcript clock set to the loop's. A guard check is timed from its
-    start, as the closed forms add it up, so event times round like them
-    under fractional latency models: serialized guards get share k at
-    k*(d2d + ecmul) + d2d, parallel guards get every share at d2d, and the
-    verdicts follow the transfers and one multiply per share.
+    transcript clock set to the loop's. Sums are formed as the closed
+    forms form them, so event times round like them under fractional
+    latency models: a guard check is timed from its start (serialized
+    share k at k*(d2d + ecmul) + d2d, parallel shares at d2d, verdicts
+    after the transfers and one multiply per share), bulk broadcast k
+    lands at k*d2d, and every other step waits its cost from now.
     """
     model = config.latency
     parallel = config.parallel_guards
     slot = 0.0 if parallel else model.drone_to_drone + model.ec_point_mul
+    waits = {"core": model.ue_core_round_trip / 2.0, "hop": model.drone_to_drone,
+             "encrypt": model.asym_encrypt, "decrypt": model.asym_decrypt,
+             "hash": model.hash_op,
+             "check": time_group_auth(config.threshold, model)}
     loop = EventLoop()
-    start, shares = 0.0, 0
+    start, shares, broadcasts = 0.0, 0, 0
     done = []
 
     def resume():
-        nonlocal start, shares
+        nonlocal start, shares, broadcasts
         transport.clock_us = now = loop.now_us
         try:
             step = next(flow)
@@ -521,10 +492,11 @@ def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
             transfers = 1 if parallel else shares
             at = start + (transfers * model.drone_to_drone
                           + shares * model.ec_point_mul)
-        elif step == "core":
-            at = now + model.ue_core_round_trip / 2.0
-        else:  # "hop"
-            at = now + model.drone_to_drone
+        elif step == "broadcast":
+            broadcasts += 1
+            at = broadcasts * model.drone_to_drone
+        else:
+            at = now + waits[step]
         loop.schedule_at(at, resume)
 
     resume()
@@ -536,101 +508,56 @@ def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
     return done[0]
 
 
-def _run_inclusion(config: ScenarioConfig, rng) -> _ScenarioResult:
-    t = config.threshold
-    group = make_group(config.group)
+def _nr5g_flow(group, supi, keys, rng, transport: Transport):
+    """The UE authentication flow with its verdict as an Outcome."""
+    try:
+        recovered = yield from ue_authentication_flow(group, supi, keys, rng,
+                                                      OpCounter(), transport.record)
+    except AuthenticationFailure:
+        recovered = None
+    return Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")
+
+
+def _setup_nr5g(config: ScenarioConfig, group, rng):
+    keys = gen_bs_keys(group, rng)
+    supi = random_supi(rng)
+    transport = Transport()
+    return (_nr5g_flow(group, supi, keys, rng, transport), transport, None,
+            [group.field.encode(keys.private)])
+
+
+def _setup_inclusion(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
-    swarm = core.provision_swarm("A", t, n_drones=config.n_drones,
+    swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones,
                                  n_guards=config.guards)
     candidate = core.issue_candidate("A")
     transport, adversary = _transport_for(config, group, rng, candidate)
-    outcome = _drive(protocol.inclusion_flow(swarm, candidate, rng, transport),
-                     config, transport)
-
-    phases = group_auth_phases(t, config.latency, config.parallel_guards)
-    report = TimingReport("inclusion", "group-auth", t, 1,
-                          sum(phases.values()), phases, str(outcome))
     secrets = _scenario_secrets(group, core, "A")
     secrets.append(group.field.encode(candidate.private_share.y))
-    return _ScenarioResult(report, transport.transcript, group, secrets, adversary)
+    return (protocol.inclusion_flow(swarm, candidate, rng, transport), transport,
+            adversary, secrets)
 
 
-def _run_unification(config: ScenarioConfig, rng) -> _ScenarioResult:
-    """The report charges the full modeled path (cross issue, guard check,
-    key return, rebroadcast) whatever the outcome."""
-    model = config.latency
-    t = config.threshold
-    group = make_group(config.group)
+def _setup_unification(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
-    swarm_a = core.provision_swarm("A", t, n_drones=config.n_drones,
+    swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones,
                                    n_guards=config.guards)
-    swarm_b = core.provision_swarm("B", t, n_drones=config.n_drones,
+    swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones,
                                    n_guards=config.guards)
     transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
-    outcome = _drive(protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
-                     config, transport)
-
-    phases = {"cross_issue": model.ue_core_round_trip}
-    phases.update(group_auth_phases(t, model, config.parallel_guards))
-    phases["key_return"] = model.drone_to_drone
-    phases["unified_broadcast"] = model.drone_to_drone
-    report = TimingReport("unification", "group-auth", t, 2 * config.n_drones,
-                          sum(phases.values()), phases, str(outcome))
-    return _ScenarioResult(report, transport.transcript, group,
-                           _scenario_secrets(group, core, "A", "B"), adversary)
+    return (protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
+            transport, adversary, _scenario_secrets(group, core, "A", "B"))
 
 
-def _run_bulk(config: ScenarioConfig, rng) -> _ScenarioResult:
+def _setup_bulk(config: ScenarioConfig, group, rng):
     """Admit n drones as one batch: n broadcast slots, one group check."""
-    model = config.latency
-    t = config.threshold
-    n = config.n_drones
-    group = make_group(config.group)
-    transcript = AuthTranscript()
-
-    if n == 0:
-        transcript.set_outcome(Outcome(True))
-        report = TimingReport("bulk", "group-auth", t, 0, 0.0, {}, "accepted")
-        return _ScenarioResult(report, transcript, group, [])
-
     core = CoreNetwork(group, rng)
-    swarm_guards = max(config.guards, t - 1)
-    swarm = core.provision_swarm("A", t, n_drones=swarm_guards,
-                                 n_guards=swarm_guards)
-    arrivals = [core.issue_candidate("A") for _ in range(n)]
-    loop = EventLoop()
-    guards = swarm.guards()[:t - 1]
-    state = {}
-
-    def make_broadcast(arrival):
-        def fire():
-            pub = arrival.public_share(group)
-            transcript.record(loop.now_us, MessageKind.SHARE_PUBLISH.name,
-                              str(arrival.id), "A/*",
-                              encode_public_share(group, pub))
-        return fire
-
-    def group_check():
-        shares = [g.public_share(group) for g in guards]
-        shares.append(arrivals[0].public_share(group))
-        shares.sort(key=lambda s: s.x)
-        state["accepted"] = protocol.verify_group(shares, swarm.commitment,
-                                                  group, t)
-
-    for i, arrival in enumerate(arrivals):
-        loop.schedule_at((i + 1) * model.drone_to_drone, make_broadcast(arrival))
-    loop.schedule_at(n * model.drone_to_drone + time_group_auth(t, model),
-                     group_check)
-    loop.run()
-
-    outcome = Outcome(bool(state["accepted"]),
-                      "" if state["accepted"] else "verification-failed")
-    transcript.set_outcome(outcome)
-    phases = {"broadcast": n * model.drone_to_drone}
-    phases.update(group_auth_phases(t, model))
-    report = TimingReport("bulk", "group-auth", t, n, sum(phases.values()),
-                          phases, str(outcome))
-    return _ScenarioResult(report, transcript, group, [])
+    guards = max(config.guards, config.threshold - 1)
+    swarm = core.provision_swarm("A", config.threshold, n_drones=guards,
+                                 n_guards=guards)
+    arrivals = [core.issue_candidate("A") for _ in range(config.n_drones)]
+    transport = Transport()
+    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, []
 
 
 def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None):

@@ -143,3 +143,12 @@ class TestAttack:
     def test_bad_config_exits_1(self, tmp_path, capsys):
         config = write(tmp_path, "a.cfg", "nonsense\n")
         assert main(["attack", "--mode", "replay", "--config", config]) == 1
+
+    def test_scenario_without_attack_surface_exits_1(self, tmp_path, capsys):
+        # the mode is applied to the loaded config, which then fails
+        # validation: a config error, not a traceback
+        config = write(tmp_path, "a.cfg", "scenario = bulk\ngroup = toy\n")
+        assert main(["attack", "--mode", "replay", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "config error: adversary" in err
+        assert "Traceback" not in err

@@ -25,6 +25,7 @@ from swarmauth.protocol import (
     Transport,
     UnknownRequester,
     UnknownSwarm,
+    bulk_flow,
     derive_pairwise_key,
     deliver_group_key,
     fresh_nonce,
@@ -289,6 +290,51 @@ class TestRunInclusion:
         assert outcome == Outcome(False, "verification-failed")
         verdicts = [e for e in transcript.entries if e.kind == "AUTH_VERDICT"]
         assert len(verdicts) == 3
+
+
+def drain(flow):
+    """Run a flow with no clock; returns (yielded steps, outcome)."""
+    steps = []
+    while True:
+        try:
+            steps.append(next(flow))
+        except StopIteration as stop:
+            return steps, stop.value
+
+
+class TestBulkFlow:
+    def setup_batch(self, group, n, seed=40):
+        rng = random.Random(seed)
+        core = CoreNetwork(group, rng)
+        swarm = core.provision_swarm("A", 4, n_drones=3)
+        return swarm, [core.issue_candidate("A") for _ in range(n)]
+
+    def test_honest_batch_accepted(self, toy61):
+        swarm, arrivals = self.setup_batch(toy61, 5)
+        transport = Transport()
+        steps, outcome = drain(bulk_flow(swarm, arrivals, transport))
+        assert outcome == Outcome(True)
+        assert steps == ["broadcast"] * 5 + ["check"]
+        entries = transport.transcript.entries
+        assert [(e.time_us, e.kind, e.sender, e.receiver) for e in entries] == [
+            (float(i), "SHARE_PUBLISH", a.label, "A/*")
+            for i, a in enumerate(arrivals)]
+
+    def test_forged_first_arrival_rejected(self, toy61):
+        swarm, arrivals = self.setup_batch(toy61, 5)
+        first = arrivals[0]
+        bad_y = toy61.field.add(first.private_share.y, 1)
+        arrivals[0] = Drone(first.id, Role.NEW_ARRIVAL,
+                            PrivateShare(first.id.x, bad_y), swarm.commitment)
+        steps, outcome = drain(bulk_flow(swarm, arrivals, Transport()))
+        assert outcome == Outcome(False, "verification-failed")
+        assert steps[-1] == "check"
+
+    def test_empty_batch_needs_no_check(self, toy61):
+        swarm, _ = self.setup_batch(toy61, 0)
+        transport = Transport()
+        assert drain(bulk_flow(swarm, [], transport)) == ([], Outcome(True))
+        assert transport.transcript.entries == []
 
 
 class TestTranscript:

@@ -46,6 +46,11 @@ class TestLatencyModel:
         with pytest.raises(ConfigError):
             LatencyModel(hash_op=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(ConfigError, match="drone_to_drone"):
+            LatencyModel(drone_to_drone=value)
+
 
 class TestParseDuration:
     def test_units(self):
@@ -276,7 +281,7 @@ class TestScenarios:
     def test_event_loop_meets_closed_forms_under_random_models(self):
         # the event loop times every flow step, apart from the closed
         # forms: an accepted run's last authentication message must land
-        # exactly at the reported total
+        # exactly at the reported total, and bulk broadcast k at k*d2d
         rng = random.Random(405)
         for trial in range(12):
             model = LatencyModel(**{name: float(rng.randrange(0, 20_000))
@@ -292,6 +297,18 @@ class TestScenarios:
                 assert report.outcome == "accepted"
                 times = {e.time_us for e in transcript.entries if e.kind == last}
                 assert times == {report.total_us}, (scenario, t, parallel)
+            report, transcript = run_scenario(toy_config(scenario="nr5g", seed=trial,
+                                                         latency=model))
+            assert report.outcome == "accepted"
+            assert [e.kind for e in transcript.entries] == [
+                "SUCI", "CHALLENGE", "RES", "CONFIRM"]
+            assert transcript.entries[-1].time_us == report.total_us, trial
+            report, transcript = run_scenario(toy_config(scenario="bulk", seed=trial,
+                                                         threshold=t, n_drones=8,
+                                                         latency=model))
+            assert report.outcome == "accepted"
+            assert [e.time_us for e in transcript.entries] == [
+                k * model.drone_to_drone for k in range(1, 9)], trial
 
     def test_bulk_totals(self):
         config = toy_config(scenario="bulk", threshold=5, n_drones=100)
