@@ -257,7 +257,6 @@ class Drone:
     id: DroneId
     role: Role
     private_share: PrivateShare
-    known_commitment: GroupCommitment
     group_key: int | None = None
     nonce_cache: NonceCache = dc_field(default_factory=NonceCache)
 
@@ -454,6 +453,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     """
     group = swarm.group
     t = swarm.threshold
+    own = {g.id.x: g.public_share(group) for g in guards}
     received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
     views: dict[int, PublicShare] = {}
     yield "transfer"
@@ -464,16 +464,15 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
             views[g.id.x] = seen
     for g in guards:
         yield "round"
-        g_pub = g.public_share(group)
         for h in guards:
             if h.id.x != g.id.x:
-                seen = _publish_share(group, g, g_pub, h, transport, rng)
+                seen = _publish_share(group, g, own[g.id.x], h, transport, rng)
                 if seen is not None:
                     received[h.id.x][seen.x] = seen
     yield "verdict"
     unanimous = True
     for g in guards:
-        shares = sorted([*received[g.id.x].values(), g.public_share(group)],
+        shares = sorted([*received[g.id.x].values(), own[g.id.x]],
                         key=lambda s: s.x)
         ok = (len(shares) == t and len({s.x for s in shares}) == t
               and verify_group(shares, swarm.commitment, group, t))
@@ -520,16 +519,17 @@ def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
     the other arrivals are not verified. An empty batch needs no check.
     """
     group = swarm.group
+    pubs = []
     for arrival in arrivals:
         yield "broadcast"
+        pubs.append(arrival.public_share(group))
         transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
-                         f"{swarm.id}/*",
-                         encode_public_share(group, arrival.public_share(group)))
-    if not arrivals:
+                         f"{swarm.id}/*", encode_public_share(group, pubs[-1]))
+    if not pubs:
         return Outcome(True)
     yield "check"
     shares = [g.public_share(group) for g in _quorum(swarm)]
-    shares.append(arrivals[0].public_share(group))
+    shares.append(pubs[0])
     shares.sort(key=lambda s: s.x)
     if not verify_group(shares, swarm.commitment, group, swarm.threshold):
         return Outcome(False, "verification-failed")
@@ -578,8 +578,8 @@ class CoreNetwork:
 
         Drones get identifiers 1..n_drones; the lowest n_guards (default
         t-1) become guards. The core keeps one share of its own for key
-        agreement with members, and the commitment Q is published to every
-        drone at provisioning time.
+        agreement with members. The commitment Q is computed once here and
+        held by the swarm, whose guards check every share against it.
         """
         if swarm_id in self._dealers:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
@@ -593,10 +593,10 @@ class CoreNetwork:
         drone_shares = [dealer.issue_next() for _ in range(n_drones)]
         core_share = dealer.issue_at(n_drones + 1)
         swarm = Swarm(swarm_id, self.group, threshold, commitment,
-                      dealer.public_share(core_share))
+                      public_share(core_share, self.group))
         for i, sh in enumerate(drone_shares):
             role = Role.GUARD if i < n_guards else Role.MEMBER
-            swarm.add_drone(Drone(DroneId(swarm_id, sh.x), role, sh, commitment,
+            swarm.add_drone(Drone(DroneId(swarm_id, sh.x), role, sh,
                                   group_key=dealer.group_key))
 
         self._dealers[swarm_id] = dealer
@@ -611,11 +611,9 @@ class CoreNetwork:
         return DroneId(swarm_id, self._core_shares[swarm_id].x)
 
     def issue_candidate(self, swarm_id: str) -> Drone:
-        """Provision a legitimate new arrival (share + commitment, no key)."""
-        dealer = self._dealers[swarm_id]
-        sh = dealer.issue_next()
-        return Drone(DroneId(swarm_id, sh.x), Role.NEW_ARRIVAL, sh,
-                     dealer.commitment())
+        """Provision a legitimate new arrival (a fresh share, no key)."""
+        sh = self._dealers[swarm_id].issue_next()
+        return Drone(DroneId(swarm_id, sh.x), Role.NEW_ARRIVAL, sh)
 
     def core_issue_cross_share(self, requester: DroneId, target_swarm: str,
                                rng) -> ProtocolMessage:
@@ -634,11 +632,8 @@ class CoreNetwork:
             raise UnknownSwarm(f"unknown target swarm {target_swarm!r}")
 
         cross = target_dealer.issue_next()
-        home_dealer = self._dealers[requester.swarm]
-        requester_pub = home_dealer.public_share(
-            PrivateShare(requester.x, home_dealer.poly.evaluate(requester.x)))
         key = derive_pairwise_key(self.group, self._core_shares[requester.swarm],
-                                  requester_pub)
+                                  drone.public_share(self.group))
         nonce = fresh_nonce(rng)
         sender = self.core_identity(requester.swarm)
         aad = _aad(sender, str(requester), nonce)
@@ -719,8 +714,8 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # encrypted under the pairwise key of the cross share
     yield "hop"
     deliverer = b_guards[0]
-    cross_holder = Drone(d_a.id, Role.GUARD, cross, swarm_b.commitment,
-                         group_key=d_a.group_key, nonce_cache=d_a.nonce_cache)
+    cross_holder = Drone(d_a.id, Role.GUARD, cross, group_key=d_a.group_key,
+                         nonce_cache=d_a.nonce_cache)
     unified_key = _send_group_key(group, deliverer, cross_holder,
                                   views[deliverer.id.x], transport, rng)
     if unified_key is None:

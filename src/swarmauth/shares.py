@@ -246,9 +246,6 @@ class Dealer:
     def issued_identifiers(self) -> frozenset:
         return frozenset(self._issued)
 
-    def public_share(self, share: PrivateShare) -> PublicShare:
-        return public_share(share, self.group)
-
 
 # Wire form: each field preceded by a 2-byte big-endian length, concatenated.
 # Share encodings and protocol messages both use it.

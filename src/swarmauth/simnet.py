@@ -145,13 +145,15 @@ class ScenarioConfig:
                 1 if self.scenario == "nr5g" else self.guards)
         if self.n_drones < 0:
             raise ConfigError(f"n_drones: must be >= 0, got {self.n_drones}")
-        if self.scenario in ("inclusion", "unification"):
-            if self.guards < self.threshold - 1:
-                raise ConfigError(f"guards: a threshold-{self.threshold} check "
-                                  f"needs {self.threshold - 1} guards, got {self.guards}")
-            if self.n_drones < self.guards:
-                raise ConfigError(f"n_drones: swarm of {self.n_drones} cannot hold "
-                                  f"{self.guards} guards")
+        if self.parallel_guards and self.scenario in ("bulk", "nr5g"):
+            raise ConfigError(f"parallel_guards: applies to inclusion and "
+                              f"unification only, not {self.scenario}")
+        if self.scenario != "nr5g" and self.guards < self.threshold - 1:
+            raise ConfigError(f"guards: a threshold-{self.threshold} check "
+                              f"needs {self.threshold - 1} guards, got {self.guards}")
+        if self.scenario in ("inclusion", "unification") and self.n_drones < self.guards:
+            raise ConfigError(f"n_drones: swarm of {self.n_drones} cannot hold "
+                              f"{self.guards} guards")
 
 
 _INT_KEYS = ("threshold", "n_drones", "guards", "seed")
@@ -209,9 +211,6 @@ class EventLoop:
     def schedule_at(self, time_us: float, action):
         heapq.heappush(self._queue, (time_us, self._seq, action))
         self._seq += 1
-
-    def schedule(self, delay_us: float, action):
-        self.schedule_at(self.now_us + delay_us, action)
 
     def run(self):
         while self._queue:
@@ -380,7 +379,7 @@ class _ScenarioResult:
     report: TimingReport
     transcript: AuthTranscript
     group: object = None
-    secrets: list = dc_field(default_factory=list)
+    core: CoreNetwork | None = None
     adversary: Adversary | None = None
 
 
@@ -401,7 +400,7 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
         "unification": _setup_unification,
         "bulk": _setup_bulk,
     }[config.scenario]
-    flow, transport, adversary, secrets = setup(config, group, rng)
+    flow, transport, adversary, core = setup(config, group, rng)
     outcome = _drive(flow, config, transport)
     phases = _phases(config)
     n_drones = {"nr5g": 1, "inclusion": 1, "unification": 2 * config.n_drones,
@@ -410,7 +409,7 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
                           "nr-5g" if config.scenario == "nr5g" else "group-auth",
                           config.threshold, n_drones, sum(phases.values(), 0.0),
                           phases, str(outcome))
-    return _ScenarioResult(report, transport.transcript, group, secrets, adversary)
+    return _ScenarioResult(report, transport.transcript, group, core, adversary)
 
 
 def _phases(config: ScenarioConfig) -> dict:
@@ -441,16 +440,6 @@ def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
     adversary = Adversary(mode=config.adversary, group=group, rng=rng,
                           mitm_target=str(target.id))
     return Transport(intercept=adversary.intercept), adversary
-
-
-def _scenario_secrets(group, core: CoreNetwork, *swarm_ids) -> list:
-    secrets = []
-    for sid in swarm_ids:
-        dealer = core.dealer(sid)
-        secrets.append(group.field.encode(dealer.group_key))
-        for drone in core.swarms[sid].members():
-            secrets.append(group.field.encode(drone.private_share.y))
-    return secrets
 
 
 def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
@@ -522,8 +511,7 @@ def _setup_nr5g(config: ScenarioConfig, group, rng):
     keys = gen_bs_keys(group, rng)
     supi = random_supi(rng)
     transport = Transport()
-    return (_nr5g_flow(group, supi, keys, rng, transport), transport, None,
-            [group.field.encode(keys.private)])
+    return _nr5g_flow(group, supi, keys, rng, transport), transport, None, None
 
 
 def _setup_inclusion(config: ScenarioConfig, group, rng):
@@ -532,10 +520,8 @@ def _setup_inclusion(config: ScenarioConfig, group, rng):
                                  n_guards=config.guards)
     candidate = core.issue_candidate("A")
     transport, adversary = _transport_for(config, group, rng, candidate)
-    secrets = _scenario_secrets(group, core, "A")
-    secrets.append(group.field.encode(candidate.private_share.y))
     return (protocol.inclusion_flow(swarm, candidate, rng, transport), transport,
-            adversary, secrets)
+            adversary, core)
 
 
 def _setup_unification(config: ScenarioConfig, group, rng):
@@ -546,18 +532,17 @@ def _setup_unification(config: ScenarioConfig, group, rng):
                                    n_guards=config.guards)
     transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
     return (protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
-            transport, adversary, _scenario_secrets(group, core, "A", "B"))
+            transport, adversary, core)
 
 
 def _setup_bulk(config: ScenarioConfig, group, rng):
     """Admit n drones as one batch: n broadcast slots, one group check."""
     core = CoreNetwork(group, rng)
-    guards = max(config.guards, config.threshold - 1)
-    swarm = core.provision_swarm("A", config.threshold, n_drones=guards,
-                                 n_guards=guards)
+    swarm = core.provision_swarm("A", config.threshold, n_drones=config.guards,
+                                 n_guards=config.guards)
     arrivals = [core.issue_candidate("A") for _ in range(config.n_drones)]
     transport = Transport()
-    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, []
+    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core
 
 
 def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None):
@@ -606,10 +591,15 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     if not outcome.accepted:
         return AttackOutcome(False, f"honest run failed under observation: {outcome}")
     blob = b"".join(msg.payload for msg, _ in adv.captured)
-    for secret in result.secrets:
-        if secret in blob:
-            return AttackOutcome(False, "private material visible in captured traffic")
     group = result.group
+    # every scalar the core dealt: each group key and every issued share,
+    # the core's own and the cross-issued shares included
+    for swarm_id in result.core.swarms:
+        dealer = result.core.dealer(swarm_id)
+        secrets = [dealer.group_key,
+                   *map(dealer.poly.evaluate, dealer.issued_identifiers())]
+        if any(group.field.encode(secret) in blob for secret in secrets):
+            return AttackOutcome(False, "private material visible in captured traffic")
     points = []
     for msg, _ in adv.captured:
         if msg.kind in (MessageKind.SHARE_PUBLISH, MessageKind.KEY_AGREEMENT_INIT):

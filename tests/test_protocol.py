@@ -38,7 +38,6 @@ from swarmauth.protocol import (
 )
 from swarmauth.shares import (
     DuplicateIdentifier,
-    GroupCommitment,
     GroupPolynomial,
     PrivateShare,
     PublicShare,
@@ -62,7 +61,7 @@ def manual_swarm(toy101):
     core_pub = public_share(issue_share(poly, 50), toy101)
     swarm = Swarm("A", toy101, 2, commitment, core_pub)
     guard = Drone(DroneId("A", 1), Role.GUARD, issue_share(poly, 1),
-                  commitment, group_key=poly.group_key)
+                  group_key=poly.group_key)
     swarm.add_drone(guard)
     return poly, swarm
 
@@ -136,7 +135,7 @@ class TestGroupKeyDelivery:
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
         recipient = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2), swarm.commitment)
+                          issue_share(poly, 2))
         msg = deliver_group_key(toy101, guard, recipient.public_share(toy101),
                                 recipient.label, rng)
         assert msg.kind is MessageKind.ENCRYPTED_GROUP_KEY
@@ -147,19 +146,16 @@ class TestGroupKeyDelivery:
     def test_wrong_private_share_fails_auth(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
-        honest = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                       issue_share(poly, 2), swarm.commitment)
+        honest = Drone(DroneId("A", 2), Role.NEW_ARRIVAL, issue_share(poly, 2))
         msg = deliver_group_key(toy101, guard, honest.public_share(toy101),
                                 honest.label, rng)
-        impostor = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                         PrivateShare(2, 20), swarm.commitment)
+        impostor = Drone(DroneId("A", 2), Role.NEW_ARRIVAL, PrivateShare(2, 20))
         with pytest.raises(DecryptionFailed):
             open_group_key(toy101, impostor, guard.public_share(toy101), msg)
 
     def test_missing_group_key(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
-        keyless = Drone(DroneId("A", 9), Role.GUARD, issue_share(poly, 9),
-                        swarm.commitment)
+        keyless = Drone(DroneId("A", 9), Role.GUARD, issue_share(poly, 9))
         with pytest.raises(MissingGroupKey):
             deliver_group_key(toy101, keyless,
                               keyless.public_share(toy101), "A/2", rng)
@@ -168,7 +164,7 @@ class TestGroupKeyDelivery:
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
         recipient = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2), swarm.commitment)
+                          issue_share(poly, 2))
         msg = deliver_group_key(toy101, guard, recipient.public_share(toy101),
                                 recipient.label, rng)
         substituted = replace(msg, nonce=fresh_nonce(rng))
@@ -180,8 +176,7 @@ class TestGroupKeyDelivery:
 class TestTransportFreshness:
     def test_replayed_message_rejected(self, toy101, rng):
         transport = Transport()
-        receiver = Drone(DroneId("A", 1), Role.GUARD,
-                         PrivateShare(1, 12), GroupCommitment(5))
+        receiver = Drone(DroneId("A", 1), Role.GUARD, PrivateShare(1, 12))
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 2),
                               receiver.label, fresh_nonce(rng), b"data")
         assert transport.deliver(msg, receiver) is not None
@@ -199,7 +194,7 @@ class TestRunInclusion:
     def test_hand_example_accepts(self, toy101):
         poly, swarm = manual_swarm(toy101)
         candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2), swarm.commitment)
+                          issue_share(poly, 2))
         outcome, transcript = run_inclusion(swarm, candidate, random.Random(1))
         assert outcome == Outcome(True)
         assert candidate.group_key == 5
@@ -212,7 +207,7 @@ class TestRunInclusion:
     def test_bogus_share_rejected(self, toy101):
         poly, swarm = manual_swarm(toy101)
         candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          PrivateShare(2, 20), swarm.commitment)  # f(2) = 19
+                          PrivateShare(2, 20))  # f(2) = 19
         outcome, _ = run_inclusion(swarm, candidate, random.Random(1))
         assert outcome == Outcome(False, "verification-failed")
         assert candidate.group_key is None
@@ -224,16 +219,16 @@ class TestRunInclusion:
         swarm = Swarm("A", toy101, 3, commitment,
                       public_share(issue_share(poly, 50), toy101))
         swarm.add_drone(Drone(DroneId("A", 1), Role.GUARD, issue_share(poly, 1),
-                              commitment, group_key=poly.group_key))
+                              group_key=poly.group_key))
         candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2), commitment)
+                          issue_share(poly, 2))
         with pytest.raises(NotEnoughGuards):
             run_inclusion(swarm, candidate, rng)
 
     def test_duplicate_identifier(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
         candidate = Drone(DroneId("A", 1), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2), swarm.commitment)
+                          issue_share(poly, 2))
         with pytest.raises(DuplicateIdentifier):
             run_inclusion(swarm, candidate, rng)
 
@@ -259,7 +254,7 @@ class TestRunInclusion:
             while bad_y == legit.private_share.y:
                 bad_y = toy61.field.rand(rng)
             impostor = Drone(legit.id, Role.NEW_ARRIVAL,
-                             PrivateShare(legit.id.x, bad_y), swarm.commitment)
+                             PrivateShare(legit.id.x, bad_y))
             outcome, _ = run_inclusion(swarm, impostor, rng)
             assert not outcome.accepted, trial
             assert impostor.group_key is None
@@ -325,7 +320,7 @@ class TestBulkFlow:
         first = arrivals[0]
         bad_y = toy61.field.add(first.private_share.y, 1)
         arrivals[0] = Drone(first.id, Role.NEW_ARRIVAL,
-                            PrivateShare(first.id.x, bad_y), swarm.commitment)
+                            PrivateShare(first.id.x, bad_y))
         steps, outcome = drain(bulk_flow(swarm, arrivals, Transport()))
         assert outcome == Outcome(False, "verification-failed")
         assert steps[-1] == "check"

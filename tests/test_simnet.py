@@ -1,10 +1,12 @@
 """Latency model, closed forms, event loop, scenarios, and adversaries."""
 
+import collections
 import random
 from dataclasses import replace
 
 import pytest
 
+from swarmauth.algebra import ToyGroup
 from swarmauth.simnet import (
     ADVERTISED_PREFERABLE_BOUND,
     Adversary,
@@ -118,6 +120,9 @@ class TestParseConfig:
         ("scenario = inclusion\nec_point_mul = infms", "ec_point_mul"),
         ("scenario = inclusion\nguards = 4\nn_drones = 2", "n_drones"),
         ("scenario = nr5g\ngroup = weird", "group"),
+        ("scenario = bulk\nparallel_guards = true", "parallel_guards"),
+        ("scenario = nr5g\nparallel_guards = true", "parallel_guards"),
+        ("scenario = bulk\nthreshold = 5\nguards = 3", "guards"),
         ("scenario: nr5g", "key = value"),                  # wrong separator
     ])
     def test_diagnostics_name_the_field(self, text, needle):
@@ -150,7 +155,7 @@ class TestEventLoop:
         def chain():
             times.append(loop.now_us)
             if len(times) < 3:
-                loop.schedule(10.0, chain)
+                loop.schedule_at(loop.now_us + 10.0, chain)
 
         loop.schedule_at(0.0, chain)
         loop.run()
@@ -309,6 +314,36 @@ class TestScenarios:
             assert report.outcome == "accepted"
             assert [e.time_us for e in transcript.entries] == [
                 k * model.drone_to_drone for k in range(1, 9)], trial
+
+    @pytest.mark.parametrize("t", (2, 5, 9))
+    def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
+        # fixed-base: the commitment and the core's pair per swarm, then
+        # each drone's pair once per flow (inclusion: candidate, t-1
+        # guards, key deliverer; unification adds the requester's pair at
+        # the core and the cross pair; bulk: every arrival and t-1 guards).
+        # Variable-base: t per guard check, plus the pairwise keys.
+        counts = collections.Counter()
+        mul = ToyGroup.mul
+
+        def counting_mul(group, s, point):
+            counts["fixed" if point == group.generator else "variable"] += 1
+            return mul(group, s, point)
+
+        monkeypatch.setattr(ToyGroup, "mul", counting_mul)
+        expected = {
+            ("inclusion", None): (t + 3, t * t - t + 2),
+            ("unification", None): (t + 6, t * t - t + 4),
+            ("bulk", 1): (1 + t + 1, t),
+            ("bulk", 25): (25 + t + 1, t),
+            ("bulk", 0): (2, 0),
+        }
+        for (scenario, n), want in expected.items():
+            counts.clear()
+            sized = {} if n is None else {"n_drones": n}
+            report, _ = run_scenario(toy_config(scenario=scenario, threshold=t,
+                                                **sized))
+            assert report.outcome == "accepted"
+            assert (counts["fixed"], counts["variable"]) == want, (scenario, n)
 
     def test_bulk_totals(self):
         config = toy_config(scenario="bulk", threshold=5, n_drones=100)
