@@ -17,7 +17,7 @@ bytes for scalars, group-defined widths for points.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence, Union
 
 __all__ = [
     "ZeroInverse",
@@ -172,6 +172,9 @@ class ToyGroup:
     def mul(self, s: int, g: int) -> int:
         return s * g % self.order
 
+    def msm(self, scalars: Sequence[int], points: Sequence[int]) -> int:
+        return sum(s * g for s, g in zip(scalars, points, strict=True)) % self.order
+
     def encode(self, g: int) -> bytes:
         return (g % self.order).to_bytes(self.point_width, "big")
 
@@ -246,23 +249,56 @@ class CurveGroup:
         return (x, -y % _SECP_P)
 
     def mul(self, s: int, g: Point) -> Point:
-        """Double-and-add in Jacobian coordinates (one final inversion)."""
-        s %= self.order
-        if s == 0 or g is None:
+        """s*g: a fixed-base table lookup for the generator, else a
+        one-term :meth:`msm`."""
+        if g == self.generator:
+            return _mul_generator(s % self.order)
+        return self.msm([s], [g])
+
+    def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
+        """sum(s_i * g_i): interleaved width-5 wNAF (Straus) with one
+        shared doubling chain and mixed Jacobian-affine additions.
+
+        Each point's odd multiples 1g..15g are built in Jacobian form and
+        the tables of all points are normalized with one inversion. Zero
+        scalars and identity points drop out; a sum that cancels is None.
+        """
+        terms = [(s % self.order, g) for s, g in zip(scalars, points, strict=True)
+                 if g is not None and s % self.order]
+        if not terms:
             return None
-        # Jacobian (X, Y, Z) represents affine (X/Z^2, Y/Z^3).
-        rx, ry, rz = 0, 1, 0  # identity
-        px, py, pz = g[0], g[1], 1
-        while s:
-            if s & 1:
-                rx, ry, rz = _jac_add(rx, ry, rz, px, py, pz)
-            px, py, pz = _jac_double(px, py, pz)
-            s >>= 1
-        if rz == 0:
-            return None
-        zinv = pow(rz, -1, _SECP_P)
-        z2 = zinv * zinv % _SECP_P
-        return (rx * z2 % _SECP_P, ry * z2 * zinv % _SECP_P)
+        jac = []
+        for _, (x, y) in terms:
+            # 2g = (dx, dy, dz) is the affine (dx, dy) on the isomorphic
+            # curve y^2 = x^3 + 7*dz^6, where g is (x*dz^2, y*dz^3). The a = 0
+            # formulas never read b, so the odd multiples are mixed additions
+            # there, and (X, Y, Z) there is (X, Y, Z*dz) here.
+            dx, dy, dz = _jac_double(x, y, 1)
+            dz2 = dz * dz % _SECP_P
+            m = (x * dz2 % _SECP_P, y * dz2 * dz % _SECP_P, 1)
+            jac.append((m[0], m[1], dz))
+            for _ in range(_WNAF_ODD - 1):
+                m = _jac_add_affine(*m, dx, dy)
+                jac.append((m[0], m[1], m[2] * dz % _SECP_P))
+        odd = _to_affine_all(jac)
+        # additions[i]: the signed table points to add at bit i
+        wnafs = [_wnaf(s) for s, _ in terms]
+        top = max(digits[-1][0] for digits in wnafs) + 1
+        additions = [[] for _ in range(top)]
+        for j, digits in enumerate(wnafs):
+            base = j * _WNAF_ODD
+            for i, d in digits:
+                if d > 0:
+                    additions[i].append(odd[base + (d >> 1)])
+                else:
+                    x, y = odd[base + (-d >> 1)]
+                    additions[i].append((x, _SECP_P - y))
+        x, y, z = 0, 1, 0
+        for i in range(top - 1, -1, -1):
+            x, y, z = _jac_double(x, y, z)
+            for ax, ay in additions[i]:
+                x, y, z = _jac_add_affine(x, y, z, ax, ay)
+        return _to_affine(x, y, z)
 
     def encode(self, g: Point) -> bytes:
         if g is None:
@@ -283,6 +319,35 @@ class CurveGroup:
         return g
 
 
+# wNAF width 5: digits are odd in [-15, 15], so each point needs the
+# odd multiples 1, 3, ..., 15.
+_WNAF_WIDTH = 5
+_WNAF_ODD = 1 << (_WNAF_WIDTH - 2)
+
+
+def _wnaf(k: int) -> list:
+    """Width-5 non-adjacent form of k > 0 as (bit position, digit) pairs
+    for the nonzero digits, least significant first."""
+    digits = []
+    i = 0
+    while k:
+        if k & 1:
+            d = k & ((1 << _WNAF_WIDTH) - 1)
+            if d >> (_WNAF_WIDTH - 1):
+                d -= 1 << _WNAF_WIDTH
+            digits.append((i, d))
+            # k - d has _WNAF_WIDTH low zero bits
+            k = (k - d) >> _WNAF_WIDTH
+            i += _WNAF_WIDTH
+        else:
+            zeros = (k & -k).bit_length() - 1
+            k >>= zeros
+            i += zeros
+    return digits
+
+
+# Jacobian (X, Y, Z) represents affine (X/Z^2, Y/Z^3); Z = 0 is the identity.
+
 def _jac_double(x, y, z):
     if z == 0 or y == 0:
         return 0, 1, 0
@@ -294,27 +359,89 @@ def _jac_double(x, y, z):
     return nx, ny, nz
 
 
-def _jac_add(x1, y1, z1, x2, y2, z2):
+def _jac_add_affine(x1, y1, z1, x2, y2):
+    """Jacobian (x1, y1, z1) plus affine (x2, y2)."""
     if z1 == 0:
-        return x2, y2, z2
-    if z2 == 0:
-        return x1, y1, z1
-    z1s, z2s = z1 * z1 % _SECP_P, z2 * z2 % _SECP_P
-    u1, u2 = x1 * z2s % _SECP_P, x2 * z1s % _SECP_P
-    s1, s2 = y1 * z2s * z2 % _SECP_P, y2 * z1s * z1 % _SECP_P
-    if u1 == u2:
-        if s1 != s2:
+        return x2, y2, 1
+    z1s = z1 * z1 % _SECP_P
+    h = (x2 * z1s - x1) % _SECP_P
+    r = (y2 * z1s * z1 - y1) % _SECP_P
+    if h == 0:
+        if r != 0:
             return 0, 1, 0
         return _jac_double(x1, y1, z1)
-    h = (u2 - u1) % _SECP_P
-    r = (s2 - s1) % _SECP_P
     h2 = h * h % _SECP_P
     h3 = h2 * h % _SECP_P
-    u1h2 = u1 * h2 % _SECP_P
-    nx = (r * r - h3 - 2 * u1h2) % _SECP_P
-    ny = (r * (u1h2 - nx) - s1 * h3) % _SECP_P
-    nz = h * z1 * z2 % _SECP_P
-    return nx, ny, nz
+    x1h2 = x1 * h2 % _SECP_P
+    nx = (r * r - h3 - 2 * x1h2) % _SECP_P
+    ny = (r * (x1h2 - nx) - y1 * h3) % _SECP_P
+    return nx, ny, h * z1 % _SECP_P
+
+
+def _to_affine(x, y, z) -> Point:
+    if z == 0:
+        return None
+    zinv = pow(z, -1, _SECP_P)
+    z2 = zinv * zinv % _SECP_P
+    return (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
+
+
+def _to_affine_all(points: list) -> list:
+    """Affine forms of Jacobian points (none the identity), with one
+    inversion shared by all (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % _SECP_P
+    inv = pow(acc, -1, _SECP_P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zinv = inv * prefix[i] % _SECP_P
+        inv = inv * z % _SECP_P
+        z2 = zinv * zinv % _SECP_P
+        out[i] = (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
+    return out
+
+
+# Fixed-base table for the generator: row i holds d * 16^i * G for
+# d = 1..15, so s*G is one mixed addition per nonzero hex digit of s and
+# no doubling. Built once per process, on first use, because every
+# scenario run makes its own CurveGroup.
+_generator_table = None
+
+
+def _build_generator_table() -> list:
+    rows = []
+    bx, by = _SECP_GX, _SECP_GY
+    for _ in range(64):
+        m = (bx, by, 1)
+        multiples = [m]
+        for _ in range(15):
+            m = _jac_add_affine(*m, bx, by)
+            multiples.append(m)
+        # normalized row by row, so that only one row's Jacobian forms are
+        # held at a time (peak memory); the 16th multiple is the next base
+        *row, (bx, by) = _to_affine_all(multiples)
+        rows.append(row)
+    return rows
+
+
+def _mul_generator(s: int) -> Point:
+    """s*G for 0 <= s < n."""
+    global _generator_table
+    if _generator_table is None:
+        _generator_table = _build_generator_table()
+    x, y, z = 0, 1, 0
+    for row in _generator_table:
+        if not s:
+            break
+        d = s & 15
+        if d:
+            x, y, z = _jac_add_affine(x, y, z, *row[d - 1])
+        s >>= 4
+    return _to_affine(x, y, z)
 
 
 def make_group(kind: str, order: int | None = None):

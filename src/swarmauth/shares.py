@@ -153,6 +153,37 @@ def _check_identifiers(field: ScalarField, xs: Sequence[int]):
         raise DuplicateIdentifier(f"identifiers must be distinct, got {sorted(xs)}")
 
 
+def _lagrange_weights(field: ScalarField, xs: Sequence[int]) -> list:
+    """Weights of all shares when interpolating at zero, for distinct
+    nonzero xs: lambda_i = prod over r != i of x_r / (x_r - x_i).
+
+    The t denominators are inverted together with one field inversion
+    (Montgomery's trick): invert their product, then peel one factor off
+    per weight from the back.
+    """
+    q = field.order
+    nums, dens = [], []
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for r, xr in enumerate(xs):
+            if r != i:
+                num = num * xr % q
+                den = den * (xr - xi) % q
+        nums.append(num)
+        dens.append(den)
+    prefix = []
+    acc = 1
+    for den in dens:
+        prefix.append(acc)
+        acc = acc * den % q
+    inv = field.inv(acc)
+    weights = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        weights[i] = nums[i] * inv * prefix[i] % q
+        inv = inv * dens[i] % q
+    return weights
+
+
 def lagrange_coeff_at_zero(field: ScalarField, xs: Sequence[int], i: int) -> int:
     """Weight of the i-th share when interpolating at zero:
     prod over r != i of (-x_r) / (x_i - x_r), division as field inversion.
@@ -160,14 +191,7 @@ def lagrange_coeff_at_zero(field: ScalarField, xs: Sequence[int], i: int) -> int
     if len(xs) < 2:
         raise WrongShareCount("at least 2 identifiers required")
     _check_identifiers(field, xs)
-    xi = xs[i]
-    lam = 1
-    for r, xr in enumerate(xs):
-        if r == i:
-            continue
-        lam = lam * field.neg(xr) % field.order
-        lam = lam * field.inv(field.sub(xi, xr)) % field.order
-    return lam
+    return _lagrange_weights(field, xs)[i]
 
 
 def verify_group(shares: Sequence[PublicShare], commitment: GroupCommitment,
@@ -176,17 +200,15 @@ def verify_group(shares: Sequence[PublicShare], commitment: GroupCommitment,
 
     Requires exactly ``threshold`` shares with distinct nonzero x. A set
     drawn from the issuing polynomial always passes; a set containing any
-    off-polynomial point fails (up to the 1/q collision chance).
+    off-polynomial point fails (up to the 1/q collision chance). The sum
+    is one multi-scalar multiplication.
     """
     if len(shares) != threshold:
         raise WrongShareCount(f"expected {threshold} shares, got {len(shares)}")
     xs = [s.x for s in shares]
     _check_identifiers(group.field, xs)
-    acc = group.identity
-    for i, s in enumerate(shares):
-        lam = lagrange_coeff_at_zero(group.field, xs, i)
-        acc = group.add(acc, group.mul(lam, s.point))
-    return acc == commitment.point
+    weights = _lagrange_weights(group.field, xs)
+    return group.msm(weights, [s.point for s in shares]) == commitment.point
 
 
 def recover_group_key(shares: Sequence[PrivateShare], field: ScalarField,
@@ -196,11 +218,8 @@ def recover_group_key(shares: Sequence[PrivateShare], field: ScalarField,
         raise WrongShareCount(f"expected {threshold} shares, got {len(shares)}")
     xs = [s.x for s in shares]
     _check_identifiers(field, xs)
-    acc = 0
-    for i, s in enumerate(shares):
-        lam = lagrange_coeff_at_zero(field, xs, i)
-        acc = (acc + lam * s.y) % field.order
-    return acc
+    weights = _lagrange_weights(field, xs)
+    return sum(w * s.y for w, s in zip(weights, shares)) % field.order
 
 
 class Dealer:

@@ -197,6 +197,11 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{key}: unknown configuration key (line {lineno})")
     if "scenario" not in fields:
         raise ConfigError("scenario: required key missing")
+    if fields["scenario"] == "nr5g":
+        for key in ("guards", "n_drones"):
+            if key in fields:
+                raise ConfigError(f"{key}: does not apply to nr5g, which "
+                                  f"authenticates one UE")
     return ScenarioConfig(latency=LatencyModel(**overrides), **fields)
 
 

@@ -1,6 +1,7 @@
 """Field and group arithmetic against integer and textbook oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmauth.algebra import (
     CurveGroup,
@@ -9,8 +10,32 @@ from swarmauth.algebra import (
     ToyGroup,
     ZeroInverse,
     make_group,
+    _SECP_N,
     _SECP_P,
 )
+
+
+def reference_mul(group, s, g):
+    """Textbook double-and-add over ``group.add`` alone: the oracle for the
+    windowed and table-driven muls."""
+    acc = group.identity
+    s %= group.order
+    while s:
+        if s & 1:
+            acc = group.add(acc, g)
+        g = group.add(g, g)
+        s >>= 1
+    return acc
+
+
+EDGE_SCALARS = (0, 1, _SECP_N - 1, _SECP_N - 2, 2**255 % _SECP_N,
+                (2**256 - 1) % _SECP_N)
+# edge values, uniform 256-bit values (reduced by mul), and k hex digits
+# that are all 15, which take the largest entry of every table row
+scalars = st.one_of(st.sampled_from(EDGE_SCALARS),
+                    st.integers(0, 2**256 - 1),
+                    st.integers(1, 64).map(lambda k: 16**k - 1))
+discrete_logs = st.integers(1, _SECP_N - 1)
 
 
 class TestScalarField:
@@ -156,6 +181,90 @@ class TestCurveGroup:
         for _ in range(20):
             s = curve.field.rand_nonzero(rng)
             assert curve.contains(curve.mul(s, curve.generator))
+
+    def test_known_multiples_of_the_generator(self, curve):
+        assert curve.mul(2, curve.generator) == (
+            0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+            0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A)
+        assert curve.mul(3, curve.generator) == (
+            0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+            0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672)
+
+    @pytest.mark.parametrize("s", EDGE_SCALARS + (16**64 - 1, _SECP_N, -1), ids=(
+        "0", "1", "n-1", "n-2", "2^255", "2^256-1", "16^64-1", "n", "-1"))
+    def test_edge_scalars_match_reference(self, curve, s):
+        g = curve.generator
+        p = reference_mul(curve, 0xDEADBEEF, g)
+        assert curve.mul(s, g) == reference_mul(curve, s, g)
+        assert curve.mul(s, p) == reference_mul(curve, s, p)
+
+    @settings(max_examples=40)
+    @given(s=scalars)
+    def test_generator_mul_matches_reference(self, curve, s):
+        assert curve.mul(s, curve.generator) == reference_mul(curve, s, curve.generator)
+
+    @settings(max_examples=25)
+    @given(k=discrete_logs, s=scalars)
+    def test_point_mul_matches_reference(self, curve, k, s):
+        p = reference_mul(curve, k, curve.generator)
+        assert curve.mul(s, p) == reference_mul(curve, s, p)
+
+
+class TestMultiScalarMul:
+    """``msm`` against the reference: the points are drawn as multiples
+    k*G with known k, so the expected sum is (sum of s*k)*G."""
+
+    @settings(max_examples=60)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=4),
+           terms=st.lists(st.tuples(scalars, st.integers(0, 3), st.booleans()),
+                          min_size=1, max_size=25))
+    def test_curve_msm_matches_reference(self, curve, logs, terms):
+        # few distinct points, so terms repeat points and meet their negations
+        pool = [reference_mul(curve, k, curve.generator) for k in logs]
+        scalar_list, points, total = [], [], 0
+        for s, i, negate in terms:
+            k = logs[i % len(logs)]
+            point = pool[i % len(logs)]
+            scalar_list.append(s)
+            points.append(curve.neg(point) if negate else point)
+            total += s * (-k if negate else k)
+        assert curve.msm(scalar_list, points) == reference_mul(curve, total,
+                                                               curve.generator)
+
+    @settings(max_examples=15)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=24),
+           data=st.data())
+    def test_curve_msm_cancels_to_identity(self, curve, logs, data):
+        scalar_list = data.draw(st.lists(scalars, min_size=len(logs),
+                                         max_size=len(logs)))
+        points = [curve.mul(k, curve.generator) for k in logs]
+        total = sum(s * k for s, k in zip(scalar_list, logs))
+        # the last term, -total * G, cancels the others
+        assert curve.msm(scalar_list + [-total], points + [curve.generator]) is None
+
+    def test_curve_msm_drops_zero_scalars_and_identity_points(self, curve):
+        g = curve.generator
+        p = curve.mul(12345, g)
+        assert curve.msm([], []) is None
+        assert curve.msm([0, curve.order], [p, g]) is None
+        assert curve.msm([7, 9], [None, p]) == curve.mul(9, p)
+        assert curve.msm([3, 3], [p, curve.neg(p)]) is None
+        assert curve.msm([1, 1], [p, p]) == curve.mul(2, p)
+        assert curve.msm([2, 5], [p, p]) == curve.mul(7, p)
+
+    def test_msm_rejects_unequal_lengths(self, curve, toy101):
+        for group in (curve, toy101):
+            with pytest.raises(ValueError):
+                group.msm([1, 2], [group.generator])
+
+    @given(terms=st.lists(st.tuples(st.integers(-2**70, 2**70),
+                                    st.integers(0, (1 << 61) - 2)), max_size=30))
+    def test_toy_msm_matches_integer_arithmetic(self, toy61, terms):
+        want = toy61.identity
+        for s, g in terms:
+            want = toy61.add(want, toy61.mul(s, g))
+        assert want == sum(s * g for s, g in terms) % toy61.order
+        assert toy61.msm([s for s, _ in terms], [g for _, g in terms]) == want
 
 
 class TestEncoding:

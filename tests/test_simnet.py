@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from swarmauth import algebra, simnet
 from swarmauth.algebra import ToyGroup
 from swarmauth.simnet import (
     ADVERTISED_PREFERABLE_BOUND,
@@ -122,6 +123,8 @@ class TestParseConfig:
         ("scenario = nr5g\ngroup = weird", "group"),
         ("scenario = bulk\nparallel_guards = true", "parallel_guards"),
         ("scenario = nr5g\nparallel_guards = true", "parallel_guards"),
+        ("scenario = nr5g\nguards = 3", "guards"),
+        ("n_drones = 10\nscenario = nr5g", "n_drones"),
         ("scenario = bulk\nthreshold = 5\nguards = 3", "guards"),
         ("scenario: nr5g", "key = value"),                  # wrong separator
     ])
@@ -321,21 +324,28 @@ class TestScenarios:
         # each drone's pair once per flow (inclusion: candidate, t-1
         # guards, key deliverer; unification adds the requester's pair at
         # the core and the cross pair; bulk: every arrival and t-1 guards).
-        # Variable-base: t per guard check, plus the pairwise keys.
+        # Variable-base: the pairwise keys. Each guard check is one msm of
+        # t points.
         counts = collections.Counter()
-        mul = ToyGroup.mul
+        mul, msm = ToyGroup.mul, ToyGroup.msm
 
         def counting_mul(group, s, point):
             counts["fixed" if point == group.generator else "variable"] += 1
             return mul(group, s, point)
 
+        def counting_msm(group, scalars, points):
+            counts["msm"] += 1
+            counts["msm points"] += len(points)
+            return msm(group, scalars, points)
+
         monkeypatch.setattr(ToyGroup, "mul", counting_mul)
+        monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): (t + 3, t * t - t + 2),
-            ("unification", None): (t + 6, t * t - t + 4),
-            ("bulk", 1): (1 + t + 1, t),
-            ("bulk", 25): (25 + t + 1, t),
-            ("bulk", 0): (2, 0),
+            ("inclusion", None): (t + 3, 2, t - 1, t * (t - 1)),
+            ("unification", None): (t + 6, 4, t - 1, t * (t - 1)),
+            ("bulk", 1): (1 + t + 1, 0, 1, t),
+            ("bulk", 25): (25 + t + 1, 0, 1, t),
+            ("bulk", 0): (2, 0, 0, 0),
         }
         for (scenario, n), want in expected.items():
             counts.clear()
@@ -343,7 +353,25 @@ class TestScenarios:
             report, _ = run_scenario(toy_config(scenario=scenario, threshold=t,
                                                 **sized))
             assert report.outcome == "accepted"
-            assert (counts["fixed"], counts["variable"]) == want, (scenario, n)
+            assert (counts["fixed"], counts["variable"], counts["msm"],
+                    counts["msm points"]) == want, (scenario, n)
+
+    def test_generator_table_built_once_per_process(self, monkeypatch):
+        # every run makes its own group; the generator's fixed-base table
+        # must outlive them, or each op would rebuild it
+        builds, groups = [], []
+        build, make_group = algebra._build_generator_table, simnet.make_group
+        monkeypatch.setattr(algebra, "_generator_table", None)
+        monkeypatch.setattr(algebra, "_build_generator_table",
+                            lambda: builds.append(1) or build())
+        monkeypatch.setattr(simnet, "make_group",
+                            lambda kind: groups.append(kind) or make_group(kind))
+        for scenario in ("inclusion", "bulk"):
+            report, _ = run_scenario(ScenarioConfig(scenario=scenario, threshold=2,
+                                                    n_drones=2))
+            assert report.outcome == "accepted"
+        assert groups == ["production", "production"]
+        assert len(builds) == 1
 
     def test_bulk_totals(self):
         config = toy_config(scenario="bulk", threshold=5, n_drones=100)
