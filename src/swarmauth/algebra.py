@@ -256,12 +256,18 @@ class CurveGroup:
         return self.msm([s], [g])
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
-        """sum(s_i * g_i): interleaved width-5 wNAF (Straus) with one
-        shared doubling chain and mixed Jacobian-affine additions.
+        """sum(s_i * g_i): GLV-split interleaved width-5 wNAF (Straus)
+        with one shared doubling chain and mixed Jacobian-affine additions.
 
-        Each point's odd multiples 1g..15g are built in Jacobian form and
-        the tables of all points are normalized with one inversion. Zero
-        scalars and identity points drop out; a sum that cancels is None.
+        Each scalar k is split as k1 + k2*lambda = k (mod n) with signed
+        halves of about 128 bits, and lambda*g = (beta*x, y) (Gallant,
+        Lambert and Vanstone, CRYPTO 2001), so the 2m half-scalars share a
+        doubling chain of about 129 steps instead of 256. Each point's odd
+        multiples 1g..15g are built in Jacobian form and the tables of all
+        points are normalized with one inversion; the table of lambda*g is
+        one field multiplication per entry, and a negative half flips y.
+        Zero scalars and identity points drop out; a sum that cancels is
+        None.
         """
         terms = [(s % self.order, g) for s, g in zip(scalars, points, strict=True)
                  if g is not None and s % self.order]
@@ -281,20 +287,21 @@ class CurveGroup:
                 m = _jac_add_affine(*m, dx, dy)
                 jac.append((m[0], m[1], m[2] * dz % _SECP_P))
         odd = _to_affine_all(jac)
-        # additions[i]: the signed table points to add at bit i
-        wnafs = [_wnaf(s) for s, _ in terms]
-        top = max(digits[-1][0] for digits in wnafs) + 1
-        additions = [[] for _ in range(top)]
-        for j, digits in enumerate(wnafs):
-            base = j * _WNAF_ODD
-            for i, d in digits:
-                if d > 0:
-                    additions[i].append(odd[base + (d >> 1)])
-                else:
-                    x, y = odd[base + (-d >> 1)]
-                    additions[i].append((x, _SECP_P - y))
+        halves = []
+        for j, (s, _) in enumerate(terms):
+            table = odd[j * _WNAF_ODD:(j + 1) * _WNAF_ODD]
+            k1, k2 = _glv_split(s)
+            halves.append((k1, table))
+            halves.append((k2, [(_GLV_BETA * x % _SECP_P, y) for x, y in table]))
+        # additions[i]: the signed table points to add at bit i; a wNAF
+        # digit can sit one place above the top bit
+        additions = [[] for _ in range(max(abs(k).bit_length() for k, _ in halves) + 1)]
+        for k, table in halves:
+            for i, d in _wnaf(abs(k)):
+                x, y = table[abs(d) >> 1]
+                additions[i].append((x, _SECP_P - y) if (d < 0) != (k < 0) else (x, y))
         x, y, z = 0, 1, 0
-        for i in range(top - 1, -1, -1):
+        for i in range(len(additions) - 1, -1, -1):
             x, y, z = _jac_double(x, y, z)
             for ax, ay in additions[i]:
                 x, y, z = _jac_add_affine(x, y, z, ax, ay)
@@ -403,6 +410,57 @@ def _to_affine_all(points: list) -> list:
         z2 = zinv * zinv % _SECP_P
         out[i] = (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
     return out
+
+
+# GLV endomorphism: phi(x, y) = (beta*x, y) is lambda*P for every point P,
+# where beta and lambda are cube roots of unity mod p and mod n. All
+# constants are derived here, not pasted.
+
+def _cube_root_of_unity(m: int) -> int:
+    """A cube root of unity other than 1 modulo the prime m = 1 (mod 3)."""
+    g = 2
+    while (root := pow(g, (m - 1) // 3, m)) == 1:
+        g += 1
+    return root
+
+
+def _glv_constants() -> tuple:
+    """beta, lambda and the short basis (a1, b1, a2, b2) of the lattice
+    {(a, b): a + b*lambda = 0 (mod n)}, by the extended Euclidean
+    algorithm on (n, lambda) (Hankerson, Menezes and Vanstone, Guide to
+    ECC, Alg. 3.74)."""
+    beta = _cube_root_of_unity(_SECP_P)
+    lam = _cube_root_of_unity(_SECP_N)
+    # lambda*G by double-and-add; the other root lambda^2 pairs with beta
+    # when this one does not
+    x, y, z = 0, 1, 0
+    for bit in bin(lam)[2:]:
+        x, y, z = _jac_double(x, y, z)
+        if bit == "1":
+            x, y, z = _jac_add_affine(x, y, z, _SECP_GX, _SECP_GY)
+    if _to_affine(x, y, z) != (beta * _SECP_GX % _SECP_P, _SECP_GY):
+        lam = lam * lam % _SECP_N
+    # remainders r_i = s_i*n + t_i*lambda; stop at the last r_l >= sqrt(n)
+    r0, r1, t0, t1 = _SECP_N, lam, 0, 1
+    while r1 * r1 >= _SECP_N:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2:
+        return beta, lam, r1, -t1, r0, -t0
+    return beta, lam, r1, -t1, r2, -t2
+
+
+_GLV_BETA, _GLV_LAMBDA, _GLV_A1, _GLV_B1, _GLV_A2, _GLV_B2 = _glv_constants()
+
+
+def _glv_split(k: int) -> tuple:
+    """(k1, k2) with k1 + k2*lambda = k (mod n), both of about 128 bits and
+    either sign: k minus the nearest lattice point (rounded division)."""
+    c1 = (2 * _GLV_B2 * k + _SECP_N) // (2 * _SECP_N)
+    c2 = (-2 * _GLV_B1 * k + _SECP_N) // (2 * _SECP_N)
+    return (k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2)
 
 
 # Fixed-base table for the generator: row i holds d * 16^i * G for

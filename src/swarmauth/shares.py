@@ -147,7 +147,9 @@ def group_commitment(poly: GroupPolynomial, group) -> GroupCommitment:
 
 
 def _check_identifiers(field: ScalarField, xs: Sequence[int]):
-    if any(field.reduce(x) == 0 for x in xs):
+    # x and x + q name the same evaluation point
+    xs = [field.reduce(x) for x in xs]
+    if 0 in xs:
         raise InvalidIdentifier("share identifiers must be nonzero")
     if len(set(xs)) != len(xs):
         raise DuplicateIdentifier(f"identifiers must be distinct, got {sorted(xs)}")

@@ -332,11 +332,17 @@ class CrossoverReport:
 
 def crossover_report(model: LatencyModel, t_max: int = 10_000) -> CrossoverReport:
     baseline = baseline_total_us(model)
-    crossover = None
-    for t in range(2, t_max + 1):
-        if time_group_auth(t, model) > baseline:
-            crossover = t
-            break
+    per_t = model.drone_to_drone + model.ec_point_mul
+    # the first t with t * per_t > baseline, capped just past t_max, then
+    # stepped to the first t that time_group_auth itself puts above the
+    # baseline, where float rounding of its sum moves it
+    estimate = baseline / per_t if per_t else math.inf
+    t = max(2, math.floor(min(estimate, t_max)) + 1)
+    while t > 2 and time_group_auth(t - 1, model) > baseline:
+        t -= 1
+    while t <= t_max and time_group_auth(t, model) <= baseline:
+        t += 1
+    crossover = t if t <= t_max else None
     holds = crossover is None or crossover >= ADVERTISED_PREFERABLE_BOUND
     conservative = crossover is None or crossover > ADVERTISED_PREFERABLE_BOUND
     return CrossoverReport(baseline, crossover, ADVERTISED_PREFERABLE_BOUND,
@@ -613,7 +619,9 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
             except protocol.DecodeError:
                 pass
     # everything the attacker can derive without a private scalar: hashes
-    # of captured points, of their pairwise sums, and of raw payloads
+    # of captured points, of their pairwise sums, and of raw payloads; each
+    # distinct point once, since every share is published to many guards
+    points = list(dict.fromkeys(points))
     candidate_keys = {hashlib.sha256(group.encode(p)).digest() for p in points}
     for i, p in enumerate(points):
         for q in points[i:]:

@@ -1,5 +1,7 @@
 """Field and group arithmetic against integer and textbook oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,17 @@ from swarmauth.algebra import (
     ToyGroup,
     ZeroInverse,
     make_group,
+    _GLV_A1,
+    _GLV_A2,
+    _GLV_B1,
+    _GLV_B2,
+    _GLV_BETA,
+    _GLV_LAMBDA,
+    _SECP_GX,
+    _SECP_GY,
     _SECP_N,
     _SECP_P,
+    _glv_split,
 )
 
 
@@ -36,6 +47,21 @@ scalars = st.one_of(st.sampled_from(EDGE_SCALARS),
                     st.integers(0, 2**256 - 1),
                     st.integers(1, 64).map(lambda k: 16**k - 1))
 discrete_logs = st.integers(1, _SECP_N - 1)
+
+
+def rounding_boundary_scalars():
+    """Scalars k with b*k mod n within 3 of n/2, for b = b2 and -b1: where
+    the split's rounded quotients c1 and c2 flip."""
+    out = []
+    for b in (_GLV_B2, -_GLV_B1):
+        b_inv = pow(b, -1, _SECP_N)
+        out += [(_SECP_N // 2 + d) * b_inv % _SECP_N for d in range(-3, 4)]
+    return tuple(out)
+
+
+GLV_EDGE_SCALARS = (0, 1, _GLV_LAMBDA, _SECP_N - _GLV_LAMBDA,
+                    _SECP_N - 1) + rounding_boundary_scalars()
+glv_scalars = st.one_of(st.sampled_from(GLV_EDGE_SCALARS), scalars)
 
 
 class TestScalarField:
@@ -265,6 +291,72 @@ class TestMultiScalarMul:
             want = toy61.add(want, toy61.mul(s, g))
         assert want == sum(s * g for s, g in terms) % toy61.order
         assert toy61.msm([s for s, _ in terms], [g for _, g in terms]) == want
+
+
+class TestGLVSplit:
+    """The endomorphism constants derived at import, the scalar split and
+    the msm that runs on it."""
+
+    def test_cube_roots_of_unity_pair_up(self, curve):
+        assert _GLV_BETA != 1 and pow(_GLV_BETA, 3, _SECP_P) == 1
+        assert _GLV_LAMBDA != 1 and pow(_GLV_LAMBDA, 3, _SECP_N) == 1
+        g = curve.generator
+        assert reference_mul(curve, _GLV_LAMBDA, g) == (_GLV_BETA * _SECP_GX % _SECP_P,
+                                                        _SECP_GY)
+        x, y = p = reference_mul(curve, 0xDEADBEEF, g)
+        assert reference_mul(curve, _GLV_LAMBDA, p) == (_GLV_BETA * x % _SECP_P, y)
+
+    def test_basis_spans_the_lattice_with_short_vectors(self):
+        # a + b*lambda = 0 (mod n), and the two vectors have determinant +-n
+        for a, b in ((_GLV_A1, _GLV_B1), (_GLV_A2, _GLV_B2)):
+            assert (a + b * _GLV_LAMBDA) % _SECP_N == 0
+            assert abs(a) < 2**129 and abs(b) < 2**129
+        assert abs(_GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1) == _SECP_N
+
+    @pytest.mark.parametrize("k", GLV_EDGE_SCALARS)
+    def test_split_of_edge_scalars(self, k):
+        k1, k2 = _glv_split(k)
+        assert (k1 + k2 * _GLV_LAMBDA - k) % _SECP_N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    @settings(max_examples=300)
+    @given(k=st.one_of(glv_scalars.map(lambda s: s % _SECP_N),
+                       st.integers(0, _SECP_N - 1)))
+    def test_split_recombines_into_short_halves(self, k):
+        k1, k2 = _glv_split(k)
+        assert (k1 + k2 * _GLV_LAMBDA - k) % _SECP_N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    def test_every_sign_of_the_halves_matches_reference(self, curve):
+        # scalars whose halves take each sign pair, on one point
+        rng = random.Random(6)
+        by_signs = {}
+        for _ in range(64):
+            k = rng.randrange(_SECP_N)
+            k1, k2 = _glv_split(k)
+            by_signs.setdefault((k1 < 0, k2 < 0), k)
+        assert len(by_signs) == 4
+        p = reference_mul(curve, 0xC0FFEE, curve.generator)
+        for k in by_signs.values():
+            assert curve.msm([k], [p]) == reference_mul(curve, k, p)
+
+    @settings(max_examples=30)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=3),
+           terms=st.lists(st.tuples(glv_scalars, st.integers(0, 2), st.booleans()),
+                          min_size=1, max_size=12))
+    def test_msm_matches_toy_oracle(self, curve, logs, terms):
+        # the toy group of order n sums the discrete logs of the terms;
+        # repeated and negated points share the split's halves and tables
+        oracle = ToyGroup(_SECP_N)
+        pool = [curve.mul(k, curve.generator) for k in logs]
+        scalar_list, points, point_logs = [], [], []
+        for s, i, negate in terms:
+            k = logs[i % len(logs)]
+            scalar_list.append(s)
+            points.append(curve.neg(pool[i % len(logs)]) if negate else pool[i % len(logs)])
+            point_logs.append(oracle.neg(k) if negate else k)
+        want = curve.mul(oracle.msm(scalar_list, point_logs), curve.generator)
+        assert curve.msm(scalar_list, points) == want
 
 
 class TestEncoding:

@@ -135,6 +135,11 @@ class TestLagrange:
         with pytest.raises(InvalidIdentifier):
             lagrange_coeff_at_zero(toy101.field, [0, 2], 0)
 
+    def test_identifiers_equal_mod_q_rejected(self, toy101):
+        # 102 = 1 (mod 101): the same evaluation point, so a duplicate
+        with pytest.raises(DuplicateIdentifier):
+            lagrange_coeff_at_zero(toy101.field, [1, 102], 0)
+
     def test_interpolation_recovers_f0(self, toy61, rng):
         f = toy61.field
         for _ in range(50):
@@ -213,6 +218,13 @@ class TestVerifyGroup:
             verify_group([PublicShare(1, 12), PublicShare(1, 12)],
                          commitment, toy101, 2)
 
+    def test_duplicates_mod_q_rejected(self, toy101):
+        poly = poly_5_7x(toy101)
+        commitment = group_commitment(poly, toy101)
+        with pytest.raises(DuplicateIdentifier):
+            verify_group([PublicShare(1, 12), PublicShare(102, 12)],
+                         commitment, toy101, 2)
+
     def test_completeness_random(self, toy61, rng):
         for _ in range(300):
             t = rng.randrange(2, 6)
@@ -254,6 +266,11 @@ class TestRecoverGroupKey:
     def test_too_few_shares(self, toy101):
         with pytest.raises(WrongShareCount):
             recover_group_key([PrivateShare(1, 12)], toy101.field, 2)
+
+    def test_duplicates_mod_q_rejected(self, toy101):
+        with pytest.raises(DuplicateIdentifier):
+            recover_group_key([PrivateShare(1, 12), PrivateShare(102, 12)],
+                              toy101.field, 2)
 
     def test_consistency_with_commitment_all_subsets(self, toy61, rng):
         # recover(private subset) * P == Q for every size-t subset
