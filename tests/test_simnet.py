@@ -244,7 +244,7 @@ class TestCrossover:
         assert report.crossover_threshold is None
         assert "never exceeds" in report.summary()
 
-    @settings(max_examples=150)
+    @settings(max_examples=100)
     @given(costs=st.lists(durations, min_size=len(LATENCY_FIELDS),
                           max_size=len(LATENCY_FIELDS)),
            t_max=st.one_of(st.just(10_000), st.integers(-1, 300)))
