@@ -266,8 +266,8 @@ class CurveGroup:
         multiples 1g..15g are built in Jacobian form and the tables of all
         points are normalized with one inversion; the table of lambda*g is
         one field multiplication per entry, and a negative half flips y.
-        Zero scalars and identity points drop out; a sum that cancels is
-        None.
+        Zero scalars, zero halves and identity points drop out; a sum
+        that cancels is None.
         """
         terms = [(s % self.order, g) for s, g in zip(scalars, points, strict=True)
                  if g is not None and s % self.order]
@@ -291,8 +291,11 @@ class CurveGroup:
         for j, (s, _) in enumerate(terms):
             table = odd[j * _WNAF_ODD:(j + 1) * _WNAF_ODD]
             k1, k2 = _glv_split(s)
-            halves.append((k1, table))
-            halves.append((k2, [(_GLV_BETA * x % _SECP_P, y) for x, y in table]))
+            # s != 0 (mod n), so at most one half is 0; it adds nothing
+            if k1:
+                halves.append((k1, table))
+            if k2:
+                halves.append((k2, [(_GLV_BETA * x % _SECP_P, y) for x, y in table]))
         # additions[i]: the signed table points to add at bit i; a wNAF
         # digit can sit one place above the top bit
         additions = [[] for _ in range(max(abs(k).bit_length() for k, _ in halves) + 1)]
@@ -333,8 +336,8 @@ _WNAF_ODD = 1 << (_WNAF_WIDTH - 2)
 
 
 def _wnaf(k: int) -> list:
-    """Width-5 non-adjacent form of k > 0 as (bit position, digit) pairs
-    for the nonzero digits, least significant first."""
+    """Width-5 non-adjacent form of k >= 0 as (bit position, digit) pairs
+    for the nonzero digits, least significant first; 0 has none."""
     digits = []
     i = 0
     while k:

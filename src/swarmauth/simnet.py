@@ -332,17 +332,11 @@ class CrossoverReport:
 
 def crossover_report(model: LatencyModel, t_max: int = 10_000) -> CrossoverReport:
     baseline = baseline_total_us(model)
-    per_t = model.drone_to_drone + model.ec_point_mul
-    # the first t with t * per_t > baseline, capped just past t_max, then
-    # stepped to the first t that time_group_auth itself puts above the
-    # baseline, where float rounding of its sum moves it
-    estimate = baseline / per_t if per_t else math.inf
-    t = max(2, math.floor(min(estimate, t_max)) + 1)
-    while t > 2 and time_group_auth(t - 1, model) > baseline:
-        t -= 1
-    while t <= t_max and time_group_auth(t, model) <= baseline:
-        t += 1
-    crossover = t if t <= t_max else None
+    crossover = None
+    for t in range(2, t_max + 1):
+        if time_group_auth(t, model) > baseline:
+            crossover = t
+            break
     holds = crossover is None or crossover >= ADVERTISED_PREFERABLE_BOUND
     conservative = crossover is None or crossover > ADVERTISED_PREFERABLE_BOUND
     return CrossoverReport(baseline, crossover, ADVERTISED_PREFERABLE_BOUND,
