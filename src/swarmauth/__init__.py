@@ -21,6 +21,7 @@ from .shares import (
     issue_share,
     lagrange_coeff_at_zero,
     public_share,
+    public_shares,
     recover_group_key,
     verify_group,
 )
@@ -53,7 +54,8 @@ __all__ = [
     "CurveGroup", "ScalarField", "ToyGroup", "make_group",
     "Dealer", "GroupCommitment", "GroupPolynomial", "PrivateShare",
     "PublicShare", "gen_polynomial", "group_commitment", "issue_share",
-    "lagrange_coeff_at_zero", "public_share", "recover_group_key",
+    "lagrange_coeff_at_zero", "public_share", "public_shares",
+    "recover_group_key",
     "verify_group",
     "CoreNetwork", "Drone", "DroneId", "Role", "Swarm",
     "derive_pairwise_key", "run_inclusion", "run_unification",

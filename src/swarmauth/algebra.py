@@ -172,6 +172,9 @@ class ToyGroup:
     def mul(self, s: int, g: int) -> int:
         return s * g % self.order
 
+    def mul_generator(self, scalars: Sequence[int]) -> list:
+        return [s % self.order for s in scalars]
+
     def msm(self, scalars: Sequence[int], points: Sequence[int]) -> int:
         return sum(s * g for s, g in zip(scalars, points, strict=True)) % self.order
 
@@ -249,11 +252,17 @@ class CurveGroup:
         return (x, -y % _SECP_P)
 
     def mul(self, s: int, g: Point) -> Point:
-        """s*g: a fixed-base table lookup for the generator, else a
-        one-term :meth:`msm`."""
+        """s*g: the one-scalar case of :meth:`mul_generator` for the
+        generator, else a one-term :meth:`msm`."""
         if g == self.generator:
-            return _mul_generator(s % self.order)
+            return _mul_generator([s])[0]
         return self.msm([s], [g])
+
+    def mul_generator(self, scalars: Sequence[int]) -> list:
+        """[s*G for s in scalars]: table entries picked by the hex digits of
+        each scalar, summed pairwise in affine form, with one inversion per
+        level of pairwise sums shared by the scalars of a chunk of 128."""
+        return _mul_generator(scalars)
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
         """sum(s_i * g_i): GLV-split interleaved width-5 wNAF (Straus)
@@ -396,22 +405,32 @@ def _to_affine(x, y, z) -> Point:
     return (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
 
 
-def _to_affine_all(points: list) -> list:
-    """Affine forms of Jacobian points (none the identity), with one
-    inversion shared by all (Montgomery's trick)."""
+def _inverses(values: list) -> list:
+    """Inverses mod p of nonzero values, with one inversion shared by all
+    (Montgomery's trick): invert the product, then peel one factor off per
+    value from the back."""
     prefix = []
     acc = 1
-    for _, _, z in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * z % _SECP_P
+        acc = acc * v % _SECP_P
+    if acc == 0:
+        raise ZeroInverse("batched inversion of a value that is 0 mod p")
     inv = pow(acc, -1, _SECP_P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zinv = inv * prefix[i] % _SECP_P
-        inv = inv * z % _SECP_P
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % _SECP_P
+        inv = inv * values[i] % _SECP_P
+    return out
+
+
+def _to_affine_all(points: list) -> list:
+    """Affine forms of Jacobian points (none the identity), with one
+    shared inversion."""
+    out = []
+    for (x, y, _), zinv in zip(points, _inverses([z for _, _, z in points])):
         z2 = zinv * zinv % _SECP_P
-        out[i] = (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
+        out.append((x * z2 % _SECP_P, y * z2 * zinv % _SECP_P))
     return out
 
 
@@ -467,8 +486,8 @@ def _glv_split(k: int) -> tuple:
 
 
 # Fixed-base table for the generator: row i holds d * 16^i * G for
-# d = 1..15, so s*G is one mixed addition per nonzero hex digit of s and
-# no doubling. Built once per process, on first use, because every
+# d = 1..15, so s*G is the sum of one entry per nonzero hex digit of s,
+# with no doubling. Built once per process, on first use, because every
 # scenario run makes its own CurveGroup.
 _generator_table = None
 
@@ -489,20 +508,60 @@ def _build_generator_table() -> list:
     return rows
 
 
-def _mul_generator(s: int) -> Point:
-    """s*G for 0 <= s < n."""
+# Scalars per chunk of a batched generator mul. One level of a chunk's
+# sums holds up to 32 new points per scalar, so chunks bound the memory
+# of a large batch (10^4 scalars in one chunk peaked near 150 MB); with
+# 128 scalars an inversion is already shared by thousands of additions,
+# so bigger chunks would save no time.
+_GENERATOR_CHUNK = 128
+
+
+def _mul_generator(scalars: Sequence[int]) -> list:
+    """[s*G for s in scalars], each s reduced mod n; None for s = 0 (mod n).
+
+    Each scalar's nonzero hex digits select entries of the table, and the
+    entries of a chunk of scalars are summed pairwise, level by level, in
+    affine form. The additions of one level, over all the scalars of the
+    chunk, share one inversion, so a chunk makes about 6 inversions (a
+    scalar has at most 64 entries) however many scalars it holds.
+    """
     global _generator_table
     if _generator_table is None:
         _generator_table = _build_generator_table()
-    x, y, z = 0, 1, 0
-    for row in _generator_table:
-        if not s:
-            break
-        d = s & 15
-        if d:
-            x, y, z = _jac_add_affine(x, y, z, *row[d - 1])
-        s >>= 4
-    return _to_affine(x, y, z)
+    out = []
+    for start in range(0, len(scalars), _GENERATOR_CHUNK):
+        sums = []
+        for s in scalars[start:start + _GENERATOR_CHUNK]:
+            s %= _SECP_N
+            terms = []
+            for row in _generator_table:
+                if not s:
+                    break
+                d = s & 15
+                if d:
+                    terms.append(row[d - 1])
+                s >>= 4
+            sums.append(terms)
+        # Two sibling partial sums a*G and b*G cover disjoint hex digits of
+        # one s, so a != b, both are positive and a + b <= s < n. Then
+        # a = +-b (mod n) cannot hold, and no addition meets equal x (a
+        # doubling, or a sum to the identity); _inverses raises if one did.
+        while pairs := [(terms[i], terms[i + 1]) for terms in sums
+                        for i in range(0, len(terms) - 1, 2)]:
+            invs = _inverses([x2 - x1 for (x1, _), (x2, _) in pairs])
+            added = []
+            for ((x1, y1), (x2, y2)), inv in zip(pairs, invs):
+                lam = (y2 - y1) * inv % _SECP_P
+                x3 = (lam * lam - x1 - x2) % _SECP_P
+                added.append((x3, (lam * (x1 - x3) - y1) % _SECP_P))
+            # each scalar's sums of this level, then its odd entry left over
+            at = 0
+            for j, terms in enumerate(sums):
+                half = len(terms) >> 1
+                sums[j] = added[at:at + half] + terms[2 * half:]
+                at += half
+        out += [terms[0] if terms else None for terms in sums]
+    return out
 
 
 def make_group(kind: str, order: int | None = None):

@@ -78,7 +78,7 @@ def _sweep_rows(variable: str, points: list[int], config: ScenarioConfig):
         for t in points:
             rows.append(("inclusion", "nr-5g", t, 1, base_ms))
             rows.append(("inclusion", "group-auth", t, 1,
-                         time_group_auth(t, model) / 1000.0))
+                         time_group_auth(t, model, config.parallel_guards) / 1000.0))
     else:
         t = config.threshold
         for n in points:
@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
 
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.variable == "threshold":
-        report = crossover_report(config.latency)
+        report = crossover_report(config.latency, parallel=config.parallel_guards)
         print(f"crossover_threshold={report.crossover_threshold}")
         print(report.summary())
     return 0

@@ -53,6 +53,7 @@ from .shares import (
     encode_public_share,
     gen_polynomial,
     public_share,
+    public_shares,
     verify_group,
 )
 
@@ -406,13 +407,13 @@ def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng):
     transport.deliver(msg, receiver)
 
 
-def _send_group_key(group, deliverer: Drone, recipient: Drone,
-                    recipient_pub: PublicShare, transport: Transport, rng) -> int | None:
-    """KEY_AGREEMENT_INIT (deliverer's public share) followed by the
-    encrypted group key; returns the key as recovered by the recipient, or
-    None when the recipient rejects a message as a replay or cannot decode
-    or authenticate it."""
-    deliverer_pub = deliverer.public_share(group)
+def _send_group_key(group, deliverer: Drone, deliverer_pub: PublicShare,
+                    recipient: Drone, recipient_pub: PublicShare,
+                    transport: Transport, rng) -> int | None:
+    """KEY_AGREEMENT_INIT (the deliverer's public pair, as derived for the
+    guard check) followed by the encrypted group key; returns the key as
+    recovered by the recipient, or None when the recipient rejects a
+    message as a replay or cannot decode or authenticate it."""
     init = ProtocolMessage(MessageKind.KEY_AGREEMENT_INIT, deliverer.id,
                            recipient.label, fresh_nonce(rng),
                            encode_public_share(group, deliverer_pub))
@@ -448,12 +449,14 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     The publisher sends the pair to every guard, the guards exchange their
     own pairs, and each guard checks the t-point Lagrange sum against the
     swarm's commitment and sends its verdict to the publisher. Returns
-    (unanimous, views); views maps a guard's x to the published pair as
-    that guard received it.
+    (unanimous, views, own); views maps a guard's x to the published pair
+    as that guard received it, and own maps it to the guard's own pair.
+    The guards' pairs come from one batched generator mul.
     """
     group = swarm.group
     t = swarm.threshold
-    own = {g.id.x: g.public_share(group) for g in guards}
+    own = dict(zip((g.id.x for g in guards),
+                   public_shares([g.private_share for g in guards], group)))
     received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
     views: dict[int, PublicShare] = {}
     yield "transfer"
@@ -478,7 +481,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
               and verify_group(shares, swarm.commitment, group, t))
         unanimous = unanimous and ok
         _send_verdict(g, ok, publisher, transport, rng)
-    return unanimous, views
+    return unanimous, views, own
 
 
 def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
@@ -495,14 +498,16 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if candidate.id.x in swarm.drones:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, views = yield from _guard_check(swarm, guards, candidate,
-                                        candidate.public_share(group), transport, rng)
+    ok, views, own = yield from _guard_check(swarm, guards, candidate,
+                                             candidate.public_share(group),
+                                             transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
     yield "hop"
-    recovered = _send_group_key(group, guards[0], candidate,
-                                views[guards[0].id.x], transport, rng)
+    deliverer = guards[0]
+    recovered = _send_group_key(group, deliverer, own[deliverer.id.x], candidate,
+                                views[deliverer.id.x], transport, rng)
     if recovered is None:
         return Outcome(False, "key-delivery-failed")
     candidate.group_key = recovered
@@ -514,23 +519,23 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
 def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
     """Step generator of a bulk admission; returns its Outcome.
 
-    Each arrival broadcasts its public share to the swarm; one threshold
-    check of the guard quorum plus the first arrival admits the batch, and
-    the other arrivals are not verified. An empty batch needs no check.
+    The public pairs of every arrival and of the guard quorum are derived
+    together, in one batched generator mul, before the first broadcast.
+    Each arrival broadcasts its pair to the swarm; one threshold check of
+    the quorum plus the first arrival admits the batch, and the other
+    arrivals are not verified. An empty batch needs no quorum and no check.
     """
-    group = swarm.group
-    pubs = []
-    for arrival in arrivals:
-        yield "broadcast"
-        pubs.append(arrival.public_share(group))
-        transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
-                         f"{swarm.id}/*", encode_public_share(group, pubs[-1]))
-    if not pubs:
+    if not arrivals:
         return Outcome(True)
+    group = swarm.group
+    quorum = _quorum(swarm)
+    pubs = public_shares([d.private_share for d in arrivals + quorum], group)
+    for arrival, pub in zip(arrivals, pubs):
+        yield "broadcast"
+        transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
+                         f"{swarm.id}/*", encode_public_share(group, pub))
     yield "check"
-    shares = [g.public_share(group) for g in _quorum(swarm)]
-    shares.append(pubs[0])
-    shares.sort(key=lambda s: s.x)
+    shares = sorted([pubs[0], *pubs[len(arrivals):]], key=lambda s: s.x)
     if not verify_group(shares, swarm.commitment, group, swarm.threshold):
         return Outcome(False, "verification-failed")
     return Outcome(True)
@@ -654,7 +659,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
     """Step generator of one direction of a unification: the designated
     guard of ``home`` obtains a share under ``away``'s polynomial and
     ``away``'s guards check it. Returns (failure reason or None, cross
-    share, guard views of the cross public pair)."""
+    share, guard views of the cross public pair, the guards' own pairs)."""
     group = home.group
     yield "core"
     request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
@@ -664,16 +669,17 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
     response = core.core_issue_cross_share(designated.id, away.id, rng)
     delivered = transport.deliver(response, designated)
     if delivered is None:
-        return "cross-issue-undelivered", None, None
+        return "cross-issue-undelivered", None, None, None
     try:
         cross = _open_cross_share(group, home, designated, delivered)
     except (DecryptionFailed, DecodeError):
-        return "cross-share-unusable", None, None
-    ok, views = yield from _guard_check(away, away_guards, designated,
-                                        public_share(cross, group), transport, rng)
+        return "cross-share-unusable", None, None, None
+    ok, views, own = yield from _guard_check(away, away_guards, designated,
+                                             public_share(cross, group),
+                                             transport, rng)
     if not ok:
-        return "verification-failed", None, None
-    return None, cross, views
+        return "verification-failed", None, None, None
+    return None, cross, views, own
 
 
 def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
@@ -700,13 +706,13 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     b_guards = _quorum(swarm_b)
     a_quorum = _quorum(swarm_a) if mutual else None
 
-    failure, cross, views = yield from _cross_pass(core, d_a, swarm_a, swarm_b,
-                                                   b_guards, transport, rng)
+    failure, cross, views, own = yield from _cross_pass(core, d_a, swarm_a, swarm_b,
+                                                        b_guards, transport, rng)
     if failure:
         return Outcome(False, failure)
     if mutual:
-        failure, _, _ = yield from _cross_pass(core, b_guards[0], swarm_b, swarm_a,
-                                               a_quorum, transport, rng)
+        failure, _, _, _ = yield from _cross_pass(core, b_guards[0], swarm_b, swarm_a,
+                                                  a_quorum, transport, rng)
         if failure:
             return Outcome(False, f"mutual-{failure}")
 
@@ -716,7 +722,7 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     deliverer = b_guards[0]
     cross_holder = Drone(d_a.id, Role.GUARD, cross, group_key=d_a.group_key,
                          nonce_cache=d_a.nonce_cache)
-    unified_key = _send_group_key(group, deliverer, cross_holder,
+    unified_key = _send_group_key(group, deliverer, own[deliverer.id.x], cross_holder,
                                   views[deliverer.id.x], transport, rng)
     if unified_key is None:
         return Outcome(False, "key-return-failed")

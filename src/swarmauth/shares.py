@@ -27,6 +27,7 @@ __all__ = [
     "gen_polynomial",
     "issue_share",
     "public_share",
+    "public_shares",
     "group_commitment",
     "lagrange_coeff_at_zero",
     "verify_group",
@@ -138,8 +139,14 @@ def issue_share(poly: GroupPolynomial, x: int) -> PrivateShare:
     return PrivateShare(x=poly.field.reduce(x), y=poly.evaluate(x))
 
 
+def public_shares(shares: Sequence[PrivateShare], group) -> list:
+    """The public pairs of many shares, from one batched generator mul."""
+    points = group.mul_generator([s.y for s in shares])
+    return [PublicShare(x=s.x, point=p) for s, p in zip(shares, points)]
+
+
 def public_share(share: PrivateShare, group) -> PublicShare:
-    return PublicShare(x=share.x, point=group.mul(share.y, group.generator))
+    return public_shares([share], group)[0]
 
 
 def group_commitment(poly: GroupPolynomial, group) -> GroupCommitment:

@@ -330,11 +330,14 @@ class CrossoverReport:
                 f"range t<{self.advertised_bound} is {verdict}")
 
 
-def crossover_report(model: LatencyModel, t_max: int = 10_000) -> CrossoverReport:
+def crossover_report(model: LatencyModel, t_max: int = 10_000,
+                     parallel: bool = False) -> CrossoverReport:
+    """The first t in 2..t_max whose group check, serialized or with
+    ``parallel`` guards, takes longer than the nr-5g baseline."""
     baseline = baseline_total_us(model)
     crossover = None
     for t in range(2, t_max + 1):
-        if time_group_auth(t, model) > baseline:
+        if time_group_auth(t, model, parallel) > baseline:
             crossover = t
             break
     holds = crossover is None or crossover >= ADVERTISED_PREFERABLE_BOUND

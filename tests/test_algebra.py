@@ -12,6 +12,7 @@ from swarmauth.algebra import (
     ToyGroup,
     ZeroInverse,
     make_group,
+    _GENERATOR_CHUNK,
     _GLV_A1,
     _GLV_A2,
     _GLV_B1,
@@ -23,6 +24,7 @@ from swarmauth.algebra import (
     _SECP_N,
     _SECP_P,
     _glv_split,
+    _inverses,
 )
 
 
@@ -234,6 +236,65 @@ class TestCurveGroup:
     def test_point_mul_matches_reference(self, curve, k, s):
         p = reference_mul(curve, k, curve.generator)
         assert curve.mul(s, p) == reference_mul(curve, s, p)
+
+
+class TestBatchedGeneratorMul:
+    """``mul_generator`` sums table entries pairwise over a chunk of
+    scalars, with one shared inversion per level of sums."""
+
+    def test_edge_scalars_match_reference(self, curve):
+        edge = [0, 1, 15, 16, 2**252, 15 * 2**252, _SECP_N - 2, _SECP_N - 1]
+        assert curve.mul_generator(edge) == [
+            reference_mul(curve, s, curve.generator) for s in edge]
+
+    def test_scalars_of_n_and_above_are_reduced(self, curve):
+        big = [_SECP_N, _SECP_N + 1, _SECP_N + 15 * 2**252, 2**256 - 1,
+               2 * _SECP_N - 1]
+        assert curve.mul_generator(big) == [
+            reference_mul(curve, s, curve.generator) for s in big]
+
+    def test_empty_batch(self, curve, toy61):
+        assert curve.mul_generator([]) == []
+        assert toy61.mul_generator([]) == []
+
+    def test_every_count_of_nonzero_digits(self, curve):
+        # 1..64 table entries per scalar, all in one call: every pattern of
+        # odd entries left over across the levels of pairwise sums
+        batch = [16**k - 1 for k in range(1, 65)]
+        assert curve.mul_generator(batch) == [
+            reference_mul(curve, s, curve.generator) for s in batch]
+
+    @settings(max_examples=25)
+    @given(pool=st.lists(scalars, min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 4), max_size=12))
+    def test_repeats_and_zeros_match_reference(self, curve, pool, picks):
+        # index len(pool) and above picks 0
+        batch = [pool[i] if i < len(pool) else 0 for i in picks]
+        want = {s: reference_mul(curve, s, curve.generator) for s in set(batch)}
+        assert curve.mul_generator(batch) == [want[s] for s in batch]
+
+    def test_batch_of_several_chunks_keeps_its_order(self, curve):
+        # two full chunks and a partial one, each scalar in its place
+        pool = [0, 1, 15 * 2**252, _SECP_N - 1, 0xDEADBEEF]
+        want = [reference_mul(curve, s, curve.generator) for s in pool]
+        picks = [(i * i + i // 7) % len(pool) for i in range(2 * _GENERATOR_CHUNK + 9)]
+        assert curve.mul_generator([pool[i] for i in picks]) == [want[i] for i in picks]
+
+    @given(batch=st.lists(st.integers(-2**70, 2**70), max_size=30))
+    def test_toy_agrees_with_mul(self, toy61, batch):
+        assert toy61.mul_generator(batch) == [toy61.mul(s, toy61.generator)
+                                              for s in batch]
+
+    @given(values=st.lists(st.integers(1, _SECP_P - 1), min_size=1, max_size=20))
+    def test_shared_inversion(self, values):
+        assert [v * w % _SECP_P for v, w in zip(values, _inverses(values))] == [
+            1] * len(values)
+
+    def test_shared_inversion_of_zero_raises(self):
+        # a zero denominator would otherwise yield a wrong point, not an error
+        for values in ([0], [3, 0, 5], [7, _SECP_P]):
+            with pytest.raises(ZeroInverse):
+                _inverses(values)
 
 
 class TestMultiScalarMul:

@@ -121,6 +121,17 @@ class TestSweep:
         # 10 * 0.6 + 3 * 1.212 = 9.636 ms
         assert "bulk,group-auth,3,10,9.636" in out_csv.read_text()
 
+    def test_config_supplies_parallel_guards(self, tmp_path, capsys):
+        config = write(tmp_path, "p.cfg", "scenario = inclusion\n"
+                       "parallel_guards = true\nthreshold = 5\n")
+        out_csv = tmp_path / "par.csv"
+        assert main(["sweep", "--variable", "threshold", "--from", "5",
+                     "--to", "5", "--out", str(out_csv),
+                     "--config", config]) == 0
+        # one 0.6 ms broadcast slot + 5 * 0.612 ms = 3.66 ms, not 6.06 ms
+        assert "inclusion,group-auth,5,1,3.660" in out_csv.read_text().splitlines()
+        assert "crossover_threshold=35" in capsys.readouterr().out
+
 
 class TestAttack:
     @pytest.mark.parametrize("mode", ["replay", "eavesdrop", "mitm"])

@@ -25,6 +25,7 @@ from swarmauth.shares import (
     issue_share,
     lagrange_coeff_at_zero,
     public_share,
+    public_shares,
     recover_group_key,
     verify_group,
 )
@@ -102,6 +103,14 @@ class TestPublicShare:
         pub = public_share(share, curve)
         assert pub.x == 7
         assert pub.point == curve.mul(y, curve.generator)
+
+    def test_batch_equals_one_at_a_time(self, curve, toy101, rng):
+        for group in (curve, toy101):
+            batch = [PrivateShare(x, group.field.rand(rng)) for x in range(1, 8)]
+            batch.append(PrivateShare(8, 0))
+            assert public_shares(batch, group) == [public_share(s, group)
+                                                   for s in batch]
+            assert public_shares([], group) == []
 
 
 class TestGroupCommitment:

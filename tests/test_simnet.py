@@ -323,17 +323,26 @@ class TestScenarios:
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
         # fixed-base: the commitment and the core's pair per swarm, then
-        # each drone's pair once per flow (inclusion: candidate, t-1
-        # guards, key deliverer; unification adds the requester's pair at
-        # the core and the cross pair; bulk: every arrival and t-1 guards).
-        # Variable-base: the pairwise keys. Each guard check is one msm of
-        # t points.
+        # each drone's pair once per flow (inclusion: candidate and t-1
+        # guards, whose first guard delivers the key; unification adds the
+        # requester's pair at the core and the cross pair; bulk: every
+        # arrival and t-1 guards). A batched generator mul counts one
+        # fixed-base mul per scalar; its batches are listed in call order:
+        # each guard check derives the quorum's pairs in one batch, and
+        # bulk derives all its pairs in one. Variable-base: the pairwise
+        # keys. Each guard check is one msm of t points.
         counts = collections.Counter()
-        mul, msm = ToyGroup.mul, ToyGroup.msm
+        batches = []
+        mul, mul_generator, msm = ToyGroup.mul, ToyGroup.mul_generator, ToyGroup.msm
 
         def counting_mul(group, s, point):
             counts["fixed" if point == group.generator else "variable"] += 1
             return mul(group, s, point)
+
+        def counting_mul_generator(group, scalars):
+            counts["fixed"] += len(scalars)
+            batches.append(len(scalars))
+            return mul_generator(group, scalars)
 
         def counting_msm(group, scalars, points):
             counts["msm"] += 1
@@ -341,22 +350,26 @@ class TestScenarios:
             return msm(group, scalars, points)
 
         monkeypatch.setattr(ToyGroup, "mul", counting_mul)
+        monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): (t + 3, 2, t - 1, t * (t - 1)),
-            ("unification", None): (t + 6, 4, t - 1, t * (t - 1)),
-            ("bulk", 1): (1 + t + 1, 0, 1, t),
-            ("bulk", 25): (25 + t + 1, 0, 1, t),
-            ("bulk", 0): (2, 0, 0, 0),
+            ("inclusion", None): ((t + 2, 2, t - 1, t * (t - 1)), [1, 1, t - 1]),
+            ("unification", None): ((t + 5, 4, t - 1, t * (t - 1)),
+                                    [1, 1, 1, 1, t - 1]),
+            ("bulk", 1): ((1 + t + 1, 0, 1, t), [1, 1 + t - 1]),
+            ("bulk", 25): ((25 + t + 1, 0, 1, t), [1, 25 + t - 1]),
+            ("bulk", 0): ((2, 0, 0, 0), [1]),
         }
-        for (scenario, n), want in expected.items():
+        for (scenario, n), (want, want_batches) in expected.items():
             counts.clear()
+            batches.clear()
             sized = {} if n is None else {"n_drones": n}
             report, _ = run_scenario(toy_config(scenario=scenario, threshold=t,
                                                 **sized))
             assert report.outcome == "accepted"
             assert (counts["fixed"], counts["variable"], counts["msm"],
                     counts["msm points"]) == want, (scenario, n)
+            assert batches == want_batches, (scenario, n)
 
     def test_generator_table_built_once_per_process(self, monkeypatch):
         # every run makes its own group; the generator's fixed-base table
