@@ -405,22 +405,22 @@ def _to_affine(x, y, z) -> Point:
     return (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
 
 
-def _inverses(values: list) -> list:
-    """Inverses mod p of nonzero values, with one inversion shared by all
-    (Montgomery's trick): invert the product, then peel one factor off per
-    value from the back."""
+def _inverses(values: list, modulus: int) -> list:
+    """Inverses mod a prime modulus of nonzero values, with one inversion
+    shared by all (Montgomery's trick): invert the product, then peel one
+    factor off per value from the back."""
     prefix = []
     acc = 1
     for v in values:
         prefix.append(acc)
-        acc = acc * v % _SECP_P
+        acc = acc * v % modulus
     if acc == 0:
-        raise ZeroInverse("batched inversion of a value that is 0 mod p")
-    inv = pow(acc, -1, _SECP_P)
+        raise ZeroInverse("batched inversion of a value that is 0 mod the modulus")
+    inv = pow(acc, -1, modulus)
     out = [0] * len(values)
     for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % _SECP_P
-        inv = inv * values[i] % _SECP_P
+        out[i] = inv * prefix[i] % modulus
+        inv = inv * values[i] % modulus
     return out
 
 
@@ -428,7 +428,7 @@ def _to_affine_all(points: list) -> list:
     """Affine forms of Jacobian points (none the identity), with one
     shared inversion."""
     out = []
-    for (x, y, _), zinv in zip(points, _inverses([z for _, _, z in points])):
+    for (x, y, _), zinv in zip(points, _inverses([z for _, _, z in points], _SECP_P)):
         z2 = zinv * zinv % _SECP_P
         out.append((x * z2 % _SECP_P, y * z2 * zinv % _SECP_P))
     return out
@@ -548,7 +548,7 @@ def _mul_generator(scalars: Sequence[int]) -> list:
         # doubling, or a sum to the identity); _inverses raises if one did.
         while pairs := [(terms[i], terms[i + 1]) for terms in sums
                         for i in range(0, len(terms) - 1, 2)]:
-            invs = _inverses([x2 - x1 for (x1, _), (x2, _) in pairs])
+            invs = _inverses([x2 - x1 for (x1, _), (x2, _) in pairs], _SECP_P)
             added = []
             for ((x1, y1), (x2, y2)), inv in zip(pairs, invs):
                 lam = (y2 - y1) * inv % _SECP_P

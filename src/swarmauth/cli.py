@@ -109,6 +109,9 @@ def cmd_sweep(args) -> int:
     else:
         scenario = "inclusion" if args.variable == "threshold" else "bulk"
         config = ScenarioConfig(scenario=scenario, latency=LatencyModel())
+    if args.variable == "n_drones" and config.parallel_guards:
+        return _fail("config error: parallel_guards: a bulk admission's guard "
+                     "check is serialized, so an n_drones sweep cannot use it")
 
     rows = _sweep_rows(args.variable, points, config)
     try:

@@ -79,6 +79,8 @@ __all__ = [
     "group_key_cipher_key",
     "seal",
     "open_sealed",
+    "seal_message",
+    "open_message",
     "deliver_group_key",
     "open_group_key",
     "inclusion_flow",
@@ -364,6 +366,22 @@ def open_sealed(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes) -> byte
         raise DecryptionFailed("AEAD authentication failed") from None
 
 
+def seal_message(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
+                 plaintext: bytes, rng) -> ProtocolMessage:
+    """A message whose payload is ``plaintext`` sealed under ``key`` with a
+    fresh nonce; associated data binds (sender, receiver, nonce)."""
+    nonce = fresh_nonce(rng)
+    return ProtocolMessage(kind, sender, receiver, nonce,
+                           seal(key, nonce, plaintext, _aad(sender, receiver, nonce)))
+
+
+def open_message(key: bytes, msg: ProtocolMessage, receiver: str) -> bytes:
+    """The plaintext of a sealed message as opened by ``receiver``; raises
+    DecryptionFailed unless it was sealed under ``key`` for ``receiver``."""
+    return open_sealed(key, msg.nonce, msg.payload,
+                       _aad(msg.sender, receiver, msg.nonce))
+
+
 def deliver_group_key(group, guard: Drone, recipient_pub: PublicShare,
                       recipient_label: str, rng) -> ProtocolMessage:
     """Encrypt the group key for a recipient under the pairwise key.
@@ -374,19 +392,15 @@ def deliver_group_key(group, guard: Drone, recipient_pub: PublicShare,
     if guard.group_key is None:
         raise MissingGroupKey(f"{guard.label} holds no group key")
     key = derive_pairwise_key(group, guard.private_share, recipient_pub)
-    nonce = fresh_nonce(rng)
-    aad = _aad(guard.id, recipient_label, nonce)
-    ct = seal(key, nonce, group.field.encode(guard.group_key), aad)
-    return ProtocolMessage(MessageKind.ENCRYPTED_GROUP_KEY, guard.id,
-                           recipient_label, nonce, ct)
+    return seal_message(MessageKind.ENCRYPTED_GROUP_KEY, key, guard.id,
+                        recipient_label, group.field.encode(guard.group_key), rng)
 
 
 def open_group_key(group, recipient: Drone, sender_pub: PublicShare,
                    msg: ProtocolMessage) -> int:
     """Recover the group-key scalar from an ENCRYPTED_GROUP_KEY message."""
     key = derive_pairwise_key(group, recipient.private_share, sender_pub)
-    aad = _aad(msg.sender, recipient.label, msg.nonce)
-    return group.field.decode(open_sealed(key, msg.nonce, msg.payload, aad))
+    return group.field.decode(open_message(key, msg, recipient.label))
 
 
 def _publish_share(group, sender: Drone, share: PublicShare, receiver,
@@ -639,19 +653,15 @@ class CoreNetwork:
         cross = target_dealer.issue_next()
         key = derive_pairwise_key(self.group, self._core_shares[requester.swarm],
                                   drone.public_share(self.group))
-        nonce = fresh_nonce(rng)
-        sender = self.core_identity(requester.swarm)
-        aad = _aad(sender, str(requester), nonce)
-        ct = seal(key, nonce, encode_private_share(self.group.field, cross), aad)
-        return ProtocolMessage(MessageKind.CROSS_ISSUE_RESPONSE, sender,
-                               str(requester), nonce, ct)
+        return seal_message(MessageKind.CROSS_ISSUE_RESPONSE, key,
+                            self.core_identity(requester.swarm), str(requester),
+                            encode_private_share(self.group.field, cross), rng)
 
 
 def _open_cross_share(group, swarm: Swarm, drone: Drone,
                       msg: ProtocolMessage) -> PrivateShare:
     key = derive_pairwise_key(group, drone.private_share, swarm.core_public_share)
-    aad = _aad(msg.sender, drone.label, msg.nonce)
-    return decode_private_share(group.field, open_sealed(key, msg.nonce, msg.payload, aad))
+    return decode_private_share(group.field, open_message(key, msg, drone.label))
 
 
 def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
@@ -733,17 +743,14 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
             continue
-        nonce = fresh_nonce(rng)
-        aad = _aad(d_a.id, member.label, nonce)
-        ct = seal(relay_key, nonce, group.field.encode(unified_key), aad)
-        msg = ProtocolMessage(MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
-                              member.label, nonce, ct)
+        msg = seal_message(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
+                           member.label, group.field.encode(unified_key), rng)
         delivered = transport.deliver(msg, member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
             member.group_key = group.field.decode(
-                open_sealed(relay_key, delivered.nonce, delivered.payload, aad))
+                open_message(relay_key, delivered, member.label))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     d_a.group_key = unified_key

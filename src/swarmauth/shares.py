@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import DecodeError, Point, ScalarField
+from .algebra import DecodeError, Point, ScalarField, _inverses
 
 __all__ = [
     "ThresholdTooSmall",
@@ -166,9 +166,7 @@ def _lagrange_weights(field: ScalarField, xs: Sequence[int]) -> list:
     """Weights of all shares when interpolating at zero, for distinct
     nonzero xs: lambda_i = prod over r != i of x_r / (x_r - x_i).
 
-    The t denominators are inverted together with one field inversion
-    (Montgomery's trick): invert their product, then peel one factor off
-    per weight from the back.
+    The t denominators are inverted together with one field inversion.
     """
     q = field.order
     nums, dens = [], []
@@ -180,17 +178,7 @@ def _lagrange_weights(field: ScalarField, xs: Sequence[int]) -> list:
                 den = den * (xr - xi) % q
         nums.append(num)
         dens.append(den)
-    prefix = []
-    acc = 1
-    for den in dens:
-        prefix.append(acc)
-        acc = acc * den % q
-    inv = field.inv(acc)
-    weights = [0] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        weights[i] = nums[i] * inv * prefix[i] % q
-        inv = inv * dens[i] % q
-    return weights
+    return [num * inv % q for num, inv in zip(nums, _inverses(dens, q))]
 
 
 def lagrange_coeff_at_zero(field: ScalarField, xs: Sequence[int], i: int) -> int:

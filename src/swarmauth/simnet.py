@@ -10,6 +10,10 @@ costs t * (drone_to_drone + ec_point_mul) and a bulk admission of n
 drones n * drone_to_drone plus one such check; the 5G NR baseline costs
 2 * round_trip + asym_encrypt + asym_decrypt + 2 * hash_op.
 
+Every flow step waits its cost on an exact clock: the loop sums the
+costs as fractions, so a timestamp is the float nearest the exact sum of
+the costs of the steps before it, however many steps there are.
+
 Identical (config, seed) pairs produce identical timing reports and
 byte-identical transcripts: event-queue ties break by insertion order
 and every nonce and key draw comes from the scenario's seeded RNG.
@@ -22,6 +26,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
+from fractions import Fraction
 
 from . import protocol
 from .algebra import make_group
@@ -206,14 +211,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 class EventLoop:
-    """Heap-ordered event queue; ties fire in insertion order."""
+    """Heap-ordered event queue; ties fire in insertion order. The clock
+    starts at an exact zero, so times scheduled as fractions stay exact."""
 
     def __init__(self):
         self._queue: list = []
         self._seq = 0
-        self.now_us = 0.0
+        self.now_us = Fraction(0)
 
-    def schedule_at(self, time_us: float, action):
+    def schedule_at(self, time_us: float | Fraction, action):
         heapq.heappush(self._queue, (time_us, self._seq, action))
         self._seq += 1
 
@@ -453,48 +459,31 @@ def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
 def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
     """Run a flow on the event loop and return its outcome.
 
-    Each yielded step resumes the flow at its modeled time, with the
-    transcript clock set to the loop's. Sums are formed as the closed
-    forms form them, so event times round like them under fractional
-    latency models: a guard check is timed from its start (serialized
-    share k at k*(d2d + ecmul) + d2d, parallel shares at d2d, verdicts
-    after the transfers and one multiply per share), bulk broadcast k
-    lands at k*d2d, and every other step waits its cost from now.
+    Each yielded step resumes the flow after the step's cost, with the
+    transcript clock set to the loop's. The loop's clock sums the costs
+    exactly, so a time is rounded to a float only when it is stamped.
     """
-    model = config.latency
+    model, t = config.latency, config.threshold
+    d2d, ecmul = model.drone_to_drone, model.ec_point_mul
     parallel = config.parallel_guards
-    slot = 0.0 if parallel else model.drone_to_drone + model.ec_point_mul
-    waits = {"core": model.ue_core_round_trip / 2.0, "hop": model.drone_to_drone,
+    costs = {"core": model.ue_core_round_trip / 2.0, "transfer": d2d,
+             "round": 0.0 if parallel else d2d + ecmul,
+             "verdict": t * ecmul if parallel else ecmul,
+             "hop": d2d, "broadcast": d2d, "check": time_group_auth(t, model),
              "encrypt": model.asym_encrypt, "decrypt": model.asym_decrypt,
-             "hash": model.hash_op,
-             "check": time_group_auth(config.threshold, model)}
+             "hash": model.hash_op}
+    costs = {step: Fraction(cost) for step, cost in costs.items()}
     loop = EventLoop()
-    start, shares, broadcasts = 0.0, 0, 0
     done = []
 
     def resume():
-        nonlocal start, shares, broadcasts
-        transport.clock_us = now = loop.now_us
+        transport.clock_us = float(loop.now_us)
         try:
             step = next(flow)
         except StopIteration as stop:
             done.append(stop.value)
             return
-        if step == "transfer":
-            start, shares = now, 0
-        if step in ("transfer", "round"):
-            at = start + shares * slot + model.drone_to_drone
-            shares += 1
-        elif step == "verdict":
-            transfers = 1 if parallel else shares
-            at = start + (transfers * model.drone_to_drone
-                          + shares * model.ec_point_mul)
-        elif step == "broadcast":
-            broadcasts += 1
-            at = broadcasts * model.drone_to_drone
-        else:
-            at = now + waits[step]
-        loop.schedule_at(at, resume)
+        loop.schedule_at(loop.now_us + costs[step], resume)
 
     resume()
     loop.run()
@@ -633,10 +622,9 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     if not sealed:
         return AttackOutcome(False, "no key-transport traffic observed")
     for msg in sealed:
-        aad = protocol._aad(msg.sender, msg.receiver, msg.nonce)
         for key in candidate_keys:
             try:
-                protocol.open_sealed(key, msg.nonce, msg.payload, aad)
+                protocol.open_message(key, msg, msg.receiver)
                 return AttackOutcome(False, "captured material decrypted a "
                                             "key-transport message")
             except protocol.DecryptionFailed:

@@ -287,14 +287,14 @@ class TestBatchedGeneratorMul:
 
     @given(values=st.lists(st.integers(1, _SECP_P - 1), min_size=1, max_size=20))
     def test_shared_inversion(self, values):
-        assert [v * w % _SECP_P for v, w in zip(values, _inverses(values))] == [
-            1] * len(values)
+        inverses = _inverses(values, _SECP_P)
+        assert [v * w % _SECP_P for v, w in zip(values, inverses)] == [1] * len(values)
 
     def test_shared_inversion_of_zero_raises(self):
         # a zero denominator would otherwise yield a wrong point, not an error
         for values in ([0], [3, 0, 5], [7, _SECP_P]):
             with pytest.raises(ZeroInverse):
-                _inverses(values)
+                _inverses(values, _SECP_P)
 
 
 class TestMultiScalarMul:

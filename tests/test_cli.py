@@ -132,6 +132,17 @@ class TestSweep:
         assert "inclusion,group-auth,5,1,3.660" in out_csv.read_text().splitlines()
         assert "crossover_threshold=35" in capsys.readouterr().out
 
+    def test_n_drones_sweep_rejects_parallel_guards(self, tmp_path, capsys):
+        # bulk times are serialized; writing them would ignore the key
+        config = write(tmp_path, "p.cfg", "scenario = inclusion\n"
+                       "parallel_guards = true\n")
+        out_csv = tmp_path / "bulk.csv"
+        assert main(["sweep", "--variable", "n_drones", "--from", "10",
+                     "--to", "10", "--out", str(out_csv),
+                     "--config", config]) == 1
+        assert "parallel_guards" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestAttack:
     @pytest.mark.parametrize("mode", ["replay", "eavesdrop", "mitm"])

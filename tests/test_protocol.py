@@ -30,10 +30,12 @@ from swarmauth.protocol import (
     deliver_group_key,
     fresh_nonce,
     open_group_key,
+    open_message,
     open_sealed,
     run_inclusion,
     run_unification,
     seal,
+    seal_message,
     _open_cross_share,
 )
 from swarmauth.shares import (
@@ -128,6 +130,17 @@ class TestAead:
         ct = seal(key, nonce, b"payload", b"aad")
         with pytest.raises(DecryptionFailed):
             open_sealed(key, nonce, ct, b"other")
+
+    def test_sealed_message_binds_sender_receiver_and_nonce(self, rng):
+        key = bytes(32)
+        msg = seal_message(MessageKind.ENCRYPTED_GROUP_KEY, key, DroneId("A", 1),
+                           "A/2", b"payload", rng)
+        assert open_message(key, msg, "A/2") == b"payload"
+        for forged, receiver in ((msg, "A/3"),
+                                 (replace(msg, sender=DroneId("A", 3)), "A/2"),
+                                 (replace(msg, nonce=fresh_nonce(rng)), "A/2")):
+            with pytest.raises(DecryptionFailed):
+                open_message(key, forged, receiver)
 
 
 class TestGroupKeyDelivery:

@@ -8,7 +8,7 @@ import pytest
 
 from swarmauth import algebra, simnet
 from swarmauth.algebra import ToyGroup
-from swarmauth.protocol import MessageKind
+from swarmauth.protocol import MessageKind, Outcome, Transport
 from swarmauth.shares import decode_public_share
 from swarmauth.simnet import (
     ADVERTISED_PREFERABLE_BOUND,
@@ -166,6 +166,21 @@ class TestEventLoop:
         loop.run()
         assert times == [0.0, 10.0, 20.0]
 
+    def test_drive_clock_sums_costs_exactly(self):
+        # 1000 float additions of 0.1 us drift to 99.9999999999986
+        transport = Transport()
+
+        def flow():
+            for _ in range(1000):
+                yield "hop"
+                transport.record("HOP", "a", "b", b"")
+            return Outcome(True)
+
+        config = toy_config(scenario="inclusion",
+                            latency=LatencyModel(drone_to_drone=0.1))
+        assert simnet._drive(flow(), config, transport).accepted
+        assert transport.transcript.entries[-1].time_us == 100.0
+
 
 class TestClosedForms:
     def test_baseline_default(self):
@@ -313,12 +328,17 @@ class TestScenarios:
             assert [e.kind for e in transcript.entries] == [
                 "SUCI", "CHALLENGE", "RES", "CONFIRM"]
             assert transcript.entries[-1].time_us == report.total_us, trial
-            report, transcript = run_scenario(toy_config(scenario="bulk", seed=trial,
-                                                         threshold=t, n_drones=8,
-                                                         latency=model))
-            assert report.outcome == "accepted"
-            assert [e.time_us for e in transcript.entries] == [
-                k * model.drone_to_drone for k in range(1, 9)], trial
+            # one-decimal costs are not binary fractions, so a running
+            # float sum of them would drift from k*d2d
+            decimal = LatencyModel(**{name: rng.randrange(0, 200_000) / 10
+                                      for name in LATENCY_FIELDS})
+            for bulk_model in (model, decimal):
+                report, transcript = run_scenario(toy_config(
+                    scenario="bulk", seed=trial, threshold=t, n_drones=8,
+                    latency=bulk_model))
+                assert report.outcome == "accepted"
+                assert [e.time_us for e in transcript.entries] == [
+                    k * bulk_model.drone_to_drone for k in range(1, 9)], trial
 
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
