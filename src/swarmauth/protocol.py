@@ -79,8 +79,6 @@ __all__ = [
     "group_key_cipher_key",
     "seal",
     "open_sealed",
-    "seal_message",
-    "open_message",
     "deliver_group_key",
     "open_group_key",
     "inclusion_flow",
@@ -355,31 +353,25 @@ def group_key_cipher_key(field, group_key: int) -> bytes:
     return hashlib.sha256(field.encode(group_key)).digest()
 
 
-def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
-    return AESGCM(key).encrypt(nonce, plaintext, aad)
-
-
-def open_sealed(key: bytes, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-    try:
-        return AESGCM(key).decrypt(nonce, ciphertext, aad)
-    except InvalidTag:
-        raise DecryptionFailed("AEAD authentication failed") from None
-
-
-def seal_message(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
-                 plaintext: bytes, rng) -> ProtocolMessage:
-    """A message whose payload is ``plaintext`` sealed under ``key`` with a
-    fresh nonce; associated data binds (sender, receiver, nonce)."""
+def seal(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
+         plaintext: bytes, rng) -> ProtocolMessage:
+    """A message whose payload is ``plaintext`` sealed with AES-GCM under
+    ``key`` and a fresh nonce; associated data binds (sender, receiver,
+    nonce)."""
     nonce = fresh_nonce(rng)
+    aad = _aad(sender, receiver, nonce)
     return ProtocolMessage(kind, sender, receiver, nonce,
-                           seal(key, nonce, plaintext, _aad(sender, receiver, nonce)))
+                           AESGCM(key).encrypt(nonce, plaintext, aad))
 
 
-def open_message(key: bytes, msg: ProtocolMessage, receiver: str) -> bytes:
+def open_sealed(key: bytes, msg: ProtocolMessage, receiver: str) -> bytes:
     """The plaintext of a sealed message as opened by ``receiver``; raises
     DecryptionFailed unless it was sealed under ``key`` for ``receiver``."""
-    return open_sealed(key, msg.nonce, msg.payload,
-                       _aad(msg.sender, receiver, msg.nonce))
+    try:
+        return AESGCM(key).decrypt(msg.nonce, msg.payload,
+                                   _aad(msg.sender, receiver, msg.nonce))
+    except InvalidTag:
+        raise DecryptionFailed("AEAD authentication failed") from None
 
 
 def deliver_group_key(group, guard: Drone, recipient_pub: PublicShare,
@@ -392,15 +384,15 @@ def deliver_group_key(group, guard: Drone, recipient_pub: PublicShare,
     if guard.group_key is None:
         raise MissingGroupKey(f"{guard.label} holds no group key")
     key = derive_pairwise_key(group, guard.private_share, recipient_pub)
-    return seal_message(MessageKind.ENCRYPTED_GROUP_KEY, key, guard.id,
-                        recipient_label, group.field.encode(guard.group_key), rng)
+    return seal(MessageKind.ENCRYPTED_GROUP_KEY, key, guard.id, recipient_label,
+                group.field.encode(guard.group_key), rng)
 
 
 def open_group_key(group, recipient: Drone, sender_pub: PublicShare,
                    msg: ProtocolMessage) -> int:
     """Recover the group-key scalar from an ENCRYPTED_GROUP_KEY message."""
     key = derive_pairwise_key(group, recipient.private_share, sender_pub)
-    return group.field.decode(open_message(key, msg, recipient.label))
+    return group.field.decode(open_sealed(key, msg, recipient.label))
 
 
 def _publish_share(group, sender: Drone, share: PublicShare, receiver,
@@ -447,13 +439,13 @@ def _send_group_key(group, deliverer: Drone, deliverer_pub: PublicShare,
 
 
 def _quorum(swarm: Swarm) -> list[Drone]:
-    """The t-1 lowest-x guards that take part in a threshold-t check."""
+    """The guards of the swarm, who take part in every threshold-t check."""
     t = swarm.threshold
     guards = swarm.guards()
     if len(guards) < t - 1:
         raise NotEnoughGuards(f"need {t - 1} guards in swarm {swarm.id}, "
                               f"have {len(guards)}")
-    return guards[:t - 1]
+    return guards
 
 
 def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
@@ -501,12 +493,11 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
 def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     """Step generator of an inclusion; returns its Outcome.
 
-    The candidate publishes its public share to the t-1 participating
-    guards (the lowest identifiers when more are available), the guards
-    exchange their own public shares, and each guard checks the t-point
-    Lagrange sum against the commitment. Acceptance is unanimous; on
-    acceptance the lowest-x guard delivers the group key and the
-    candidate joins the swarm as a member.
+    The candidate publishes its public share to the swarm's t-1 guards,
+    the guards exchange their own public shares, and each guard checks
+    the t-point Lagrange sum against the commitment. Acceptance is
+    unanimous; on acceptance the lowest-x guard delivers the group key
+    and the candidate joins the swarm as a member.
     """
     guards = _quorum(swarm)
     if candidate.id.x in swarm.drones:
@@ -591,20 +582,17 @@ class CoreNetwork:
         self._core_shares: dict[str, PrivateShare] = {}
         self.swarms: dict[str, Swarm] = {}
 
-    def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int,
-                        n_guards: int | None = None) -> Swarm:
+    def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int) -> Swarm:
         """Create a swarm from a fresh polynomial and hand out shares.
 
-        Drones get identifiers 1..n_drones; the lowest n_guards (default
-        t-1) become guards. The core keeps one share of its own for key
-        agreement with members. The commitment Q is computed once here and
-        held by the swarm, whose guards check every share against it.
+        Drones get identifiers 1..n_drones; the t-1 lowest become the
+        guards, whose shares and a newcomer's make the t points of every
+        check. The core keeps one share of its own for key agreement with
+        members. The commitment Q is computed once here and held by the
+        swarm, whose guards check every share against it.
         """
         if swarm_id in self._dealers:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
-        n_guards = threshold - 1 if n_guards is None else n_guards
-        if n_guards > n_drones:
-            raise ValueError("more guards than drones")
         poly = gen_polynomial(self.group.field, threshold, self.rng)
         dealer = Dealer(poly, self.group)
         commitment = dealer.commitment()
@@ -614,7 +602,7 @@ class CoreNetwork:
         swarm = Swarm(swarm_id, self.group, threshold, commitment,
                       public_share(core_share, self.group))
         for i, sh in enumerate(drone_shares):
-            role = Role.GUARD if i < n_guards else Role.MEMBER
+            role = Role.GUARD if i < threshold - 1 else Role.MEMBER
             swarm.add_drone(Drone(DroneId(swarm_id, sh.x), role, sh,
                                   group_key=dealer.group_key))
 
@@ -653,15 +641,15 @@ class CoreNetwork:
         cross = target_dealer.issue_next()
         key = derive_pairwise_key(self.group, self._core_shares[requester.swarm],
                                   drone.public_share(self.group))
-        return seal_message(MessageKind.CROSS_ISSUE_RESPONSE, key,
-                            self.core_identity(requester.swarm), str(requester),
-                            encode_private_share(self.group.field, cross), rng)
+        return seal(MessageKind.CROSS_ISSUE_RESPONSE, key,
+                    self.core_identity(requester.swarm), str(requester),
+                    encode_private_share(self.group.field, cross), rng)
 
 
 def _open_cross_share(group, swarm: Swarm, drone: Drone,
                       msg: ProtocolMessage) -> PrivateShare:
     key = derive_pairwise_key(group, drone.private_share, swarm.core_public_share)
-    return decode_private_share(group.field, open_message(key, msg, drone.label))
+    return decode_private_share(group.field, open_sealed(key, msg, drone.label))
 
 
 def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
@@ -743,14 +731,14 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
             continue
-        msg = seal_message(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
-                           member.label, group.field.encode(unified_key), rng)
+        msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
+                   member.label, group.field.encode(unified_key), rng)
         delivered = transport.deliver(msg, member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
             member.group_key = group.field.decode(
-                open_message(relay_key, delivered, member.label))
+                open_sealed(relay_key, delivered, member.label))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     d_a.group_key = unified_key

@@ -37,8 +37,6 @@ __all__ = [
     "decode_private_share",
     "encode_public_share",
     "decode_public_share",
-    "encode_commitment",
-    "decode_commitment",
 ]
 
 
@@ -312,14 +310,3 @@ def decode_public_share(group, data: bytes) -> PublicShare:
     if off != len(data):
         raise DecodeError("trailing bytes in public share encoding")
     return PublicShare(x=_decode_identifier(group.field, xb), point=group.decode(pb))
-
-
-def encode_commitment(group, commitment: GroupCommitment) -> bytes:
-    return _lp(group.encode(commitment.point))
-
-
-def decode_commitment(group, data: bytes) -> GroupCommitment:
-    pb, off = _read_lp(data, 0)
-    if off != len(data):
-        raise DecodeError("trailing bytes in commitment encoding")
-    return GroupCommitment(point=group.decode(pb))

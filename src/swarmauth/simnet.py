@@ -97,6 +97,8 @@ class LatencyModel:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"latency field {name} must be finite and >= 0, "
                                   f"got {value}")
+            if value == 0:  # -0.0 would print as "-0.000"
+                object.__setattr__(self, name, 0.0)
 
 
 def parse_duration(text: str, field_name: str = "duration") -> float:
@@ -119,7 +121,6 @@ class ScenarioConfig:
     scenario: str
     threshold: int = 5
     n_drones: int | None = None
-    guards: int | None = None
     seed: int = 0
     adversary: str = "none"
     group: str = "production"
@@ -141,27 +142,25 @@ class ScenarioConfig:
                               f"inclusion or unification scenario")
         if self.group not in ("production", "toy"):
             raise ConfigError(f"group: must be production or toy, got {self.group!r}")
-        if self.guards is None:
-            self.guards = self.threshold - 1
-        if self.guards < 1:
-            raise ConfigError(f"guards: must be >= 1, got {self.guards}")
-        if self.n_drones is None:
-            self.n_drones = 100 if self.scenario == "bulk" else (
-                1 if self.scenario == "nr5g" else self.guards)
-        if self.n_drones < 0:
+        if self.scenario == "nr5g":
+            if self.n_drones is not None:
+                raise ConfigError("n_drones: does not apply to nr5g, which "
+                                  "authenticates one UE")
+        elif self.n_drones is None:
+            self.n_drones = 100 if self.scenario == "bulk" else self.threshold - 1
+        elif self.n_drones < 0:
             raise ConfigError(f"n_drones: must be >= 0, got {self.n_drones}")
         if self.parallel_guards and self.scenario in ("bulk", "nr5g"):
             raise ConfigError(f"parallel_guards: applies to inclusion and "
                               f"unification only, not {self.scenario}")
-        if self.scenario != "nr5g" and self.guards < self.threshold - 1:
-            raise ConfigError(f"guards: a threshold-{self.threshold} check "
-                              f"needs {self.threshold - 1} guards, got {self.guards}")
-        if self.scenario in ("inclusion", "unification") and self.n_drones < self.guards:
-            raise ConfigError(f"n_drones: swarm of {self.n_drones} cannot hold "
-                              f"{self.guards} guards")
+        if (self.scenario in ("inclusion", "unification")
+                and self.n_drones < self.threshold - 1):
+            raise ConfigError(f"n_drones: a threshold-{self.threshold} check needs "
+                              f"{self.threshold - 1} guards, got a swarm of "
+                              f"{self.n_drones}")
 
 
-_INT_KEYS = ("threshold", "n_drones", "guards", "seed")
+_INT_KEYS = ("threshold", "n_drones", "seed")
 _LATENCY_KEYS = ("ue_core_round_trip", "asym_encrypt", "asym_decrypt",
                  "hash_op", "drone_to_drone", "ec_point_mul")
 
@@ -202,11 +201,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{key}: unknown configuration key (line {lineno})")
     if "scenario" not in fields:
         raise ConfigError("scenario: required key missing")
-    if fields["scenario"] == "nr5g":
-        for key in ("guards", "n_drones"):
-            if key in fields:
-                raise ConfigError(f"{key}: does not apply to nr5g, which "
-                                  f"authenticates one UE")
     return ScenarioConfig(latency=LatencyModel(**overrides), **fields)
 
 
@@ -417,8 +411,8 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
     flow, transport, adversary, core = setup(config, group, rng)
     outcome = _drive(flow, config, transport)
     phases = _phases(config)
-    n_drones = {"nr5g": 1, "inclusion": 1, "unification": 2 * config.n_drones,
-                "bulk": config.n_drones}[config.scenario]
+    n_drones = config.n_drones if config.scenario == "bulk" else (
+        2 * config.n_drones if config.scenario == "unification" else 1)
     report = TimingReport(config.scenario,
                           "nr-5g" if config.scenario == "nr5g" else "group-auth",
                           config.threshold, n_drones, sum(phases.values(), 0.0),
@@ -513,8 +507,7 @@ def _setup_nr5g(config: ScenarioConfig, group, rng):
 
 def _setup_inclusion(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
-    swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones,
-                                 n_guards=config.guards)
+    swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     candidate = core.issue_candidate("A")
     transport, adversary = _transport_for(config, group, rng, candidate)
     return (protocol.inclusion_flow(swarm, candidate, rng, transport), transport,
@@ -523,10 +516,8 @@ def _setup_inclusion(config: ScenarioConfig, group, rng):
 
 def _setup_unification(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
-    swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones,
-                                   n_guards=config.guards)
-    swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones,
-                                   n_guards=config.guards)
+    swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
+    swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones)
     transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
     return (protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
             transport, adversary, core)
@@ -535,8 +526,8 @@ def _setup_unification(config: ScenarioConfig, group, rng):
 def _setup_bulk(config: ScenarioConfig, group, rng):
     """Admit n drones as one batch: n broadcast slots, one group check."""
     core = CoreNetwork(group, rng)
-    swarm = core.provision_swarm("A", config.threshold, n_drones=config.guards,
-                                 n_guards=config.guards)
+    swarm = core.provision_swarm("A", config.threshold,
+                                 n_drones=config.threshold - 1)
     arrivals = [core.issue_candidate("A") for _ in range(config.n_drones)]
     transport = Transport()
     return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core
@@ -624,7 +615,7 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     for msg in sealed:
         for key in candidate_keys:
             try:
-                protocol.open_message(key, msg, msg.receiver)
+                protocol.open_sealed(key, msg, msg.receiver)
                 return AttackOutcome(False, "captured material decrypted a "
                                             "key-transport message")
             except protocol.DecryptionFailed:

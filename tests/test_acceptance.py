@@ -198,8 +198,8 @@ def test_protocol_end_to_end():
         def unification_run():
             rng = random.Random(42)
             core = CoreNetwork(curve, rng)
-            swarm_a = core.provision_swarm("A", 4, n_drones=4, n_guards=3)
-            swarm_b = core.provision_swarm("B", 4, n_drones=4, n_guards=3)
+            swarm_a = core.provision_swarm("A", 4, n_drones=4)
+            swarm_b = core.provision_swarm("B", 4, n_drones=4)
             outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
             return outcome, transcript.render(), swarm_a, swarm_b, core
 

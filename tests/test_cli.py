@@ -54,6 +54,18 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,line", [
+        ("scenario = inclusion\ngroup = toy\nec_point_mul = -0us\n",
+         "phase point_mul_ms=0.000"),
+        ("scenario = nr5g\nasym_encrypt = -0ms\n", "phase suci_encrypt_ms=0.000"),
+    ])
+    def test_negative_zero_latency_prints_zero(self, tmp_path, capsys, text, line):
+        config = write(tmp_path, "a.cfg", text)
+        assert main(["run", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert line in out
+        assert "-0.000" not in out
+
     def test_seed_override(self, tmp_path, capsys):
         config = write(tmp_path, "a.cfg", "scenario = inclusion\ngroup = toy\n")
         assert main(["run", "--config", config, "--seed", "7"]) == 0

@@ -144,9 +144,9 @@ def _cases() -> dict:
             cases[f"{scenario}-{mode}"] = lambda s=scenario, m=mode: _attack(
                 scenario=s, adversary=m, seed=11)
     cases["inclusion-extra-guards"] = lambda: _scenario(
-        scenario="inclusion", threshold=4, guards=6, n_drones=8, seed=3)
+        scenario="inclusion", threshold=4, n_drones=8, seed=3)
     cases["unification-extra-members"] = lambda: _scenario(
-        scenario="unification", threshold=4, guards=5, n_drones=9, seed=3)
+        scenario="unification", threshold=4, n_drones=9, seed=3)
     cases["nr5g-default"] = lambda: _scenario(scenario="nr5g", seed=5)
     for n in (0, 1, 25):
         cases[f"bulk-n{n}"] = lambda n=n: _scenario(scenario="bulk", n_drones=n,

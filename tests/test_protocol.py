@@ -30,12 +30,10 @@ from swarmauth.protocol import (
     deliver_group_key,
     fresh_nonce,
     open_group_key,
-    open_message,
     open_sealed,
     run_inclusion,
     run_unification,
     seal,
-    seal_message,
     _open_cross_share,
 )
 from swarmauth.shares import (
@@ -44,7 +42,6 @@ from swarmauth.shares import (
     PrivateShare,
     PublicShare,
     _lp,
-    decode_commitment,
     decode_private_share,
     decode_public_share,
     encode_public_share,
@@ -103,44 +100,38 @@ class TestPairwiseKey:
                     != derive_pairwise_key(toy61, a, public_share(c, toy61)))
 
 
+def sealed(rng, key=bytes(32)):
+    return seal(MessageKind.ENCRYPTED_GROUP_KEY, key, DroneId("A", 1), "A/2",
+                b"payload", rng)
+
+
 class TestAead:
     def test_round_trip(self, rng):
-        key = bytes(32)
-        nonce = fresh_nonce(rng)
-        ct = seal(key, nonce, b"payload", b"aad")
-        assert open_sealed(key, nonce, ct, b"aad") == b"payload"
+        msg = sealed(rng)
+        assert (msg.kind, msg.sender, msg.receiver) == (
+            MessageKind.ENCRYPTED_GROUP_KEY, DroneId("A", 1), "A/2")
+        assert msg.payload != b"payload"
+        assert open_sealed(bytes(32), msg, "A/2") == b"payload"
 
     def test_wrong_key_fails(self, rng):
-        nonce = fresh_nonce(rng)
-        ct = seal(bytes(32), nonce, b"payload", b"aad")
+        msg = sealed(rng)
         with pytest.raises(DecryptionFailed):
-            open_sealed(b"\x01" * 32, nonce, ct, b"aad")
+            open_sealed(b"\x01" * 32, msg, "A/2")
 
     def test_tampered_ciphertext_fails(self, rng):
-        key = bytes(32)
-        nonce = fresh_nonce(rng)
-        ct = bytearray(seal(key, nonce, b"payload", b"aad"))
+        msg = sealed(rng)
+        ct = bytearray(msg.payload)
         ct[0] ^= 1
         with pytest.raises(DecryptionFailed):
-            open_sealed(key, nonce, bytes(ct), b"aad")
-
-    def test_aad_mismatch_fails(self, rng):
-        key = bytes(32)
-        nonce = fresh_nonce(rng)
-        ct = seal(key, nonce, b"payload", b"aad")
-        with pytest.raises(DecryptionFailed):
-            open_sealed(key, nonce, ct, b"other")
+            open_sealed(bytes(32), replace(msg, payload=bytes(ct)), "A/2")
 
     def test_sealed_message_binds_sender_receiver_and_nonce(self, rng):
-        key = bytes(32)
-        msg = seal_message(MessageKind.ENCRYPTED_GROUP_KEY, key, DroneId("A", 1),
-                           "A/2", b"payload", rng)
-        assert open_message(key, msg, "A/2") == b"payload"
+        msg = sealed(rng)
         for forged, receiver in ((msg, "A/3"),
                                  (replace(msg, sender=DroneId("A", 3)), "A/2"),
                                  (replace(msg, nonce=fresh_nonce(rng)), "A/2")):
             with pytest.raises(DecryptionFailed):
-                open_message(key, forged, receiver)
+                open_sealed(bytes(32), forged, receiver)
 
 
 class TestGroupKeyDelivery:
@@ -441,7 +432,6 @@ class TestMessageWire:
                 decoders = (group.field.decode, group.decode,
                             lambda b: decode_private_share(group.field, b),
                             lambda b: decode_public_share(group, b),
-                            lambda b: decode_commitment(group, b),
                             ProtocolMessage.from_bytes)
                 for decode in decoders:
                     try:
@@ -475,7 +465,7 @@ class TestCrossIssue:
     def test_member_cannot_request(self, toy61):
         rng = random.Random(8)
         core = CoreNetwork(toy61, rng)
-        swarm_a = core.provision_swarm("A", 3, n_drones=3, n_guards=2)
+        swarm_a = core.provision_swarm("A", 3, n_drones=3)
         core.provision_swarm("B", 3, n_drones=2)
         member = [d for d in swarm_a.members() if d.role is Role.MEMBER][0]
         with pytest.raises(UnknownRequester):
@@ -505,13 +495,11 @@ class TestCrossIssue:
 
 
 class TestRunUnification:
-    def setup_swarms(self, group, seed, threshold=4, guards=3):
+    def setup_swarms(self, group, seed, threshold=4):
         rng = random.Random(seed)
         core = CoreNetwork(group, rng)
-        swarm_a = core.provision_swarm("A", threshold, n_drones=guards + 1,
-                                       n_guards=guards)
-        swarm_b = core.provision_swarm("B", threshold, n_drones=guards + 1,
-                                       n_guards=guards)
+        swarm_a = core.provision_swarm("A", threshold, n_drones=threshold)
+        swarm_b = core.provision_swarm("B", threshold, n_drones=threshold)
         return core, swarm_a, swarm_b, rng
 
     def test_three_plus_one_guards_accepts(self, toy61):
@@ -560,7 +548,7 @@ class TestRunUnification:
     def test_self_merge_keeps_key(self, toy61):
         rng = random.Random(24)
         core = CoreNetwork(toy61, rng)
-        swarm = core.provision_swarm("A", 3, n_drones=3, n_guards=2)
+        swarm = core.provision_swarm("A", 3, n_drones=3)
         key_before = core.dealer("A").group_key
         outcome, _ = run_unification(swarm, swarm, core, rng)
         assert outcome == Outcome(True)

@@ -14,10 +14,8 @@ from swarmauth.shares import (
     PublicShare,
     ThresholdTooSmall,
     WrongShareCount,
-    decode_commitment,
     decode_private_share,
     decode_public_share,
-    encode_commitment,
     encode_private_share,
     encode_public_share,
     gen_polynomial,
@@ -340,12 +338,6 @@ class TestSerialization:
             share = public_share(PrivateShare(3, group.field.rand_nonzero(rng)), group)
             data = encode_public_share(group, share)
             assert decode_public_share(group, data) == share
-
-    def test_commitment_round_trip(self, curve, rng):
-        poly = gen_polynomial(curve.field, 2, rng)
-        commitment = group_commitment(poly, curve)
-        data = encode_commitment(curve, commitment)
-        assert decode_commitment(curve, data) == commitment
 
     def test_trailing_bytes_rejected(self, toy101):
         from swarmauth.algebra import DecodeError

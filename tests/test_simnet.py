@@ -1,6 +1,7 @@
 """Latency model, closed forms, event loop, scenarios, and adversaries."""
 
 import collections
+import os
 import random
 from dataclasses import replace
 
@@ -79,7 +80,6 @@ class TestParseConfig:
             # comparison run
             scenario = inclusion
             threshold = 7
-            guards = 6
             n_drones = 6
             seed = 12
             adversary = none
@@ -89,7 +89,7 @@ class TestParseConfig:
         """)
         assert config.scenario == "inclusion"
         assert config.threshold == 7
-        assert config.guards == 6
+        assert config.n_drones == 6
         assert config.seed == 12
         assert config.group == "toy"
         assert config.latency.drone_to_drone == 500.0
@@ -99,12 +99,22 @@ class TestParseConfig:
     def test_defaults_fill_in(self):
         config = parse_config("scenario = nr5g")
         assert config.threshold == 5
-        assert config.guards == 4
-        assert config.n_drones == 1
+        assert config.n_drones is None
         assert config.adversary == "none"
 
     def test_bulk_default_count(self):
         assert parse_config("scenario = bulk").n_drones == 100
+
+    def test_readme_config_parses(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = parse_config(block)
+        assert (config.scenario, config.threshold, config.n_drones) == (
+            "inclusion", 5, 4)
+        assert config.latency.ec_point_mul == 612.0
 
     @pytest.mark.parametrize("text,needle", [
         ("threshold = 5", "scenario"),                      # missing scenario
@@ -116,12 +126,14 @@ class TestParseConfig:
         ("scenario = nr5g\nadversary = replay", "adversary"),  # wrong scenario
         ("scenario = inclusion\nadversary = troll", "adversary"),
         ("scenario = inclusion\nthreshold = 1", "threshold"),
+        # guards is not a key: the guards are the t-1 lowest identifiers
         ("scenario = inclusion\nguards = 0", "guards"),
         ("scenario = inclusion\nthreshold = 5\nguards = 3", "guards"),
         ("scenario = unification\nthreshold = 4\nguards = 2", "guards"),
         ("scenario = nr5g\nhash_op = nanms", "hash_op"),
         ("scenario = inclusion\nec_point_mul = infms", "ec_point_mul"),
-        ("scenario = inclusion\nguards = 4\nn_drones = 2", "n_drones"),
+        ("scenario = inclusion\nthreshold = 4\nn_drones = 2", "n_drones"),
+        ("scenario = bulk\nn_drones = -1", "n_drones"),
         ("scenario = nr5g\ngroup = weird", "group"),
         ("scenario = bulk\nparallel_guards = true", "parallel_guards"),
         ("scenario = nr5g\nparallel_guards = true", "parallel_guards"),
@@ -133,6 +145,11 @@ class TestParseConfig:
     def test_diagnostics_name_the_field(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config(text)
+
+    @pytest.mark.parametrize("n_drones", [0, 3])
+    def test_nr5g_object_rejects_n_drones(self, n_drones):
+        with pytest.raises(ConfigError, match="n_drones"):
+            ScenarioConfig(scenario="nr5g", n_drones=n_drones)
 
 
 class TestEventLoop:
@@ -295,7 +312,7 @@ class TestScenarios:
             assert nr_report.total_us == baseline_total_us(model)
 
     def test_unification_total(self):
-        config = toy_config(scenario="unification", threshold=4, guards=3)
+        config = toy_config(scenario="unification", threshold=4)
         report, _ = run_scenario(config)
         m = config.latency
         expected = (m.ue_core_round_trip + time_group_auth(4, m)
@@ -456,16 +473,17 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="parallel_guards"):
             parse_config("scenario = inclusion\nparallel_guards = maybe\n")
 
-    def test_only_lowest_guards_participate(self):
-        # six guards provisioned, threshold 4: exactly the three lowest
-        # identifiers take part
-        config = toy_config(scenario="inclusion", threshold=4, guards=6,
-                            n_drones=6)
+    def test_lowest_identifiers_are_the_guards(self):
+        # six drones, threshold 4: exactly the three lowest identifiers
+        # are guards and take part
+        config = toy_config(scenario="inclusion", threshold=4, n_drones=6)
         report, transcript = run_scenario(config)
         assert report.outcome == "accepted"
         verdict_senders = {e.sender for e in transcript.entries
                            if e.kind == "AUTH_VERDICT"}
         assert verdict_senders == {"A/1", "A/2", "A/3"}
+        swarm = simnet._run(config).core.swarms["A"]
+        assert [d.id.x for d in swarm.guards()] == [1, 2, 3]
 
     def test_determinism(self):
         def run(seed):
