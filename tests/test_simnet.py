@@ -132,6 +132,7 @@ class TestParseConfig:
         ("scenario = unification\nthreshold = 4\nguards = 2", "guards"),
         ("scenario = nr5g\nhash_op = nanms", "hash_op"),
         ("scenario = inclusion\nec_point_mul = infms", "ec_point_mul"),
+        ("scenario = inclusion\nguards = 4\nn_drones = 2", "guards"),
         ("scenario = inclusion\nthreshold = 4\nn_drones = 2", "n_drones"),
         ("scenario = bulk\nn_drones = -1", "n_drones"),
         ("scenario = nr5g\ngroup = weird", "group"),
