@@ -32,8 +32,10 @@ makes transcripts reproducible for a fixed seed.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -131,15 +133,23 @@ class MessageKind(enum.Enum):
     UNIFIED_KEY_BROADCAST = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DroneId:
-    """Protocol identity: the share identifier x scoped by a swarm id."""
+    """Protocol identity: the share identifier x scoped by a swarm id.
+
+    ``label`` is the text form "swarm/x", built once with the id; it takes
+    no part in equality, hashing or repr.
+    """
 
     swarm: str
     x: int
+    label: str = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label", f"{self.swarm}/{self.x}")
 
     def __str__(self):
-        return f"{self.swarm}/{self.x}"
+        return self.label
 
     def encode(self) -> bytes:
         swarm_b = self.swarm.encode()
@@ -147,7 +157,7 @@ class DroneId:
         return _lp(swarm_b) + _lp(x_b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolMessage:
     """One protocol message; receiver is delivery metadata, not wire data."""
 
@@ -199,8 +209,7 @@ class Outcome:
         return "accepted" if self.accepted else f"rejected({self.reason})"
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     time_us: float
     kind: str
     sender: str
@@ -251,7 +260,7 @@ class NonceCache:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class Drone:
     """A swarm participant and the key material it holds."""
 
@@ -263,7 +272,7 @@ class Drone:
 
     @property
     def label(self) -> str:
-        return str(self.id)
+        return self.id.label
 
     def public_share(self, group) -> PublicShare:
         return public_share(self.private_share, group)
@@ -325,8 +334,9 @@ class Transport:
         (possibly intercepted) message, or None when rejected as a replay."""
         if self.intercept is not None:
             msg = self.intercept(msg, receiver)
-        fresh = receiver.nonce_cache.check_and_store(str(msg.sender), msg.nonce)
-        self.transcript.record(self._stamp(), msg.kind.name, str(msg.sender),
+        sender = msg.sender.label
+        fresh = receiver.nonce_cache.check_and_store(sender, msg.nonce)
+        self.transcript.record(self._stamp(), msg.kind.name, sender,
                                receiver.label, msg.payload,
                                note="" if fresh else "replay-rejected")
         return msg if fresh else None
@@ -337,7 +347,7 @@ def fresh_nonce(rng) -> bytes:
 
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
-    return _lp(str(sender).encode()) + _lp(receiver.encode()) + nonce
+    return _lp(sender.label.encode()) + _lp(receiver.encode()) + nonce
 
 
 def derive_pairwise_key(group, mine: PrivateShare, theirs: PublicShare) -> bytes:
@@ -353,6 +363,15 @@ def group_key_cipher_key(field, group_key: int) -> bytes:
     return hashlib.sha256(field.encode(group_key)).digest()
 
 
+@functools.lru_cache(maxsize=64)
+def _aead(key: bytes) -> AESGCM:
+    """The AES-GCM context of ``key``. A rebroadcast seals and opens
+    thousands of messages under one key, so each key's context is built
+    once; the cache is bounded, and the least recently used key is dropped
+    first."""
+    return AESGCM(key)
+
+
 def seal(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
          plaintext: bytes, rng) -> ProtocolMessage:
     """A message whose payload is ``plaintext`` sealed with AES-GCM under
@@ -361,15 +380,15 @@ def seal(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
     nonce = fresh_nonce(rng)
     aad = _aad(sender, receiver, nonce)
     return ProtocolMessage(kind, sender, receiver, nonce,
-                           AESGCM(key).encrypt(nonce, plaintext, aad))
+                           _aead(key).encrypt(nonce, plaintext, aad))
 
 
 def open_sealed(key: bytes, msg: ProtocolMessage, receiver: str) -> bytes:
     """The plaintext of a sealed message as opened by ``receiver``; raises
     DecryptionFailed unless it was sealed under ``key`` for ``receiver``."""
     try:
-        return AESGCM(key).decrypt(msg.nonce, msg.payload,
-                                   _aad(msg.sender, receiver, msg.nonce))
+        return _aead(key).decrypt(msg.nonce, msg.payload,
+                                  _aad(msg.sender, receiver, msg.nonce))
     except InvalidTag:
         raise DecryptionFailed("AEAD authentication failed") from None
 
@@ -601,10 +620,11 @@ class CoreNetwork:
         core_share = dealer.issue_at(n_drones + 1)
         swarm = Swarm(swarm_id, self.group, threshold, commitment,
                       public_share(core_share, self.group))
+        group_key = dealer.group_key
         for i, sh in enumerate(drone_shares):
             role = Role.GUARD if i < threshold - 1 else Role.MEMBER
             swarm.add_drone(Drone(DroneId(swarm_id, sh.x), role, sh,
-                                  group_key=dealer.group_key))
+                                  group_key=group_key))
 
         self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share
@@ -642,7 +662,7 @@ class CoreNetwork:
         key = derive_pairwise_key(self.group, self._core_shares[requester.swarm],
                                   drone.public_share(self.group))
         return seal(MessageKind.CROSS_ISSUE_RESPONSE, key,
-                    self.core_identity(requester.swarm), str(requester),
+                    self.core_identity(requester.swarm), requester.label,
                     encode_private_share(self.group.field, cross), rng)
 
 
@@ -728,11 +748,12 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # rebroadcast under swarm A's current group key
     yield "hop"
     relay_key = group_key_cipher_key(group.field, d_a.group_key)
+    unified_plain = group.field.encode(unified_key)
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
             continue
         msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
-                   member.label, group.field.encode(unified_key), rng)
+                   member.label, unified_plain, rng)
         delivered = transport.deliver(msg, member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")

@@ -80,14 +80,15 @@ class GroupPolynomial:
         return self.coeffs[0]
 
     def evaluate(self, x: int) -> int:
-        """Horner evaluation of the polynomial at x."""
+        """Horner evaluation of the polynomial at x, on plain ints with one
+        reduction at the end."""
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.field.order
-        return acc
+            acc = acc * x + c
+        return acc % self.field.order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivateShare:
     """A member's share: identifier x and the secret evaluation y = f(x)."""
 
@@ -99,7 +100,7 @@ class PrivateShare:
             raise InvalidIdentifier("share identifier must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicShare:
     """Public pair (x, f(x)*P)."""
 
@@ -132,9 +133,10 @@ def gen_polynomial(field: ScalarField, t: int, rng) -> GroupPolynomial:
 
 
 def issue_share(poly: GroupPolynomial, x: int) -> PrivateShare:
-    if poly.field.reduce(x) == 0:
+    x = poly.field.reduce(x)
+    if x == 0:
         raise InvalidIdentifier("share identifier must be nonzero")
-    return PrivateShare(x=poly.field.reduce(x), y=poly.evaluate(x))
+    return PrivateShare(x=x, y=poly.evaluate(x))
 
 
 def public_shares(shares: Sequence[PrivateShare], group) -> list:

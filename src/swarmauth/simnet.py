@@ -367,7 +367,7 @@ class Adversary:
     def intercept(self, msg, receiver):
         self.captured.append((msg, receiver))
         if (self.mode == "mitm" and msg.kind is MessageKind.SHARE_PUBLISH
-                and str(msg.sender) == self.mitm_target):
+                and msg.sender.label == self.mitm_target):
             share = decode_public_share(self.group, msg.payload)
             fake_point = self.group.mul(self.group.field.rand_nonzero(self.rng),
                                         self.group.generator)
@@ -446,7 +446,7 @@ def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
     if config.adversary == "none":
         return Transport(), None
     adversary = Adversary(mode=config.adversary, group=group, rng=rng,
-                          mitm_target=str(target.id))
+                          mitm_target=target.id.label)
     return Transport(intercept=adversary.intercept), adversary
 
 
@@ -612,8 +612,10 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
                               MessageKind.UNIFIED_KEY_BROADCAST)]
     if not sealed:
         return AttackOutcome(False, "no key-transport traffic observed")
-    for msg in sealed:
-        for key in candidate_keys:
+    # each candidate key opens every sealed message in turn, so its AES-GCM
+    # context is built once
+    for key in candidate_keys:
+        for msg in sealed:
             try:
                 protocol.open_sealed(key, msg, msg.receiver)
                 return AttackOutcome(False, "captured material decrypted a "

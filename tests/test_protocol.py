@@ -1,12 +1,15 @@
 """Inclusion, key delivery, and unification flows on the toy group."""
 
+import dataclasses
 import hashlib
 import random
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
+from swarmauth import protocol
 from swarmauth.algebra import CurveGroup, DecodeError, ToyGroup
 from swarmauth.protocol import (
     AuthTranscript,
@@ -23,6 +26,7 @@ from swarmauth.protocol import (
     Role,
     Swarm,
     Transport,
+    TranscriptEntry,
     UnknownRequester,
     UnknownSwarm,
     bulk_flow,
@@ -132,6 +136,23 @@ class TestAead:
                                  (replace(msg, nonce=fresh_nonce(rng)), "A/2")):
             with pytest.raises(DecryptionFailed):
                 open_sealed(bytes(32), forged, receiver)
+
+    def test_context_cache_reuse_is_safe(self, rng):
+        # more distinct keys than the context cache holds, sealed and opened
+        # interleaved, so contexts are evicted and rebuilt between uses
+        n_keys = 2 * protocol._aead.cache_info().maxsize + 3
+        keys = [hashlib.sha256(i.to_bytes(2, "big")).digest() for i in range(n_keys)]
+        msgs = []
+        for i, key in enumerate(keys):
+            msgs.append(sealed(rng, key))
+            for j in (i, i // 2):
+                assert open_sealed(keys[j], msgs[j], "A/2") == b"payload"
+            with pytest.raises(DecryptionFailed):
+                open_sealed(keys[i - 1], msgs[i], "A/2")
+        for i in range(n_keys):
+            assert open_sealed(keys[i], msgs[i], "A/2") == b"payload"
+            with pytest.raises(DecryptionFailed):
+                open_sealed(keys[(i + 1) % n_keys], msgs[i], "A/2")
 
 
 class TestGroupKeyDelivery:
@@ -334,6 +355,41 @@ class TestBulkFlow:
         transport = Transport()
         assert drain(bulk_flow(swarm, [], transport)) == ([], Outcome(True))
         assert transport.transcript.entries == []
+
+
+class TestHotPathTypes:
+    def test_drone_label_is_its_text_form(self):
+        for swarm, x in (("A", 1), ("swarm-b", 4999), ("", 2**70)):
+            drone_id = DroneId(swarm, x)
+            assert drone_id.label == str(drone_id) == f"{swarm}/{x}"
+            assert repr(drone_id) == f"DroneId(swarm={swarm!r}, x={x!r})"
+
+    def test_label_takes_no_part_in_equality_or_hash(self):
+        a, b = DroneId("A", 3), DroneId("A", 3)
+        object.__setattr__(b, "label", "stale")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_replace_builds_a_fresh_label(self):
+        a = DroneId("A", 3)
+        assert replace(a, x=7).label == "A/7"
+        assert replace(a, swarm="B").label == "B/3"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.label = "B/3"
+
+    def test_drone_label_reads_its_id(self, toy101):
+        _, swarm = manual_swarm(toy101)
+        guard = swarm.guards()[0]
+        assert guard.label == "A/1"
+        assert guard.label is guard.id.label
+
+    def test_transcript_entry_fields_by_name_and_immutable(self):
+        entry = TranscriptEntry(1.5, "AUTH_VERDICT", "A/1", "A/2", "ab" * 8)
+        assert (entry.time_us, entry.kind, entry.sender, entry.receiver,
+                entry.digest, entry.note) == (1.5, "AUTH_VERDICT", "A/1", "A/2",
+                                              "ab" * 8, "")
+        with pytest.raises(AttributeError):
+            entry.note = "replay-rejected"
 
 
 class TestTranscript:
@@ -571,6 +627,32 @@ class TestRunUnification:
         with pytest.raises(MissingGroupKey):
             run_unification(swarm_a, swarm_b, core, rng, transport)
         assert transport.transcript.entries == []
+
+    def test_aead_contexts_constant_in_swarm_size(self, toy61, monkeypatch):
+        # 200 drones per swarm: the 199 rebroadcast seals and opens share
+        # one relay key, so the run builds three AES-GCM contexts (the
+        # cross-issue key, the key-return key and the relay key), not O(n)
+        built = []
+
+        def counting_aesgcm(key):
+            built.append(key)
+            return AESGCM(key)
+
+        monkeypatch.setattr(protocol, "AESGCM", counting_aesgcm)
+        protocol._aead.cache_clear()
+        try:
+            rng = random.Random(28)
+            core = CoreNetwork(toy61, rng)
+            swarm_a = core.provision_swarm("A", 4, n_drones=200)
+            swarm_b = core.provision_swarm("B", 4, n_drones=200)
+            outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
+        finally:
+            protocol._aead.cache_clear()
+        assert outcome == Outcome(True)
+        broadcasts = [e for e in transcript.entries
+                      if e.kind == "UNIFIED_KEY_BROADCAST"]
+        assert len(broadcasts) == 199
+        assert len(built) == len(set(built)) == 3
 
     def test_deterministic_transcript(self, toy61):
         def one_run():

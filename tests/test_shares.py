@@ -4,7 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from swarmauth.algebra import ScalarField
 from swarmauth.shares import (
     Dealer,
     DuplicateIdentifier,
@@ -88,6 +90,24 @@ class TestIssueShare:
             x = f.rand_nonzero(rng)
             naive = sum(c * pow(x, k, f.order) for k, c in enumerate(poly.coeffs))
             assert poly.evaluate(x) == naive % f.order
+
+    @given(st.data())
+    def test_one_final_reduction_matches_reduced_horner(self, curve, data):
+        # evaluate reduces once at the end; reducing after every Horner step
+        # is the reference, for x up to three times the order
+        for f in (ScalarField(101), curve.field):
+            t = data.draw(st.integers(2, 8))
+            coeffs = [data.draw(st.integers(0, f.order - 1)) for _ in range(t - 1)]
+            coeffs.append(data.draw(st.integers(1, f.order - 1)))
+            poly = GroupPolynomial(f, tuple(coeffs))
+            x = data.draw(st.integers(1, 3 * f.order - 1))
+            acc = 0
+            for c in reversed(poly.coeffs):
+                acc = (acc * x + c) % f.order
+            assert poly.evaluate(x) == acc
+            if x % f.order:
+                assert issue_share(poly, x + f.order) == issue_share(poly, x)
+                assert issue_share(poly, x).x == x % f.order
 
 
 class TestPublicShare:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from swarmauth import algebra, simnet
+from swarmauth import algebra, protocol, simnet
 from swarmauth.algebra import ToyGroup
 from swarmauth.protocol import MessageKind, Outcome, Transport
 from swarmauth.shares import decode_public_share
@@ -408,6 +408,49 @@ class TestScenarios:
             assert (counts["fixed"], counts["variable"], counts["msm"],
                     counts["msm points"]) == want, (scenario, n)
             assert batches == want_batches, (scenario, n)
+
+    @pytest.mark.parametrize("t", (2, 5, 9))
+    def test_aead_and_message_counts_meet_analytic_forms(self, t, monkeypatch):
+        # (seals, opens, deliveries, transcript entries) per run. A guard
+        # check delivers t(t-1) messages: t-1 publishes to the guards,
+        # (t-1)(t-2) exchanges between them and t-1 verdicts. Inclusion adds
+        # the key agreement and the sealed key (one seal, one open).
+        # Unification adds the cross-issue request and its sealed response,
+        # the key return (two messages, one seal) and one sealed rebroadcast
+        # to each of the n-1 other drones of swarm A. Bulk delivers nothing:
+        # each of its n broadcasts is only recorded.
+        counts = collections.Counter()
+        seal, open_sealed, deliver = (protocol.seal, protocol.open_sealed,
+                                      protocol.Transport.deliver)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(protocol, "seal", counting("seal", seal))
+        monkeypatch.setattr(protocol, "open_sealed", counting("open", open_sealed))
+        monkeypatch.setattr(protocol.Transport, "deliver", counting("deliver", deliver))
+        check = t * (t - 1)
+        expected = {
+            ("inclusion", None): (1, 1, check + 2, check + 2),
+            ("unification", t - 1): (t, t, t + 2 + check, t + 2 + check),
+            ("unification", 40): (41, 41, 43 + check, 43 + check),
+            ("bulk", 0): (0, 0, 0, 0),
+            ("bulk", 25): (0, 0, 0, 25),
+        }
+        if t == 5:
+            # merge-n5000: the values the benchmark's golden counts pin
+            expected["unification", 5000] = (5001, 5001, 5023, 5023)
+        for (scenario, n), want in expected.items():
+            counts.clear()
+            sized = {} if n is None else {"n_drones": n}
+            report, transcript = run_scenario(toy_config(scenario=scenario,
+                                                         threshold=t, **sized))
+            assert report.outcome == "accepted"
+            assert (counts["seal"], counts["open"], counts["deliver"],
+                    len(transcript.entries)) == want, (scenario, n)
 
     def test_generator_table_built_once_per_process(self, monkeypatch):
         # every run makes its own group; the generator's fixed-base table
