@@ -259,9 +259,10 @@ class CurveGroup:
         return self.msm([s], [g])
 
     def mul_generator(self, scalars: Sequence[int]) -> list:
-        """[s*G for s in scalars]: table entries picked by the hex digits of
-        each scalar, summed pairwise in affine form, with one inversion per
-        level of pairwise sums shared by the scalars of a chunk of 128."""
+        """[s*G for s in scalars]: table entries picked by the signed
+        width-7 digits of each scalar, summed pairwise in affine form, with
+        one inversion per level of pairwise sums shared by the scalars of a
+        chunk of 128 (see :func:`_mul_generator`)."""
         return _mul_generator(scalars)
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
@@ -485,45 +486,91 @@ def _glv_split(k: int) -> tuple:
     return (k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2)
 
 
-# Fixed-base table for the generator: row i holds d * 16^i * G for
-# d = 1..15, so s*G is the sum of one entry per nonzero hex digit of s,
-# with no doubling. Built once per process, on first use, because every
-# scenario run makes its own CurveGroup.
+def _batch_affine_add(pairs: list) -> list:
+    """[P + Q for P, Q in pairs] for affine points P and Q (neither the
+    identity), with one inversion shared by the whole batch. Equal x is
+    allowed: P + P is a doubling (slope 3x^2 / 2y; y is never 0 on a
+    curve of odd order), and P + (-P) is None."""
+    dens = []
+    for (x1, y1), (x2, y2) in pairs:
+        if x1 != x2:
+            dens.append(x2 - x1)
+        else:
+            # 1 stands in for the denominator of a sum to the identity
+            dens.append(2 * y1 if y1 == y2 else 1)
+    out = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, _inverses(dens, _SECP_P)):
+        if x1 != x2:
+            lam = (y2 - y1) * inv % _SECP_P
+        elif y1 == y2:
+            lam = 3 * x1 * x1 * inv % _SECP_P
+        else:
+            out.append(None)
+            continue
+        x3 = (lam * lam - x1 - x2) % _SECP_P
+        out.append((x3, (lam * (x1 - x3) - y1) % _SECP_P))
+    return out
+
+
+# Fixed-base table for the generator, width 7: row i holds d * 2^(7i) * G
+# for d = 1..64, so s*G is the sum of one entry per nonzero signed digit
+# of s, with no doubling. The 37 rows hold the 256 bits of a scalar and the
+# carry out of its top full window. Built once per process, on first use,
+# because every scenario run makes its own CurveGroup.
+#
+# The width trades additions per scalar (about one per row) against the
+# table's size and build time, which every process pays once, in setup.
+# Medians of interleaved runs on a 2-core VM (Python 3.11.7):
+#   width  entries  build ms  batch of 104 ms  additions per scalar
+#     5       832       7.0        33.0              49.1
+#     6      1376      10.5        28.8              41.3
+#     7      2368      16.6        25.5              35.7
+#     8      4224      27.5        22.9              31.4
+# Width 8 would save under 3 ms per batch and add 11 ms to every setup.
 _generator_table = None
 
 
 def _build_generator_table() -> list:
-    rows = []
-    bx, by = _SECP_GX, _SECP_GY
-    for _ in range(64):
-        m = (bx, by, 1)
-        multiples = [m]
-        for _ in range(15):
-            m = _jac_add_affine(*m, bx, by)
-            multiples.append(m)
-        # normalized row by row, so that only one row's Jacobian forms are
-        # held at a time (peak memory); the 16th multiple is the next base
-        *row, (bx, by) = _to_affine_all(multiples)
-        rows.append(row)
+    # the row bases 2^(7i) * G by Jacobian doublings, normalized together
+    bases = [(_SECP_GX, _SECP_GY, 1)]
+    for _ in range(36):
+        b = bases[-1]
+        for _ in range(7):
+            b = _jac_double(*b)
+        bases.append(b)
+    rows = [[b] for b in _to_affine_all(bases)]
+    # with 1*B..k*B in every row, one batch adds k*B to each of them (the
+    # last is a doubling), giving (k+1)*B..2k*B; six batches reach 64*B
+    for _ in range(6):
+        k = len(rows[0])
+        added = _batch_affine_add([(p, row[-1]) for row in rows for p in row])
+        for i, row in enumerate(rows):
+            row += added[i * k:(i + 1) * k]
     return rows
 
 
 # Scalars per chunk of a batched generator mul. One level of a chunk's
-# sums holds up to 32 new points per scalar, so chunks bound the memory
-# of a large batch (10^4 scalars in one chunk peaked near 150 MB); with
-# 128 scalars an inversion is already shared by thousands of additions,
-# so bigger chunks would save no time.
+# sums holds at most 18 new points per scalar, so chunks bound the memory
+# of a large batch; with 128 scalars an inversion is already shared by
+# thousands of additions, so bigger chunks would save no time.
 _GENERATOR_CHUNK = 128
 
 
 def _mul_generator(scalars: Sequence[int]) -> list:
     """[s*G for s in scalars], each s reduced mod n; None for s = 0 (mod n).
 
-    Each scalar's nonzero hex digits select entries of the table, and the
-    entries of a chunk of scalars are summed pairwise, level by level, in
-    affine form. The additions of one level, over all the scalars of the
-    chunk, share one inversion, so a chunk makes about 6 inversions (a
-    scalar has at most 64 entries) however many scalars it holds.
+    Each scalar is recoded into 37 signed digits in [-64, 64); a nonzero
+    digit d of row i selects the table entry |d| * 2^(7i) * G, with y
+    negated when d < 0. The entries of a chunk of scalars are summed
+    pairwise, level by level, in affine form, and each level is one
+    :func:`_batch_affine_add` with one shared inversion. A scalar costs at
+    most 36 additions, and a chunk at most 6 inversions however many
+    scalars it holds.
+
+    With signed digits, no argument keeps two sibling sums from meeting
+    equal x, so the adder handles it: equal points make a doubling, and a
+    point plus its negation gives None, which drops out of its scalar's
+    terms.
     """
     global _generator_table
     if _generator_table is None:
@@ -537,28 +584,25 @@ def _mul_generator(scalars: Sequence[int]) -> list:
             for row in _generator_table:
                 if not s:
                     break
-                d = s & 15
-                if d:
-                    terms.append(row[d - 1])
-                s >>= 4
+                d = s & 127
+                s >>= 7
+                if d < 64:
+                    if d:
+                        terms.append(row[d - 1])
+                else:
+                    # digit d - 128: entry 128 - d negated, and a carry
+                    x, y = row[127 - d]
+                    terms.append((x, _SECP_P - y))
+                    s += 1
             sums.append(terms)
-        # Two sibling partial sums a*G and b*G cover disjoint hex digits of
-        # one s, so a != b, both are positive and a + b <= s < n. Then
-        # a = +-b (mod n) cannot hold, and no addition meets equal x (a
-        # doubling, or a sum to the identity); _inverses raises if one did.
         while pairs := [(terms[i], terms[i + 1]) for terms in sums
                         for i in range(0, len(terms) - 1, 2)]:
-            invs = _inverses([x2 - x1 for (x1, _), (x2, _) in pairs], _SECP_P)
-            added = []
-            for ((x1, y1), (x2, y2)), inv in zip(pairs, invs):
-                lam = (y2 - y1) * inv % _SECP_P
-                x3 = (lam * lam - x1 - x2) % _SECP_P
-                added.append((x3, (lam * (x1 - x3) - y1) % _SECP_P))
+            added = _batch_affine_add(pairs)
             # each scalar's sums of this level, then its odd entry left over
             at = 0
             for j, terms in enumerate(sums):
                 half = len(terms) >> 1
-                sums[j] = added[at:at + half] + terms[2 * half:]
+                sums[j] = [p for p in added[at:at + half] if p is not None] + terms[2 * half:]
                 at += half
         out += [terms[0] if terms else None for terms in sums]
     return out

@@ -23,9 +23,11 @@ from swarmauth.algebra import (
     _SECP_GY,
     _SECP_N,
     _SECP_P,
+    _batch_affine_add,
     _glv_split,
     _inverses,
 )
+from swarmauth import algebra
 
 
 def reference_mul(group, s, g):
@@ -43,11 +45,13 @@ def reference_mul(group, s, g):
 
 EDGE_SCALARS = (0, 1, _SECP_N - 1, _SECP_N - 2, 2**255 % _SECP_N,
                 (2**256 - 1) % _SECP_N)
-# edge values, uniform 256-bit values (reduced by mul), and k hex digits
-# that are all 15, which take the largest entry of every table row
+# edge values, uniform 256-bit values (reduced by mul), k low bits that
+# are all 1 (signed digits -1 and long carries), and k 7-bit windows that
+# all hold 64 (the digit -64, the table's largest entry negated)
 scalars = st.one_of(st.sampled_from(EDGE_SCALARS),
                     st.integers(0, 2**256 - 1),
-                    st.integers(1, 64).map(lambda k: 16**k - 1))
+                    st.integers(1, 256).map(lambda k: 2**k - 1),
+                    st.integers(1, 36).map(lambda k: (2**(7 * k) - 1) // 127 * 64))
 discrete_logs = st.integers(1, _SECP_N - 1)
 
 
@@ -239,8 +243,9 @@ class TestCurveGroup:
 
 
 class TestBatchedGeneratorMul:
-    """``mul_generator`` sums table entries pairwise over a chunk of
-    scalars, with one shared inversion per level of sums."""
+    """``mul_generator`` recodes each scalar into signed width-7 digits and
+    sums their table entries pairwise over a chunk of scalars, one
+    ``_batch_affine_add`` per level of sums."""
 
     def test_edge_scalars_match_reference(self, curve):
         edge = [0, 1, 15, 16, 2**252, 15 * 2**252, _SECP_N - 2, _SECP_N - 1]
@@ -258,11 +263,39 @@ class TestBatchedGeneratorMul:
         assert toy61.mul_generator([]) == []
 
     def test_every_count_of_nonzero_digits(self, curve):
-        # 1..64 table entries per scalar, all in one call: every pattern of
-        # odd entries left over across the levels of pairwise sums
+        # 1..64 hex digits that are all 15, in one call: signed digits -1
+        # and carries that run across whole windows
         batch = [16**k - 1 for k in range(1, 65)]
         assert curve.mul_generator(batch) == [
             reference_mul(curve, s, curve.generator) for s in batch]
+
+    def test_every_count_of_nonzero_signed_digits(self, curve):
+        # 1..37 table entries per scalar, all in one call: every pattern of
+        # odd entries left over across the levels of pairwise sums. Signed
+        # digits are unique, so sum(d_i * 2^(7i)) recodes to exactly d_i;
+        # the positive top digit outweighs the lower ones, so s > 0.
+        lower = (-64, 63, -1, 1, -33, 17)
+        batch = [sum(lower[i % len(lower)] << (7 * i) for i in range(k - 1))
+                 + (5 << (7 * (k - 1))) for k in range(1, 38)]
+        assert all(0 < s < _SECP_N for s in batch)
+        assert curve.mul_generator(batch) == [
+            reference_mul(curve, s, curve.generator) for s in batch]
+
+    @pytest.mark.parametrize("s", [
+        _SECP_N - 1, 2**255, 2**256 - 1, 2**252 - 1, 2**252 - 2**245,
+        *(v << 245 for v in range(64, 128))])
+    def test_carry_into_the_top_row_matches_reference(self, curve, s):
+        # window 35 (bits 245-251) at 64 or above becomes a negative digit
+        # and carries into row 36, the 37th; n - 1 and 2^255 put a digit
+        # there themselves, and 2^256 - 1 reduces below n first
+        assert curve.mul_generator([s]) == [reference_mul(curve, s, curve.generator)]
+
+    @settings(max_examples=40)
+    @given(s=scalars)
+    def test_table_agrees_with_straus_msm(self, curve, s):
+        # two independent paths: the signed fixed-base table, and the
+        # GLV-split wNAF msm on G as an arbitrary point
+        assert curve.mul_generator([s])[0] == curve.msm([s], [curve.generator])
 
     @settings(max_examples=25)
     @given(pool=st.lists(scalars, min_size=1, max_size=4),
@@ -295,6 +328,68 @@ class TestBatchedGeneratorMul:
         for values in ([0], [3, 0, 5], [7, _SECP_P]):
             with pytest.raises(ZeroInverse):
                 _inverses(values, _SECP_P)
+
+
+class TestBatchAffineAdd:
+    """``_batch_affine_add`` against pairwise ``CurveGroup.add``; pairs are
+    drawn from a few points and their negations, so doublings and sums to
+    the identity come up often."""
+
+    @settings(max_examples=40)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.booleans(),
+                                    st.integers(0, 2), st.booleans()),
+                          min_size=1, max_size=16))
+    def test_matches_pairwise_add(self, curve, logs, picks):
+        pool = [reference_mul(curve, k, curve.generator) for k in logs]
+
+        def pick(i, negate):
+            point = pool[i % len(pool)]
+            return curve.neg(point) if negate else point
+        pairs = [(pick(i, a), pick(j, b)) for i, a, j, b in picks]
+        assert _batch_affine_add(pairs) == [curve.add(p, q) for p, q in pairs]
+
+    def test_doubling_and_cancellation_in_one_batch(self, curve):
+        g = curve.generator
+        p = reference_mul(curve, 0xDEADBEEF, g)
+        pairs = [(g, g), (p, curve.neg(p)), (g, p), (p, p), (curve.neg(g), g)]
+        assert _batch_affine_add(pairs) == [
+            reference_mul(curve, 2, g), None, reference_mul(curve, 0xDEADBEEF + 1, g),
+            reference_mul(curve, 2 * 0xDEADBEEF, g), None]
+        assert _batch_affine_add([]) == []
+
+
+class TestGeneratorTable:
+    """The signed width-7 fixed-base table and the work a batch costs."""
+
+    @pytest.fixture()
+    def table(self, curve):
+        curve.mul_generator([1])  # builds the table once per process
+        return algebra._generator_table
+
+    def test_shape(self, table):
+        assert len(table) == 37
+        assert all(len(row) == 64 for row in table)
+
+    @pytest.mark.parametrize("i", [0, 1, 36])
+    def test_entries_are_multiples_of_the_row_base(self, curve, table, i):
+        # entry d - 1 of row i is d * 2^(7i) * G
+        base = reference_mul(curve, 2**(7 * i), curve.generator)
+        assert table[i] == [reference_mul(curve, d, base) for d in range(1, 65)]
+
+    def test_batch_of_104_costs_at_most_36_additions_per_scalar(self, curve, table,
+                                                                monkeypatch):
+        # a count, not a timing: a scalar has at most 37 signed digits, so
+        # at most 36 additions, in at most 6 levels for the whole chunk
+        batches = []
+        add = algebra._batch_affine_add
+        monkeypatch.setattr(algebra, "_batch_affine_add",
+                            lambda pairs: batches.append(len(pairs)) or add(pairs))
+        rng = random.Random(104)
+        batch = [rng.randrange(_SECP_N) for _ in range(104)]
+        curve.mul_generator(batch)
+        assert sum(batches) <= 104 * 36
+        assert len(batches) <= 6
 
 
 class TestMultiScalarMul:
