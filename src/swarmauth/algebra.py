@@ -17,6 +17,7 @@ bytes for scalars, group-defined widths for points.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Sequence, Union
 
 __all__ = [
@@ -273,33 +274,29 @@ class CurveGroup:
         halves of about 128 bits, and lambda*g = (beta*x, y) (Gallant,
         Lambert and Vanstone, CRYPTO 2001), so the 2m half-scalars share a
         doubling chain of about 129 steps instead of 256. Each point's odd
-        multiples 1g..15g are built in Jacobian form and the tables of all
-        points are normalized with one inversion; the table of lambda*g is
-        one field multiplication per entry, and a negative half flips y.
-        Zero scalars, zero halves and identity points drop out; a sum
-        that cancels is None.
+        multiples 1g..15g are built in Jacobian form and the tables that a
+        call builds are normalized with one inversion; the table of
+        lambda*g is one field multiplication per entry, and a negative half
+        flips y. Zero scalars, zero halves and identity points drop out; a
+        sum that cancels is None.
+
+        A point's table is a pure function of the point, so it is kept in
+        a bounded per-process cache of the 64 most recently used points
+        (:func:`_wnaf_tables`): the t - 1 guards of a check verify the same
+        t public points, and only the first guard builds their tables. The
+        key is the affine point, not its x, because g and -g share x but
+        not their tables. A call takes each table from what it found or
+        built, never from the cache after its own inserts, so a call with
+        more distinct points than the bound is still whole.
         """
         terms = [(s % self.order, g) for s, g in zip(scalars, points, strict=True)
                  if g is not None and s % self.order]
         if not terms:
             return None
-        jac = []
-        for _, (x, y) in terms:
-            # 2g = (dx, dy, dz) is the affine (dx, dy) on the isomorphic
-            # curve y^2 = x^3 + 7*dz^6, where g is (x*dz^2, y*dz^3). The a = 0
-            # formulas never read b, so the odd multiples are mixed additions
-            # there, and (X, Y, Z) there is (X, Y, Z*dz) here.
-            dx, dy, dz = _jac_double(x, y, 1)
-            dz2 = dz * dz % _SECP_P
-            m = (x * dz2 % _SECP_P, y * dz2 * dz % _SECP_P, 1)
-            jac.append((m[0], m[1], dz))
-            for _ in range(_WNAF_ODD - 1):
-                m = _jac_add_affine(*m, dx, dy)
-                jac.append((m[0], m[1], m[2] * dz % _SECP_P))
-        odd = _to_affine_all(jac)
+        tables = _wnaf_tables([g for _, g in terms])
         halves = []
-        for j, (s, _) in enumerate(terms):
-            table = odd[j * _WNAF_ODD:(j + 1) * _WNAF_ODD]
+        for s, g in terms:
+            table = tables[g]
             k1, k2 = _glv_split(s)
             # s != 0 (mod n), so at most one half is 0; it adds nothing
             if k1:
@@ -366,15 +363,59 @@ def _wnaf(k: int) -> list:
     return digits
 
 
+# Odd-multiple tables of variable-base points, keyed by the affine point,
+# least recently used first. A table is 8 affine points; 64 tables hold
+# every public point of a guard check up to t = 64.
+_WNAF_TABLES_MAX = 64
+_wnaf_table_cache: OrderedDict = OrderedDict()
+
+
+def _wnaf_tables(points: list) -> dict:
+    """{g: [1g, 3g, ..., 15g]} for the distinct affine points g, each from
+    the cache or built. The points that miss are built together,
+    normalized with one shared inversion, and then cached."""
+    tables = {}
+    missing = []
+    for g in points:
+        if g in tables:
+            continue
+        table = _wnaf_table_cache.get(g)
+        if table is None:
+            missing.append(g)
+        else:
+            _wnaf_table_cache.move_to_end(g)
+        tables[g] = table
+    jac = []
+    for x, y in missing:
+        # 2g = (dx, dy, dz) is the affine (dx, dy) on the isomorphic
+        # curve y^2 = x^3 + 7*dz^6, where g is (x*dz^2, y*dz^3). The a = 0
+        # formulas never read b, so the odd multiples are mixed additions
+        # there, and (X, Y, Z) there is (X, Y, Z*dz) here.
+        dx, dy, dz = _jac_double(x, y, 1)
+        dz2 = dz * dz % _SECP_P
+        m = (x * dz2 % _SECP_P, y * dz2 * dz % _SECP_P, 1)
+        jac.append((m[0], m[1], dz))
+        for _ in range(_WNAF_ODD - 1):
+            m = _jac_add_affine(*m, dx, dy)
+            jac.append((m[0], m[1], m[2] * dz % _SECP_P))
+    odd = _to_affine_all(jac)
+    for j, g in enumerate(missing):
+        tables[g] = _wnaf_table_cache[g] = odd[j * _WNAF_ODD:(j + 1) * _WNAF_ODD]
+    while len(_wnaf_table_cache) > _WNAF_TABLES_MAX:
+        _wnaf_table_cache.popitem(last=False)
+    return tables
+
+
 # Jacobian (X, Y, Z) represents affine (X/Z^2, Y/Z^3); Z = 0 is the identity.
 
 def _jac_double(x, y, z):
     if z == 0 or y == 0:
         return 0, 1, 0
-    s = 4 * x * y * y % _SECP_P
+    yy = y * y % _SECP_P
+    s = 4 * x * yy % _SECP_P
     m = 3 * x * x % _SECP_P  # curve a = 0
     nx = (m * m - 2 * s) % _SECP_P
-    ny = (m * (s - nx) - 8 * y * y * y * y) % _SECP_P
+    ny = (m * (s - nx) - 8 * yy * yy) % _SECP_P
     nz = 2 * y * z % _SECP_P
     return nx, ny, nz
 

@@ -1,5 +1,6 @@
 """Field and group arithmetic against integer and textbook oracles."""
 
+import collections
 import random
 
 import pytest
@@ -26,6 +27,9 @@ from swarmauth.algebra import (
     _batch_affine_add,
     _glv_split,
     _inverses,
+    _jac_add_affine,
+    _jac_double,
+    _to_affine,
 )
 from swarmauth import algebra
 
@@ -513,6 +517,118 @@ class TestGLVSplit:
             point_logs.append(oracle.neg(k) if negate else k)
         want = curve.mul(oracle.msm(scalar_list, point_logs), curve.generator)
         assert curve.msm(scalar_list, points) == want
+
+
+class TestJacobianFormulas:
+    """``_jac_double`` and ``_jac_add_affine`` on their own: a known point
+    written as (X*z^2, Y*z^3, z) for a random z != 1, against the affine
+    ``CurveGroup.add``."""
+
+    @staticmethod
+    def jacobian(point, z):
+        x, y = point
+        return x * z * z % _SECP_P, y * z * z * z % _SECP_P, z
+
+    @settings(max_examples=60)
+    @given(logs=st.tuples(discrete_logs, discrete_logs),
+           z=st.integers(2, _SECP_P - 1), other=st.sampled_from(["q", "p", "-p"]))
+    def test_match_affine_add(self, curve, logs, z, other):
+        p, q = (reference_mul(curve, k, curve.generator) for k in logs)
+        # "p" and "-p" are the h = 0 branches: a doubling and the identity
+        a = {"q": q, "p": p, "-p": curve.neg(p)}[other]
+        x, y, _ = jac = self.jacobian(p, z)
+        doubled = _jac_double(*jac)
+        assert _to_affine(*doubled) == curve.add(p, p)
+        # y^2 reduced once gives the same reduced triple as the textbook
+        # products 4*x*y^2 and 8*y^4
+        s, m = 4 * x * y * y % _SECP_P, 3 * x * x % _SECP_P
+        nx = (m * m - 2 * s) % _SECP_P
+        assert doubled == (nx, (m * (s - nx) - 8 * y**4) % _SECP_P,
+                           2 * y * z % _SECP_P)
+        assert _to_affine(*_jac_add_affine(*jac, *a)) == curve.add(p, a)
+
+    @given(log=discrete_logs, x=st.integers(0, _SECP_P - 1),
+           y=st.integers(0, _SECP_P - 1))
+    def test_identity_input(self, curve, log, x, y):
+        # Z = 0 is the identity whatever X and Y hold
+        p = reference_mul(curve, log, curve.generator)
+        assert _to_affine(*_jac_double(x, y, 0)) is None
+        assert _jac_add_affine(x, y, 0, *p) == (*p, 1)
+
+
+class TestWnafTableCache:
+    """The bounded cache of variable-base odd-multiple tables that ``msm``
+    reads: results never depend on what it holds."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_wnaf_table_cache", collections.OrderedDict())
+
+    @staticmethod
+    def points(curve, logs):
+        return [reference_mul(curve, k, curve.generator) for k in logs]
+
+    @staticmethod
+    def oracle(curve, scalar_list, logs):
+        return curve.mul(ToyGroup(_SECP_N).msm(scalar_list, logs), curve.generator)
+
+    @pytest.mark.parametrize("bound", [4, 6])
+    def test_call_with_more_points_than_the_bound(self, curve, monkeypatch, bound):
+        # the call finds `bound` points cached and builds 6 more; its own
+        # inserts evict what it found, and it must not read them back
+        monkeypatch.setattr(algebra, "_WNAF_TABLES_MAX", bound)
+        logs = list(range(3, 3 + bound + 6))
+        points = self.points(curve, logs)
+        curve.msm([1] * bound, points[:bound])
+        assert list(algebra._wnaf_table_cache) == points[:bound]
+        scalar_list = [2**200 + 7 * k for k in logs]
+        assert curve.msm(scalar_list, points) == self.oracle(curve, scalar_list, logs)
+        assert list(algebra._wnaf_table_cache) == points[-bound:]
+        # and again, now that every table it holds is a hit
+        assert curve.msm(scalar_list, points) == self.oracle(curve, scalar_list, logs)
+
+    def test_point_and_its_negation_keep_their_own_tables(self, curve):
+        p = reference_mul(curve, 0xDEADBEEF, curve.generator)
+        s = 2**255 + 12345
+        assert curve.msm([s], [p]) == reference_mul(curve, s * 0xDEADBEEF, curve.generator)
+        # -p has the x of p: a table keyed by x would return s*p
+        assert curve.msm([s], [curve.neg(p)]) == reference_mul(
+            curve, -s * 0xDEADBEEF, curve.generator)
+        tables = algebra._wnaf_table_cache
+        assert set(tables) == {p, curve.neg(p)}
+        assert tables[curve.neg(p)] == [curve.neg(q) for q in tables[p]]
+
+    @settings(max_examples=30)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=4),
+           terms=st.lists(st.tuples(st.one_of(st.just(0), glv_scalars),
+                                    st.integers(0, 4), st.booleans()),
+                          min_size=1, max_size=12))
+    def test_cold_and_warm_match_toy_oracle(self, curve, logs, terms):
+        # index len(logs) and above is the identity point; the rest repeat
+        # a few points and their negations
+        pool = self.points(curve, logs)
+        scalar_list, points, point_logs = [], [], []
+        for s, i, negate in terms:
+            k, point = (logs[i], pool[i]) if i < len(logs) else (0, None)
+            scalar_list.append(s)
+            points.append(curve.neg(point) if negate else point)
+            point_logs.append(-k if negate else k)
+        want = self.oracle(curve, scalar_list, point_logs)
+        algebra._wnaf_table_cache.clear()
+        assert curve.msm(scalar_list, points) == want
+        assert curve.msm(scalar_list, points) == want
+
+    @pytest.mark.parametrize("bound", [4, 64])
+    def test_never_holds_more_than_its_bound(self, curve, monkeypatch, bound):
+        monkeypatch.setattr(algebra, "_WNAF_TABLES_MAX", bound)
+        rng = random.Random(bound)
+        seen = 0
+        for count in (1, bound - 1, bound + 1, 3, 2 * bound):
+            points = [curve.mul(rng.randrange(1, _SECP_N), curve.generator)
+                      for _ in range(count)]
+            curve.msm([1] * count, points)
+            seen += count
+            assert len(algebra._wnaf_table_cache) == min(bound, seen)
 
 
 class TestEncoding:
