@@ -197,6 +197,9 @@ _SECP_B = 7
 _SECP_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _SECP_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _SECP_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
+# The order is checked prime once per process, not once per CurveGroup:
+# every scenario run builds its own group.
+_SECP_FIELD = ScalarField(_SECP_N)
 
 
 class CurveGroup:
@@ -209,7 +212,7 @@ class CurveGroup:
     kind = "production-curve"
 
     def __init__(self):
-        self.field = ScalarField(_SECP_N)
+        self.field = _SECP_FIELD
         self.order = _SECP_N
         self.generator = (_SECP_GX, _SECP_GY)
         self.identity = None

@@ -253,10 +253,13 @@ class NonceCache:
         self._seen: dict[str, set[bytes]] = {}
 
     def check_and_store(self, sender: str, nonce: bytes) -> bool:
-        seen = self._seen.setdefault(sender, set())
-        if nonce in seen:
+        seen = self._seen.get(sender)
+        if seen is None:
+            self._seen[sender] = {nonce}
+        elif nonce in seen:
             return False
-        seen.add(nonce)
+        else:
+            seen.add(nonce)
         return True
 
 

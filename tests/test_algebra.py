@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmauth import algebra
 from swarmauth.algebra import (
     CurveGroup,
     DecodeError,
@@ -31,7 +32,6 @@ from swarmauth.algebra import (
     _jac_double,
     _to_affine,
 )
-from swarmauth import algebra
 
 
 def reference_mul(group, s, g):
@@ -165,6 +165,18 @@ class TestToyGroup:
 class TestCurveGroup:
     def test_generator_on_curve(self, curve):
         assert curve.contains(curve.generator)
+
+    def test_groups_share_one_field_built_once(self, monkeypatch):
+        # the order's primality is checked at import, not per group
+        def no_primality_test(n):
+            raise AssertionError("CurveGroup() ran the primality test")
+
+        monkeypatch.setattr(algebra, "_is_prime", no_primality_test)
+        a, b = CurveGroup(), CurveGroup()
+        assert a.field is b.field
+        assert a.field.order == _SECP_N
+        with pytest.raises(AssertionError):
+            ToyGroup(101)
 
     def test_order_annihilates_generator(self, curve):
         assert curve.mul(curve.order, curve.generator) is None

@@ -28,6 +28,7 @@ from swarmauth.shares import (
     public_shares,
     recover_group_key,
     verify_group,
+    _integer_weights,
 )
 
 # chi-square critical value, df=100, p=0.999
@@ -209,7 +210,95 @@ class TestLagrange:
                 assert lagrange_coeff_at_zero(f, xs, i) == expected
 
 
+def identifier_sets(field, t):
+    """t identifiers, distinct and nonzero mod q, of one of three kinds:
+    consecutive, random below 2^20, or within t of q on either side (so
+    some are not reduced)."""
+    q = field.order
+    consecutive = st.integers(1, 1 << 20).map(lambda s: list(range(s, s + t)))
+    small = st.lists(st.integers(1, (1 << 20) - 1), min_size=t, max_size=t,
+                     unique=True)
+    near_q = st.permutations([q + k for k in range(-t, t + 1) if k]).map(
+        lambda xs: xs[:t])
+    return st.one_of(consecutive, small, near_q)
+
+
+def reference_weights(field, xs):
+    """lambda_i mod q, one field inversion per weight."""
+    q = field.order
+    out = []
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for r, xr in enumerate(xs):
+            if r != i:
+                num = num * xr % q
+                den = den * (xr - xi) % q
+        out.append(num * field.inv(den) % q)
+    return out
+
+
+class TestIntegerWeights:
+    @given(st.data())
+    def test_weights_are_d_times_lagrange(self, curve, toy61, data):
+        for f in (curve.field, toy61.field):
+            t = data.draw(st.integers(2, 12))
+            xs = data.draw(identifier_sets(f, t))
+            c, d = _integer_weights(f, xs)
+            assert d % f.order != 0
+            lams = reference_weights(f, xs)
+            assert [ci % f.order for ci in c] == [d * lam % f.order for lam in lams]
+            # a function of the identifiers mod q only
+            assert _integer_weights(f, [x + f.order for x in xs]) == (c, d)
+
+    def test_dealer_identifiers_give_short_weights(self, curve):
+        # the guard check at t = 10: guards 1..9 and the candidate 11. Full
+        # 256-bit weights would cost about ten times the curve work.
+        c, d = _integer_weights(curve.field, [*range(1, 10), 11])
+        assert all(abs(v) < 1 << 16 for v in c + [d])
+        assert c == [99, -440, 1155, -1980, 2310, -1848, 990, -330, 55, -1]
+        assert d == 10
+
+    def test_wide_identifiers_fall_back_to_residues(self, curve):
+        # no weights shorter than q exist; the lcm of the denominators is
+        # not built out to thousands of bits
+        f = curve.field
+        rng = random.Random(5)
+        xs = [f.rand_nonzero(rng) for _ in range(50)]
+        c, d = _integer_weights(f, xs)
+        assert d == 1
+        assert c == reference_weights(f, xs)
+
+
 class TestVerifyGroup:
+    @given(st.data())
+    def test_matches_plain_weighted_sum(self, curve, toy61, data):
+        # verify_group against sum(lambda_i * P_i) == Q built here from
+        # one-term muls, on honest sets, sets with one substituted point,
+        # and group key 0 (Q is the identity)
+        for group in (toy61, curve):
+            f = group.field
+            t = data.draw(st.integers(2, 6))
+            xs = data.draw(identifier_sets(f, t))
+            coeffs = [data.draw(st.integers(0, f.order - 1)) for _ in range(t - 1)]
+            coeffs.append(data.draw(st.integers(1, f.order - 1)))
+            if data.draw(st.booleans()):
+                coeffs[0] = 0
+            poly = GroupPolynomial(f, tuple(coeffs))
+            points = group.mul_generator([poly.evaluate(x) for x in xs])
+            victim = data.draw(st.sampled_from([None, *range(t)]))
+            if victim is not None:
+                points[victim] = group.mul(data.draw(st.integers(0, f.order - 1)),
+                                           group.generator)
+            pubs = [PublicShare(x, p) for x, p in zip(xs, points)]
+            commitment = group_commitment(poly, group)
+            total = group.identity
+            for lam, p in zip(reference_weights(f, xs), points):
+                total = group.add(total, group.mul(lam, p))
+            expected = total == commitment.point
+            assert verify_group(pubs, commitment, group, t) == expected
+            if victim is None:
+                assert expected
+
     def test_hand_example_accepts(self, toy101):
         # c1 = 12*2 = 24, c2 = 19*(-1) = -19; 24-19 = 5 = Q
         poly = poly_5_7x(toy101)

@@ -368,7 +368,8 @@ class TestScenarios:
         # fixed-base mul per scalar; its batches are listed in call order:
         # each guard check derives the quorum's pairs in one batch, and
         # bulk derives all its pairs in one. Variable-base: the pairwise
-        # keys. Each guard check is one msm of t points.
+        # keys. Each guard check is one msm of t + 1 points: the t public
+        # points and the commitment, folded in with weight -d.
         counts = collections.Counter()
         batches = []
         mul, mul_generator, msm = ToyGroup.mul, ToyGroup.mul_generator, ToyGroup.msm
@@ -391,11 +392,12 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): ((t + 2, 2, t - 1, t * (t - 1)), [1, 1, t - 1]),
-            ("unification", None): ((t + 5, 4, t - 1, t * (t - 1)),
+            ("inclusion", None): ((t + 2, 2, t - 1, (t + 1) * (t - 1)),
+                                  [1, 1, t - 1]),
+            ("unification", None): ((t + 5, 4, t - 1, (t + 1) * (t - 1)),
                                     [1, 1, 1, 1, t - 1]),
-            ("bulk", 1): ((1 + t + 1, 0, 1, t), [1, 1 + t - 1]),
-            ("bulk", 25): ((25 + t + 1, 0, 1, t), [1, 25 + t - 1]),
+            ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [1, 1 + t - 1]),
+            ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [1, 25 + t - 1]),
             ("bulk", 0): ((2, 0, 0, 0), [1]),
         }
         for (scenario, n), (want, want_batches) in expected.items():
