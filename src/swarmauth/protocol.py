@@ -133,6 +133,10 @@ class MessageKind(enum.Enum):
     UNIFIED_KEY_BROADCAST = 7
 
 
+# the transcript names of the kinds; an enum's ``name`` is a property
+_KIND_NAMES = {kind: kind.name for kind in MessageKind}
+
+
 @dataclass(frozen=True, slots=True)
 class DroneId:
     """Protocol identity: the share identifier x scoped by a swarm id.
@@ -249,6 +253,8 @@ class AuthTranscript:
 class NonceCache:
     """Per-sender nonce sets; a repeated (sender, nonce) pair is a replay."""
 
+    __slots__ = ("_seen",)
+
     def __init__(self):
         self._seen: dict[str, set[bytes]] = {}
 
@@ -265,13 +271,17 @@ class NonceCache:
 
 @dataclass(slots=True)
 class Drone:
-    """A swarm participant and the key material it holds."""
+    """A swarm participant and the key material it holds.
+
+    ``nonce_cache`` is built by the first delivery to the drone, so the
+    members that never receive a message build none.
+    """
 
     id: DroneId
     role: Role
     private_share: PrivateShare
     group_key: int | None = None
-    nonce_cache: NonceCache = dc_field(default_factory=NonceCache)
+    nonce_cache: NonceCache | None = None
 
     @property
     def label(self) -> str:
@@ -333,13 +343,17 @@ class Transport:
         self.transcript.record(self._stamp(), kind, sender, receiver, payload)
 
     def deliver(self, msg: ProtocolMessage, receiver) -> ProtocolMessage | None:
-        """Deliver to anything with ``label`` and ``nonce_cache``; returns the
-        (possibly intercepted) message, or None when rejected as a replay."""
+        """Deliver to anything with ``label`` and ``nonce_cache``, building
+        the receiver's cache if it has none yet; returns the (possibly
+        intercepted) message, or None when rejected as a replay."""
         if self.intercept is not None:
             msg = self.intercept(msg, receiver)
         sender = msg.sender.label
-        fresh = receiver.nonce_cache.check_and_store(sender, msg.nonce)
-        self.transcript.record(self._stamp(), msg.kind.name, sender,
+        cache = receiver.nonce_cache
+        if cache is None:
+            cache = receiver.nonce_cache = NonceCache()
+        fresh = cache.check_and_store(sender, msg.nonce)
+        self.transcript.record(self._stamp(), _KIND_NAMES[msg.kind], sender,
                                receiver.label, msg.payload,
                                note="" if fresh else "replay-rejected")
         return msg if fresh else None
@@ -350,7 +364,7 @@ def fresh_nonce(rng) -> bytes:
 
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
-    return _lp(sender.label.encode()) + _lp(receiver.encode()) + nonce
+    return _sender_field(sender.label) + _lp(receiver.encode()) + nonce
 
 
 def derive_pairwise_key(group, mine: PrivateShare, theirs: PublicShare) -> bytes:
@@ -373,6 +387,14 @@ def _aead(key: bytes) -> AESGCM:
     once; the cache is bounded, and the least recently used key is dropped
     first."""
     return AESGCM(key)
+
+
+@functools.lru_cache(maxsize=64)
+def _sender_field(label: str) -> bytes:
+    """The length-prefixed sender label of an AAD. A rebroadcast binds one
+    sender into thousands of AADs, so each label is encoded once; the
+    cache is bounded like :func:`_aead`'s."""
+    return _lp(label.encode())
 
 
 def seal(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
@@ -607,27 +629,31 @@ class CoreNetwork:
     def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int) -> Swarm:
         """Create a swarm from a fresh polynomial and hand out shares.
 
-        Drones get identifiers 1..n_drones; the t-1 lowest become the
-        guards, whose shares and a newcomer's make the t points of every
-        check. The core keeps one share of its own for key agreement with
-        members. The commitment Q is computed once here and held by the
-        swarm, whose guards check every share against it.
+        Drones get identifiers 1..n_drones, issued in one
+        :meth:`Dealer.issue_range` pass; the t-1 lowest become the guards,
+        whose shares and a newcomer's make the t points of every check.
+        The core keeps one share of its own, n_drones + 1, for key
+        agreement with members. The commitment Q = f(0)*P and the core's
+        public pair come from one batched generator mul; Q is held by the
+        swarm, whose guards check every share against it. The drone table
+        is built in one pass: fresh dealer identifiers are distinct.
         """
         if swarm_id in self._dealers:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
-        poly = gen_polynomial(self.group.field, threshold, self.rng)
-        dealer = Dealer(poly, self.group)
-        commitment = dealer.commitment()
-
-        drone_shares = [dealer.issue_next() for _ in range(n_drones)]
+        group = self.group
+        poly = gen_polynomial(group.field, threshold, self.rng)
+        dealer = Dealer(poly, group)
+        drone_shares = dealer.issue_range(n_drones)
         core_share = dealer.issue_at(n_drones + 1)
-        swarm = Swarm(swarm_id, self.group, threshold, commitment,
-                      public_share(core_share, self.group))
-        group_key = dealer.group_key
-        for i, sh in enumerate(drone_shares):
-            role = Role.GUARD if i < threshold - 1 else Role.MEMBER
-            swarm.add_drone(Drone(DroneId(swarm_id, sh.x), role, sh,
-                                  group_key=group_key))
+        q_point, core_point = group.mul_generator([poly.group_key, core_share.y])
+        swarm = Swarm(swarm_id, group, threshold, GroupCommitment(q_point),
+                      PublicShare(core_share.x, core_point))
+        group_key = poly.group_key
+        swarm.drones = {
+            sh.x: Drone(DroneId(swarm_id, sh.x),
+                        Role.GUARD if i < threshold - 1 else Role.MEMBER,
+                        sh, group_key)
+            for i, sh in enumerate(drone_shares)}
 
         self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share
@@ -741,6 +767,7 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # encrypted under the pairwise key of the cross share
     yield "hop"
     deliverer = b_guards[0]
+    # d_a's nonce cache was built by the cross-issue response's delivery
     cross_holder = Drone(d_a.id, Role.GUARD, cross, group_key=d_a.group_key,
                          nonce_cache=d_a.nonce_cache)
     unified_key = _send_group_key(group, deliverer, own[deliverer.id.x], cross_holder,
@@ -755,14 +782,15 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
             continue
+        label = member.id.label
         msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
-                   member.label, unified_plain, rng)
+                   label, unified_plain, rng)
         delivered = transport.deliver(msg, member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
             member.group_key = group.field.decode(
-                open_sealed(relay_key, delivered, member.label))
+                open_sealed(relay_key, delivered, label))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     d_a.group_key = unified_key

@@ -164,6 +164,15 @@ def _check_identifiers(field: ScalarField, xs: Sequence[int]):
         raise DuplicateIdentifier(f"identifiers must be distinct, got {sorted(xs)}")
 
 
+# Products of _integer_weights wider than this many field elements cost
+# more than the residue path. Timed on the curve field (2-core VM, Python
+# 3.11) with identifiers a, 2a, ..., ta: at t = 50 and 100, products 14
+# and 15.5 elements wide took 2.3 and 7.5 ms against 4.0 and 10.8 ms on
+# the residue path, and 26 and 28 elements wide took 5.6 and 16 ms against
+# 4.9 and 12 ms.
+_EXACT_WIDTH_ELEMENTS = 16
+
+
 def _integer_weights(field: ScalarField, xs: Sequence[int]) -> tuple[list, int]:
     """Lagrange weights at zero with their denominators cleared: (c, d)
     with c_i = d * lambda_i (mod q) and d != 0 (mod q), for distinct
@@ -171,18 +180,27 @@ def _integer_weights(field: ScalarField, xs: Sequence[int]) -> tuple[list, int]:
     x_r / (x_r - x_i) (Shoup's Delta, "Practical Threshold Signatures",
     EUROCRYPT 2000).
 
-    Each weight is taken as a fraction of integers over the reduced
-    identifiers in lowest terms, d is the lcm of the t denominators, and
-    c_i = d * lambda_i is then an exact signed integer. Every difference
-    x_r - x_i is nonzero mod the prime q, so no denominator, and hence
-    not d, is 0 mod q. For small identifiers, as the dealer's 1, 2, 3,
-    ..., c_i and d are short: at t = 10 (identifiers 1..9 and 11) they
-    fit in 12 bits. Identifiers wide enough that d reaches q leave no
-    weights shorter than q; then c_i = lambda_i mod q and d = 1, so the
-    work stays O(t^2) field operations.
+    Each identifier is reduced to its centred residue in (-q/2, q/2), so
+    q - i counts as -i. Each weight is taken as a fraction of integers
+    over these residues in lowest terms, d is the lcm of the t
+    denominators, and c_i = d * lambda_i is then an exact signed integer.
+    Every difference x_r - x_i is nonzero mod the prime q, so no
+    denominator, and hence not d, is 0 mod q. For small identifiers, as
+    the dealer's 1, 2, 3, ..., c_i and d are short: at t = 10
+    (identifiers 1..9 and 11) they fit in 12 bits.
+
+    The work is bounded in two ways; both return c_i = lambda_i mod q and
+    d = 1 from :func:`_residue_weights`, O(t^2) field operations. Products
+    that could be wider than ``_EXACT_WIDTH_ELEMENTS`` field elements (t - 1
+    factors of the widest difference) are not built. Identifiers wide
+    enough that d reaches q leave no weights shorter than q.
     """
     q = field.order
-    xs = [x % q for x in xs]
+    half = q // 2
+    xs = [x - q if x > half else x for x in (x % q for x in xs)]
+    widest = max(map(abs, xs), default=0).bit_length() + 1
+    if (len(xs) - 1) * widest > _EXACT_WIDTH_ELEMENTS * q.bit_length():
+        return _residue_weights(field, xs), 1
     fracs, d = [], 1
     for i, xi in enumerate(xs):
         num = den = 1
@@ -200,7 +218,8 @@ def _integer_weights(field: ScalarField, xs: Sequence[int]) -> tuple[list, int]:
 
 
 def _residue_weights(field: ScalarField, xs: Sequence[int]) -> list:
-    """lambda_i mod q for reduced identifiers, one inversion per weight."""
+    """lambda_i mod q for identifiers distinct mod q, one inversion per
+    weight."""
     q = field.order
     weights = []
     for i, xi in enumerate(xs):
@@ -266,7 +285,10 @@ class Dealer:
 
     Identifiers are handed out as 1, 2, 3, ... and uniqueness is enforced,
     so transcripts are reproducible and the distinctness precondition of
-    verification holds by construction. Callers must serialize access.
+    verification holds by construction. :meth:`issue_range` is the one
+    path that hands out free identifiers, and :meth:`issue_next` is its
+    one-share case; :meth:`issue_at` issues a chosen identifier. Callers
+    must serialize access.
     """
 
     def __init__(self, poly: GroupPolynomial, group):
@@ -285,13 +307,28 @@ class Dealer:
     def group_key(self) -> int:
         return self.poly.group_key
 
-    def commitment(self) -> GroupCommitment:
-        return group_commitment(self.poly, self.group)
-
     def issue_next(self) -> PrivateShare:
-        while self._next_x in self._issued:
-            self._next_x += 1
-        return self.issue_at(self._next_x)
+        return self.issue_range(1)[0]
+
+    def issue_range(self, n: int) -> list:
+        """The shares of the next n free identifiers, lowest first, each
+        registered as it is issued: what n calls of :meth:`issue_next`
+        return. Raises InvalidIdentifier once every identifier below q is
+        taken, keeping the shares issued before it."""
+        q = self.poly.field.order
+        evaluate, issued = self.poly.evaluate, self._issued
+        x = self._next_x
+        shares = []
+        for _ in range(n):
+            while x in issued:
+                x += 1
+            self._next_x = x
+            # registered identifiers are reduced and nonzero, so x stops at q
+            if x == q:
+                raise InvalidIdentifier(f"every identifier below {q} is issued")
+            issued.add(x)
+            shares.append(PrivateShare(x, evaluate(x)))
+        return shares
 
     def issue_at(self, x: int) -> PrivateShare:
         x = self.poly.field.reduce(x)

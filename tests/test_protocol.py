@@ -1,6 +1,7 @@
 """Inclusion, key delivery, and unification flows on the toy group."""
 
 import dataclasses
+import gc
 import hashlib
 import random
 from dataclasses import replace
@@ -41,6 +42,7 @@ from swarmauth.protocol import (
     _open_cross_share,
 )
 from swarmauth.shares import (
+    Dealer,
     DuplicateIdentifier,
     GroupPolynomial,
     PrivateShare,
@@ -49,6 +51,7 @@ from swarmauth.shares import (
     decode_private_share,
     decode_public_share,
     encode_public_share,
+    gen_polynomial,
     group_commitment,
     issue_share,
     public_share,
@@ -204,6 +207,7 @@ class TestTransportFreshness:
         receiver = Drone(DroneId("A", 1), Role.GUARD, PrivateShare(1, 12))
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 2),
                               receiver.label, fresh_nonce(rng), b"data")
+        assert receiver.nonce_cache is None
         assert transport.deliver(msg, receiver) is not None
         assert transport.deliver(msg, receiver) is None
         assert transport.transcript.entries[-1].note == "replay-rejected"
@@ -494,6 +498,61 @@ class TestMessageWire:
                         decode(blob)
                     except DecodeError:
                         pass
+
+
+class TestProvisioning:
+    @staticmethod
+    def reference_swarm(group, rng, t, n):
+        """provision_swarm("A", t, n) built share by share from the public
+        pieces: (swarm, dealer, core share)."""
+        poly = gen_polynomial(group.field, t, rng)
+        dealer = Dealer(poly, group)
+        drone_shares = [dealer.issue_next() for _ in range(n)]
+        core_share = dealer.issue_at(n + 1)
+        swarm = Swarm("A", group, t, group_commitment(poly, group),
+                      public_share(core_share, group))
+        for i, sh in enumerate(drone_shares):
+            swarm.add_drone(Drone(DroneId("A", sh.x),
+                                  Role.GUARD if i < t - 1 else Role.MEMBER, sh,
+                                  group_key=poly.group_key))
+        return swarm, dealer, core_share
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("n", (0, 1, 3, 50))
+    def test_one_pass_equals_share_by_share(self, group, n):
+        t = 4
+        core = CoreNetwork(group, random.Random(n))
+        swarm = core.provision_swarm("A", t, n)
+        ref_rng = random.Random(n)
+        ref, ref_dealer, ref_core_share = self.reference_swarm(group, ref_rng, t, n)
+        assert list(swarm.drones) == list(ref.drones) == list(range(1, n + 1))
+        for got, want in zip(swarm.drones.values(), ref.drones.values()):
+            assert got.id == want.id and got.label == want.label
+            assert got.role is want.role
+            assert got.private_share == want.private_share
+            assert got.group_key == want.group_key
+        assert swarm.commitment == ref.commitment
+        assert swarm.core_public_share == ref.core_public_share
+        assert core.core_identity("A") == DroneId("A", ref_core_share.x)
+        assert (core.dealer("A").issued_identifiers()
+                == ref_dealer.issued_identifiers())
+        assert core.dealer("A").issue_next() == ref_dealer.issue_next()
+        assert core.rng.getstate() == ref_rng.getstate()
+
+    def test_at_most_four_tracked_objects_per_drone(self, toy61):
+        # every object the cyclic GC tracks is one it walks on each pass
+        n = 1000
+        core = CoreNetwork(toy61, random.Random(3))
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_objects()  # kept alive, so no id is reused
+            seen = {id(o) for o in before}
+            core.provision_swarm("A", 5, n)
+            tracked = sum(id(o) not in seen for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert tracked <= 4 * n
 
 
 class TestCrossIssue:

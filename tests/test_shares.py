@@ -1,12 +1,14 @@
 """Secret-sharing math against hand computations and brute-force oracles."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmauth.algebra import ScalarField
+from swarmauth import shares
+from swarmauth.algebra import ScalarField, ToyGroup
 from swarmauth.shares import (
     Dealer,
     DuplicateIdentifier,
@@ -211,16 +213,20 @@ class TestLagrange:
 
 
 def identifier_sets(field, t):
-    """t identifiers, distinct and nonzero mod q, of one of three kinds:
-    consecutive, random below 2^20, or within t of q on either side (so
-    some are not reduced)."""
+    """t identifiers, distinct and nonzero mod q, of one of five kinds:
+    consecutive, random below 2^20, within t of q on either side (so some
+    are not reduced), the multiples a, 2a, ..., ta of a wide a, or
+    random below q."""
     q = field.order
     consecutive = st.integers(1, 1 << 20).map(lambda s: list(range(s, s + t)))
     small = st.lists(st.integers(1, (1 << 20) - 1), min_size=t, max_size=t,
                      unique=True)
     near_q = st.permutations([q + k for k in range(-t, t + 1) if k]).map(
         lambda xs: xs[:t])
-    return st.one_of(consecutive, small, near_q)
+    multiples = st.integers(2, (q - 1) // t).map(
+        lambda a: [a * i for i in range(1, t + 1)])
+    wide = st.lists(st.integers(1, q - 1), min_size=t, max_size=t, unique=True)
+    return st.one_of(consecutive, small, near_q, multiples, wide)
 
 
 def reference_weights(field, xs):
@@ -267,6 +273,36 @@ class TestIntegerWeights:
         c, d = _integer_weights(f, xs)
         assert d == 1
         assert c == reference_weights(f, xs)
+
+    @pytest.mark.parametrize("kind", ["1..t", "q-1..q-t", "a..ta"])
+    def test_path_taken_at_t100(self, curve, monkeypatch, kind):
+        # q - i is centred to -i, and the weights of -1..-t are those of
+        # 1..t: lambda_i = (-1)^(i+1) * C(t, i), d = 1. The multiples of
+        # a ~ q/102 would reduce to short weights too, but only through
+        # products of 25 000 bits, so they take the residue path.
+        f = curve.field
+        q, t = f.order, 100
+        xs = {"1..t": list(range(1, t + 1)),
+              "q-1..q-t": [q - i for i in range(1, t + 1)],
+              "a..ta": [q // (t + 2) * i for i in range(1, t + 1)]}[kind]
+        residue_calls = []
+        residue_weights = shares._residue_weights
+
+        def spy(field, ids):
+            residue_calls.append(len(ids))
+            return residue_weights(field, ids)
+
+        monkeypatch.setattr(shares, "_residue_weights", spy)
+        c, d = _integer_weights(f, xs)
+        assert [ci % q for ci in c] == [d * lam % q
+                                       for lam in reference_weights(f, xs)]
+        assert d == 1
+        if kind == "a..ta":
+            assert residue_calls == [t]
+        else:
+            assert residue_calls == []
+            assert c == [(-1) ** (i + 1) * math.comb(t, i) for i in range(1, t + 1)]
+            assert max(abs(ci) for ci in c) < 1 << 97
 
 
 class TestVerifyGroup:
@@ -433,6 +469,62 @@ class TestDealer:
         dealer.issue_at(1)
         dealer.issue_at(2)
         assert dealer.issue_next().x == 3
+
+    @staticmethod
+    def _outcome(issue):
+        try:
+            return issue()
+        except (DuplicateIdentifier, InvalidIdentifier) as e:
+            return type(e)
+
+    @given(st.lists(st.integers(1, 250), max_size=30), st.integers(0, 120))
+    def test_issue_range_is_n_issue_next_calls(self, taken, n):
+        # ToyGroup(101): some chosen identifiers are unreduced, some repeat,
+        # some are 0 mod q, and a long range wraps past q
+        group = ToyGroup(101)
+        poly = gen_polynomial(group.field, 3, random.Random(n))
+        dealer, twin = Dealer(poly, group), Dealer(poly, group)
+        for x in taken:
+            assert (self._outcome(lambda: dealer.issue_at(x))
+                    == self._outcome(lambda: twin.issue_at(x)))
+        got = self._outcome(lambda: dealer.issue_range(n))
+        want = []
+        for _ in range(n):
+            share = self._outcome(twin.issue_next)
+            if not isinstance(share, PrivateShare):
+                want = share
+                break
+            want.append(share)
+        assert got == want
+        assert dealer.issued_identifiers() == twin.issued_identifiers()
+        assert self._outcome(dealer.issue_next) == self._outcome(twin.issue_next)
+
+    def test_issue_range_of_zero(self, toy101, rng):
+        dealer = Dealer(gen_polynomial(toy101.field, 3, rng), toy101)
+        dealer.issue_at(2)
+        assert dealer.issue_range(0) == []
+        assert dealer.issued_identifiers() == {2}
+        assert dealer.issue_next().x == 1
+
+    def test_issue_range_raises_at_the_wrap(self, toy13, rng):
+        # identifiers run out at q = 13: every x below it is taken (14 is
+        # x = 1 again), so the 12th share is the last and the range raises
+        # as the 13th issue_next does, keeping the shares issued before it
+        poly = gen_polynomial(toy13.field, 3, rng)
+        dealer, twin = Dealer(poly, toy13), Dealer(poly, toy13)
+        for d in (dealer, twin):
+            d.issue_at(14)
+        with pytest.raises(InvalidIdentifier):
+            dealer.issue_range(12)
+        assert [twin.issue_next().x for _ in range(11)] == list(range(2, 13))
+        with pytest.raises(InvalidIdentifier):
+            twin.issue_next()
+        assert dealer.issued_identifiers() == twin.issued_identifiers() == set(range(1, 13))
+        for d in (dealer, twin):
+            with pytest.raises(InvalidIdentifier):
+                d.issue_range(1)
+            with pytest.raises(DuplicateIdentifier):
+                d.issue_at(27)
 
 
 class TestSerialization:

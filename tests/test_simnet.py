@@ -360,11 +360,11 @@ class TestScenarios:
 
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
-        # fixed-base: the commitment and the core's pair per swarm, then
-        # each drone's pair once per flow (inclusion: candidate and t-1
-        # guards, whose first guard delivers the key; unification adds the
-        # requester's pair at the core and the cross pair; bulk: every
-        # arrival and t-1 guards). A batched generator mul counts one
+        # fixed-base: the commitment and the core's pair per swarm, in one
+        # batch, then each drone's pair once per flow (inclusion: candidate
+        # and t-1 guards, whose first guard delivers the key; unification
+        # adds the requester's pair at the core and the cross pair; bulk:
+        # every arrival and t-1 guards). A batched generator mul counts one
         # fixed-base mul per scalar; its batches are listed in call order:
         # each guard check derives the quorum's pairs in one batch, and
         # bulk derives all its pairs in one. Variable-base: the pairwise
@@ -393,12 +393,12 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
             ("inclusion", None): ((t + 2, 2, t - 1, (t + 1) * (t - 1)),
-                                  [1, 1, t - 1]),
+                                  [2, 1, t - 1]),
             ("unification", None): ((t + 5, 4, t - 1, (t + 1) * (t - 1)),
-                                    [1, 1, 1, 1, t - 1]),
-            ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [1, 1 + t - 1]),
-            ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [1, 25 + t - 1]),
-            ("bulk", 0): ((2, 0, 0, 0), [1]),
+                                    [2, 2, 1, 1, t - 1]),
+            ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [2, 1 + t - 1]),
+            ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [2, 25 + t - 1]),
+            ("bulk", 0): ((2, 0, 0, 0), [2]),
         }
         for (scenario, n), (want, want_batches) in expected.items():
             counts.clear()
