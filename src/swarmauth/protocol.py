@@ -502,6 +502,14 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     (unanimous, views, own); views maps a guard's x to the published pair
     as that guard received it, and own maps it to the guard's own pair.
     The guards' pairs come from one batched generator mul.
+
+    Each distinct view is verified once. A guard's verdict is a pure
+    function of the t pairs it holds, because the commitment, group and
+    threshold are fixed for the check, so a guard whose sorted pairs equal
+    an earlier guard's reuses that verdict and every guard still sends the
+    verdict of its own view. In an honest check all views agree and one
+    ``verify_group`` runs; under a man-in-the-middle every substituted view
+    differs and is checked on its own.
     """
     group = swarm.group
     t = swarm.threshold
@@ -524,11 +532,15 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
                     received[h.id.x][seen.x] = seen
     yield "verdict"
     unanimous = True
+    verdicts: dict[tuple[PublicShare, ...], bool] = {}
     for g in guards:
-        shares = sorted([*received[g.id.x].values(), own[g.id.x]],
-                        key=lambda s: s.x)
-        ok = (len(shares) == t and len({s.x for s in shares}) == t
-              and verify_group(shares, swarm.commitment, group, t))
+        shares = tuple(sorted([*received[g.id.x].values(), own[g.id.x]],
+                              key=lambda s: s.x))
+        ok = verdicts.get(shares)
+        if ok is None:
+            ok = verdicts[shares] = (
+                len(shares) == t and len({s.x for s in shares}) == t
+                and verify_group(shares, swarm.commitment, group, t))
         unanimous = unanimous and ok
         _send_verdict(g, ok, publisher, transport, rng)
     return unanimous, views, own

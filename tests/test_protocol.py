@@ -55,6 +55,7 @@ from swarmauth.shares import (
     group_commitment,
     issue_share,
     public_share,
+    verify_group,
 )
 
 GROUPS = (ToyGroup(), CurveGroup())
@@ -314,6 +315,87 @@ class TestRunInclusion:
         assert outcome == Outcome(False, "verification-failed")
         verdicts = [e for e in transcript.entries if e.kind == "AUTH_VERDICT"]
         assert len(verdicts) == 3
+
+
+def guarded_inclusion(group, t, intercept, seed=77):
+    """Run one inclusion into a fresh swarm of t-1 guards with every
+    ``verify_group`` call spied on; returns (outcome, guard labels,
+    verdict payload per guard label, share sets passed to verify_group)."""
+    rng = random.Random(seed)
+    core = CoreNetwork(group, rng)
+    swarm = core.provision_swarm("A", t, n_drones=t - 1)
+    candidate = core.issue_candidate("A")
+    guards = [f"A/{x}" for x in sorted(swarm.drones)]
+    verdicts, verified = {}, []
+
+    def spy(msg, receiver):
+        if msg.kind is MessageKind.AUTH_VERDICT:
+            verdicts[str(msg.sender)] = msg.payload
+        return intercept(candidate, msg, receiver)
+
+    def counting_verify_group(shares, *args):
+        verified.append(shares)
+        return verify_group(shares, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "verify_group", counting_verify_group)
+        outcome, _ = run_inclusion(swarm, candidate, rng, Transport(intercept=spy))
+    return outcome, guards, verdicts, verified
+
+
+class TestGuardCheckVerdictReuse:
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_one_verify_per_distinct_view(self, toy61, data):
+        # substitute the candidate's published pair for the guards in S,
+        # with a different off-polynomial point for each of them
+        t = data.draw(st.integers(2, 7), label="t")
+        subset = data.draw(st.sets(st.integers(0, t - 2)), label="S")
+        substituted = {f"A/{k + 1}": k + 1 for k in subset}
+
+        def intercept(candidate, msg, receiver):
+            if (msg.kind is MessageKind.SHARE_PUBLISH
+                    and msg.sender == candidate.id
+                    and receiver.label in substituted):
+                share = decode_public_share(toy61, msg.payload)
+                fake = PublicShare(share.x, toy61.add(
+                    share.point, substituted[receiver.label]))
+                return replace(msg, payload=encode_public_share(toy61, fake))
+            return msg
+
+        outcome, guards, verdicts, verified = guarded_inclusion(toy61, t,
+                                                                intercept)
+        assert verdicts == {g: b"reject" if g in substituted else b"accept"
+                            for g in guards}
+        assert outcome == (Outcome(False, "verification-failed") if subset
+                           else Outcome(True))
+        assert len(verified) == len(subset) + (len(subset) < t - 1)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_honest_check_verifies_once(self, group):
+        outcome, guards, verdicts, verified = guarded_inclusion(
+            group, 10, lambda candidate, msg, receiver: msg)
+        assert outcome.accepted
+        assert verdicts == dict.fromkeys(guards, b"accept")
+        assert len(verified) == 1 and len(verified[0]) == 10
+
+    def test_shortened_view_rejects_without_verifying(self, toy61):
+        # A/1's exchange to A/2 claims the candidate's x, so it overwrites
+        # the candidate's pair and A/2 holds only t - 1 pairs
+        def intercept(candidate, msg, receiver):
+            if (msg.kind is MessageKind.SHARE_PUBLISH
+                    and str(msg.sender) == "A/1" and receiver.label == "A/2"):
+                share = decode_public_share(toy61, msg.payload)
+                fake = PublicShare(candidate.id.x, share.point)
+                return replace(msg, payload=encode_public_share(toy61, fake))
+            return msg
+
+        outcome, guards, verdicts, verified = guarded_inclusion(toy61, 5,
+                                                                intercept)
+        assert outcome == Outcome(False, "verification-failed")
+        assert verdicts == {g: b"reject" if g == "A/2" else b"accept"
+                            for g in guards}
+        assert len(verified) == 1 and len(verified[0]) == 5
 
 
 def drain(flow):

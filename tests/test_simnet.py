@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmauth import algebra, protocol, simnet
 from swarmauth.algebra import ToyGroup
@@ -31,6 +32,13 @@ from swarmauth.simnet import (
 
 LATENCY_FIELDS = ("ue_core_round_trip", "asym_encrypt", "asym_decrypt",
                   "hash_op", "drone_to_drone", "ec_point_mul")
+CONFIG_KEYS = ("scenario", "threshold", "n_drones", "seed", "adversary",
+               "group", "parallel_guards", "guards", *LATENCY_FIELDS)
+CONFIG_VALUES = ("inclusion", "unification", "bulk", "nr5g", "toy",
+                 "production", "none", "replay", "eavesdrop", "mitm", "true",
+                 "false", "0", "1", "2", "-1", "600us", "1.5ms", "-0us",
+                 "1e400ms", "nanms", "infus", "-infms",
+                 "9" * 5000)  # past int()'s default digit limit
 
 
 def toy_config(**kwargs):
@@ -146,6 +154,23 @@ class TestParseConfig:
     def test_diagnostics_name_the_field(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config(text)
+
+    @settings(max_examples=300)
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=12),
+        st.sampled_from(CONFIG_VALUES)
+        | st.integers(-10**4000, 10**4000).map(str)
+        | st.builds("{}{}".format,
+                    st.floats() | st.sampled_from(["1e400", "-0", "nan", ""]),
+                    st.sampled_from(["us", "ms", "s", ""]))
+        | st.text(max_size=20)), max_size=8))
+    def test_fails_only_with_config_error(self, lines):
+        text = "\n".join(f"{key} = {value}" for key, value in lines)
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(config, ScenarioConfig)
 
     @pytest.mark.parametrize("n_drones", [0, 3])
     def test_nr5g_object_rejects_n_drones(self, n_drones):
@@ -368,8 +393,10 @@ class TestScenarios:
         # fixed-base mul per scalar; its batches are listed in call order:
         # each guard check derives the quorum's pairs in one batch, and
         # bulk derives all its pairs in one. Variable-base: the pairwise
-        # keys. Each guard check is one msm of t + 1 points: the t public
-        # points and the commitment, folded in with weight -d.
+        # keys. Each guard check verifies each distinct view once, and in an
+        # honest run the t-1 guards hold the same t pairs, so it is one msm
+        # of t + 1 points: the t public points and the commitment, folded in
+        # with weight -d.
         counts = collections.Counter()
         batches = []
         mul, mul_generator, msm = ToyGroup.mul, ToyGroup.mul_generator, ToyGroup.msm
@@ -392,9 +419,8 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): ((t + 2, 2, t - 1, (t + 1) * (t - 1)),
-                                  [2, 1, t - 1]),
-            ("unification", None): ((t + 5, 4, t - 1, (t + 1) * (t - 1)),
+            ("inclusion", None): ((t + 2, 2, 1, t + 1), [2, 1, t - 1]),
+            ("unification", None): ((t + 5, 4, 1, t + 1),
                                     [2, 2, 1, 1, t - 1]),
             ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [2, 1 + t - 1]),
             ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [2, 25 + t - 1]),
