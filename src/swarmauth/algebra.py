@@ -17,7 +17,6 @@ bytes for scalars, group-defined widths for points.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence, Union
 
 __all__ = [
@@ -161,9 +160,6 @@ class ToyGroup:
     def __repr__(self):
         return f"ToyGroup({self.order})"
 
-    def contains(self, g: Point) -> bool:
-        return isinstance(g, int) and 0 <= g < self.order
-
     def add(self, g: int, h: int) -> int:
         return (g + h) % self.order
 
@@ -270,49 +266,37 @@ class CurveGroup:
         return _mul_generator(scalars)
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
-        """sum(s_i * g_i): GLV-split interleaved width-5 wNAF (Straus)
-        with one shared doubling chain and mixed Jacobian-affine additions.
+        """sum(s_i * g_i): GLV-split interleaved NAF (Straus) with one
+        shared doubling chain and mixed Jacobian-affine additions.
 
         Each scalar k is split as k1 + k2*lambda = k (mod n) with signed
         halves of about 128 bits, and lambda*g = (beta*x, y) (Gallant,
         Lambert and Vanstone, CRYPTO 2001), so the 2m half-scalars share a
-        doubling chain of about 129 steps instead of 256. Each point's odd
-        multiples 1g..15g are built in Jacobian form and the tables that a
-        call builds are normalized with one inversion; the table of
-        lambda*g is one field multiplication per entry, and a negative half
-        flips y. Zero scalars, zero halves and identity points drop out; a
-        sum that cancels is None.
-
-        A point's table is a pure function of the point, so it is kept in
-        a bounded per-process cache of the 64 most recently used points
-        (:func:`_wnaf_tables`): the t - 1 guards of a check verify the same
-        t public points, and only the first guard builds their tables. The
-        key is the affine point, not its x, because g and -g share x but
-        not their tables. A call takes each table from what it found or
-        built, never from the cache after its own inserts, so a call with
-        more distinct points than the bound is still whole.
+        doubling chain of about 129 steps instead of 256. At each nonzero
+        NAF digit of a half the chain adds that half's point, g or its
+        lambda-image, with y flipped for a digit of -1. No multiples are
+        precomputed, so a call keeps no state. Zero scalars, zero halves
+        and identity points drop out; a sum that cancels is None.
         """
         terms = [(s % self.order, g) for s, g in zip(scalars, points, strict=True)
                  if g is not None and s % self.order]
         if not terms:
             return None
-        tables = _wnaf_tables([g for _, g in terms])
         halves = []
-        for s, g in terms:
-            table = tables[g]
+        for s, (x, y) in terms:
             k1, k2 = _glv_split(s)
             # s != 0 (mod n), so at most one half is 0; it adds nothing
             if k1:
-                halves.append((k1, table))
+                halves.append((k1, x, y))
             if k2:
-                halves.append((k2, [(_GLV_BETA * x % _SECP_P, y) for x, y in table]))
-        # additions[i]: the signed table points to add at bit i; a wNAF
-        # digit can sit one place above the top bit
-        additions = [[] for _ in range(max(abs(k).bit_length() for k, _ in halves) + 1)]
-        for k, table in halves:
-            for i, d in _wnaf(abs(k)):
-                x, y = table[abs(d) >> 1]
-                additions[i].append((x, _SECP_P - y) if (d < 0) != (k < 0) else (x, y))
+                halves.append((k2, _GLV_BETA * x % _SECP_P, y))
+        # additions[i]: the signed points to add at bit i; a NAF digit can
+        # sit one place above the top bit
+        additions = [[] for _ in range(max(abs(k).bit_length() for k, _, _ in halves) + 1)]
+        for k, x, y in halves:
+            plus, minus = (x, y), (x, _SECP_P - y)
+            for i, d in _naf(k):
+                additions[i].append(plus if d > 0 else minus)
         x, y, z = 0, 1, 0
         for i in range(len(additions) - 1, -1, -1):
             x, y, z = _jac_double(x, y, z)
@@ -339,74 +323,25 @@ class CurveGroup:
         return g
 
 
-# wNAF width 5: digits are odd in [-15, 15], so each point needs the
-# odd multiples 1, 3, ..., 15.
-_WNAF_WIDTH = 5
-_WNAF_ODD = 1 << (_WNAF_WIDTH - 2)
-
-
-def _wnaf(k: int) -> list:
-    """Width-5 non-adjacent form of k >= 0 as (bit position, digit) pairs
-    for the nonzero digits, least significant first; 0 has none."""
+def _naf(k: int) -> list:
+    """Non-adjacent form of k as (bit position, digit) pairs for the
+    nonzero digits, each 1 or -1, least significant first; 0 has none.
+    The form of -k is that of k with every digit negated."""
     digits = []
     i = 0
     while k:
         if k & 1:
-            d = k & ((1 << _WNAF_WIDTH) - 1)
-            if d >> (_WNAF_WIDTH - 1):
-                d -= 1 << _WNAF_WIDTH
+            # 1 when k = 1 (mod 4), -1 when k = 3 (mod 4)
+            d = 2 - (k & 3)
             digits.append((i, d))
-            # k - d has _WNAF_WIDTH low zero bits
-            k = (k - d) >> _WNAF_WIDTH
-            i += _WNAF_WIDTH
+            # k - d has two low zero bits, so the next digit is 0
+            k = (k - d) >> 2
+            i += 2
         else:
             zeros = (k & -k).bit_length() - 1
             k >>= zeros
             i += zeros
     return digits
-
-
-# Odd-multiple tables of variable-base points, keyed by the affine point,
-# least recently used first. A table is 8 affine points; 64 tables hold
-# every public point of a guard check up to t = 64.
-_WNAF_TABLES_MAX = 64
-_wnaf_table_cache: OrderedDict = OrderedDict()
-
-
-def _wnaf_tables(points: list) -> dict:
-    """{g: [1g, 3g, ..., 15g]} for the distinct affine points g, each from
-    the cache or built. The points that miss are built together,
-    normalized with one shared inversion, and then cached."""
-    tables = {}
-    missing = []
-    for g in points:
-        if g in tables:
-            continue
-        table = _wnaf_table_cache.get(g)
-        if table is None:
-            missing.append(g)
-        else:
-            _wnaf_table_cache.move_to_end(g)
-        tables[g] = table
-    jac = []
-    for x, y in missing:
-        # 2g = (dx, dy, dz) is the affine (dx, dy) on the isomorphic
-        # curve y^2 = x^3 + 7*dz^6, where g is (x*dz^2, y*dz^3). The a = 0
-        # formulas never read b, so the odd multiples are mixed additions
-        # there, and (X, Y, Z) there is (X, Y, Z*dz) here.
-        dx, dy, dz = _jac_double(x, y, 1)
-        dz2 = dz * dz % _SECP_P
-        m = (x * dz2 % _SECP_P, y * dz2 * dz % _SECP_P, 1)
-        jac.append((m[0], m[1], dz))
-        for _ in range(_WNAF_ODD - 1):
-            m = _jac_add_affine(*m, dx, dy)
-            jac.append((m[0], m[1], m[2] * dz % _SECP_P))
-    odd = _to_affine_all(jac)
-    for j, g in enumerate(missing):
-        tables[g] = _wnaf_table_cache[g] = odd[j * _WNAF_ODD:(j + 1) * _WNAF_ODD]
-    while len(_wnaf_table_cache) > _WNAF_TABLES_MAX:
-        _wnaf_table_cache.popitem(last=False)
-    return tables
 
 
 # Jacobian (X, Y, Z) represents affine (X/Z^2, Y/Z^3); Z = 0 is the identity.

@@ -442,13 +442,18 @@ def open_group_key(group, recipient: Drone, sender_pub: PublicShare,
 def _publish_share(group, sender: Drone, share: PublicShare, receiver,
                    transport: Transport, rng) -> PublicShare | None:
     """Send a SHARE_PUBLISH and return the share as decoded by the receiver
-    (the in-path intercept hook may have replaced it)."""
+    (the in-path intercept hook may have replaced it), or None when the
+    receiver rejects it as a replay or cannot decode it: either way the
+    receiver holds no pair from this publish."""
     msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, receiver.label,
                           fresh_nonce(rng), encode_public_share(group, share))
     delivered = transport.deliver(msg, receiver)
     if delivered is None:
         return None
-    return decode_public_share(group, delivered.payload)
+    try:
+        return decode_public_share(group, delivered.payload)
+    except DecodeError:
+        return None
 
 
 def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng):

@@ -74,10 +74,6 @@ class GroupPolynomial:
             raise ValueError("leading coefficient must be nonzero (true degree t-1)")
 
     @property
-    def threshold(self) -> int:
-        return len(self.coeffs)
-
-    @property
     def group_key(self) -> int:
         return self.coeffs[0]
 
@@ -298,10 +294,6 @@ class Dealer:
         self.group = group
         self._issued: set[int] = set()
         self._next_x = 1
-
-    @property
-    def threshold(self) -> int:
-        return self.poly.threshold
 
     @property
     def group_key(self) -> int:

@@ -1,6 +1,5 @@
 """Field and group arithmetic against integer and textbook oracles."""
 
-import collections
 import random
 
 import pytest
@@ -30,6 +29,7 @@ from swarmauth.algebra import (
     _inverses,
     _jac_add_affine,
     _jac_double,
+    _naf,
     _to_affine,
 )
 
@@ -465,6 +465,24 @@ class TestMultiScalarMul:
         assert toy61.msm([s for s, _ in terms], [g for _, g in terms]) == want
 
 
+class TestNaf:
+    """The signed binary digits that ``msm`` adds a point at."""
+
+    @settings(max_examples=300)
+    @given(k=st.one_of(st.integers(-2**130, 2**130), st.sampled_from(
+        [0, 1, -1, 3, -3, 7, 2**128 - 1, -2**129 - 1, _SECP_N - 1])))
+    def test_recombines_with_nonadjacent_unit_digits(self, k):
+        digits = _naf(k)
+        assert sum(d << i for i, d in digits) == k
+        assert all(d in (1, -1) for _, d in digits)
+        positions = [i for i, _ in digits]
+        # least significant first, and no two nonzero digits side by side
+        assert all(b - a >= 2 for a, b in zip(positions, positions[1:]))
+        # the top digit sits at most one place above the top bit of |k|
+        assert not digits or positions[-1] <= abs(k).bit_length()
+        assert _naf(-k) == [(i, -d) for i, d in digits]
+
+
 class TestGLVSplit:
     """The endomorphism constants derived at import, the scalar split and
     the msm that runs on it."""
@@ -511,19 +529,23 @@ class TestGLVSplit:
         p = reference_mul(curve, 0xC0FFEE, curve.generator)
         for k in by_signs.values():
             assert curve.msm([k], [p]) == reference_mul(curve, k, p)
+            # -p has the x of p, and only the sign of y tells them apart
+            assert curve.msm([k], [curve.neg(p)]) == reference_mul(curve, k, curve.neg(p))
 
     @settings(max_examples=30)
     @given(logs=st.lists(discrete_logs, min_size=1, max_size=3),
-           terms=st.lists(st.tuples(glv_scalars, st.integers(0, 2), st.booleans()),
+           terms=st.lists(st.tuples(st.one_of(st.just(0), glv_scalars),
+                                    st.integers(0, 3), st.booleans()),
                           min_size=1, max_size=12))
     def test_msm_matches_toy_oracle(self, curve, logs, terms):
         # the toy group of order n sums the discrete logs of the terms;
-        # repeated and negated points share the split's halves and tables
+        # repeated and negated points share the split's halves, and index
+        # len(logs) and above is the identity point
         oracle = ToyGroup(_SECP_N)
         pool = [curve.mul(k, curve.generator) for k in logs]
         scalar_list, points, point_logs = [], [], []
         for s, i, negate in terms:
-            k, point = logs[i % len(logs)], pool[i % len(logs)]
+            k, point = (logs[i], pool[i]) if i < len(logs) else (0, None)
             scalar_list.append(s)
             points.append(curve.neg(point) if negate else point)
             point_logs.append(oracle.neg(k) if negate else k)
@@ -566,81 +588,6 @@ class TestJacobianFormulas:
         p = reference_mul(curve, log, curve.generator)
         assert _to_affine(*_jac_double(x, y, 0)) is None
         assert _jac_add_affine(x, y, 0, *p) == (*p, 1)
-
-
-class TestWnafTableCache:
-    """The bounded cache of variable-base odd-multiple tables that ``msm``
-    reads: results never depend on what it holds."""
-
-    @pytest.fixture(autouse=True)
-    def cold_cache(self, monkeypatch):
-        monkeypatch.setattr(algebra, "_wnaf_table_cache", collections.OrderedDict())
-
-    @staticmethod
-    def points(curve, logs):
-        return [reference_mul(curve, k, curve.generator) for k in logs]
-
-    @staticmethod
-    def oracle(curve, scalar_list, logs):
-        return curve.mul(ToyGroup(_SECP_N).msm(scalar_list, logs), curve.generator)
-
-    @pytest.mark.parametrize("bound", [4, 6])
-    def test_call_with_more_points_than_the_bound(self, curve, monkeypatch, bound):
-        # the call finds `bound` points cached and builds 6 more; its own
-        # inserts evict what it found, and it must not read them back
-        monkeypatch.setattr(algebra, "_WNAF_TABLES_MAX", bound)
-        logs = list(range(3, 3 + bound + 6))
-        points = self.points(curve, logs)
-        curve.msm([1] * bound, points[:bound])
-        assert list(algebra._wnaf_table_cache) == points[:bound]
-        scalar_list = [2**200 + 7 * k for k in logs]
-        assert curve.msm(scalar_list, points) == self.oracle(curve, scalar_list, logs)
-        assert list(algebra._wnaf_table_cache) == points[-bound:]
-        # and again, now that every table it holds is a hit
-        assert curve.msm(scalar_list, points) == self.oracle(curve, scalar_list, logs)
-
-    def test_point_and_its_negation_keep_their_own_tables(self, curve):
-        p = reference_mul(curve, 0xDEADBEEF, curve.generator)
-        s = 2**255 + 12345
-        assert curve.msm([s], [p]) == reference_mul(curve, s * 0xDEADBEEF, curve.generator)
-        # -p has the x of p: a table keyed by x would return s*p
-        assert curve.msm([s], [curve.neg(p)]) == reference_mul(
-            curve, -s * 0xDEADBEEF, curve.generator)
-        tables = algebra._wnaf_table_cache
-        assert set(tables) == {p, curve.neg(p)}
-        assert tables[curve.neg(p)] == [curve.neg(q) for q in tables[p]]
-
-    @settings(max_examples=30)
-    @given(logs=st.lists(discrete_logs, min_size=1, max_size=4),
-           terms=st.lists(st.tuples(st.one_of(st.just(0), glv_scalars),
-                                    st.integers(0, 4), st.booleans()),
-                          min_size=1, max_size=12))
-    def test_cold_and_warm_match_toy_oracle(self, curve, logs, terms):
-        # index len(logs) and above is the identity point; the rest repeat
-        # a few points and their negations
-        pool = self.points(curve, logs)
-        scalar_list, points, point_logs = [], [], []
-        for s, i, negate in terms:
-            k, point = (logs[i], pool[i]) if i < len(logs) else (0, None)
-            scalar_list.append(s)
-            points.append(curve.neg(point) if negate else point)
-            point_logs.append(-k if negate else k)
-        want = self.oracle(curve, scalar_list, point_logs)
-        algebra._wnaf_table_cache.clear()
-        assert curve.msm(scalar_list, points) == want
-        assert curve.msm(scalar_list, points) == want
-
-    @pytest.mark.parametrize("bound", [4, 64])
-    def test_never_holds_more_than_its_bound(self, curve, monkeypatch, bound):
-        monkeypatch.setattr(algebra, "_WNAF_TABLES_MAX", bound)
-        rng = random.Random(bound)
-        seen = 0
-        for count in (1, bound - 1, bound + 1, 3, 2 * bound):
-            points = [curve.mul(rng.randrange(1, _SECP_N), curve.generator)
-                      for _ in range(count)]
-            curve.msm([1] * count, points)
-            seen += count
-            assert len(algebra._wnaf_table_cache) == min(bound, seen)
 
 
 class TestEncoding:

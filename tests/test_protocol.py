@@ -48,6 +48,7 @@ from swarmauth.shares import (
     PrivateShare,
     PublicShare,
     _lp,
+    _read_lp,
     decode_private_share,
     decode_public_share,
     encode_public_share,
@@ -802,3 +803,94 @@ class TestRunUnification:
             return transcript.render()
 
         assert one_run() == one_run()
+
+
+def truncated(msg, earlier):
+    return replace(msg, payload=msg.payload[:-1])
+
+
+def zero_identifier(msg, earlier):
+    x_b, off = _read_lp(msg.payload, 0)
+    return replace(msg, payload=_lp(bytes(len(x_b))) + msg.payload[off:])
+
+
+def verdict_payload(msg, earlier):
+    return replace(msg, payload=b"accept")
+
+
+def flipped_byte(msg, earlier):
+    return replace(msg, payload=bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
+
+
+def replayed(msg, earlier):
+    # the message the same receiver got just before: its (sender, nonce)
+    # pair is already in the receiver's cache
+    return earlier
+
+
+class TargetedIntercept:
+    """Mutates the index-th message of one kind, counted from 0, and passes
+    every other message through."""
+
+    def __init__(self, kind, index, mutate):
+        self.kind, self.index, self.mutate = kind, index, mutate
+        self.seen = 0
+        self.hit = False
+        self.last = {}  # receiver label -> the last message it was handed
+
+    def __call__(self, msg, receiver):
+        if msg.kind is self.kind:
+            if self.seen == self.index:
+                msg = self.mutate(msg, self.last.get(receiver.label))
+                self.hit = True
+            self.seen += 1
+        self.last[receiver.label] = msg
+        return msg
+
+
+def run_with_intercept(group, flow, intercept):
+    """An inclusion into a threshold-4 swarm of three guards, or a merge of
+    two threshold-4 swarms of four drones; returns (outcome, transcript)."""
+    rng = random.Random(41)
+    core = CoreNetwork(group, rng)
+    swarm_a = core.provision_swarm("A", 4, n_drones=3 if flow == "inclusion" else 4)
+    transport = Transport(intercept=intercept)
+    if flow == "inclusion":
+        return run_inclusion(swarm_a, core.issue_candidate("A"), rng, transport)
+    swarm_b = core.provision_swarm("B", 4, n_drones=4)
+    return run_unification(swarm_a, swarm_b, core, rng, transport)
+
+
+class TestTargetedIntercepts:
+    """Each row changes one message in flight and names the exact outcome
+    the run must end in; no row may end the run with an exception. Share
+    publishes 0-2 go to the three guards, and publish 3 is the first
+    guard-to-guard exchange."""
+
+    ROWS = [
+        ("inclusion", MessageKind.SHARE_PUBLISH, 0, truncated, "verification-failed"),
+        ("inclusion", MessageKind.SHARE_PUBLISH, 0, zero_identifier, "verification-failed"),
+        ("inclusion", MessageKind.SHARE_PUBLISH, 0, verdict_payload, "verification-failed"),
+        ("inclusion", MessageKind.SHARE_PUBLISH, 3, truncated, "verification-failed"),
+        ("inclusion", MessageKind.SHARE_PUBLISH, 3, replayed, "verification-failed"),
+        ("unification", MessageKind.SHARE_PUBLISH, 0, zero_identifier, "verification-failed"),
+        ("unification", MessageKind.SHARE_PUBLISH, 3, verdict_payload, "verification-failed"),
+        ("inclusion", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-delivery-failed"),
+        ("unification", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-return-failed"),
+        ("unification", MessageKind.UNIFIED_KEY_BROADCAST, 1, flipped_byte,
+         "broadcast-tampered"),
+    ]
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("flow, kind, index, mutate, reason", ROWS,
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_row_ends_in_its_outcome(self, group, flow, kind, index, mutate, reason):
+        intercept = TargetedIntercept(kind, index, mutate)
+        outcome, transcript = run_with_intercept(group, flow, intercept)
+        assert intercept.hit
+        assert outcome == Outcome(False, reason)
+        rendered = transcript.render()
+        assert rendered.endswith(f"outcome rejected({reason})\n")
+        notes = [line for line in rendered.splitlines() if " !" in line]
+        assert len(notes) == (mutate is replayed)
+        assert all(line.endswith(" !replay-rejected") for line in notes)

@@ -651,77 +651,3 @@ class TestAdversaries:
         outcome = inject_adversary(config, adversary)
         assert outcome.thwarted
         assert adversary.captured
-
-
-class TestTableCacheIndependence:
-    """Curve runs read variable-base wNAF tables from a per-process cache;
-    what it holds must reach no transcript, report or attack verdict."""
-
-    @pytest.fixture(autouse=True)
-    def own_cache(self, monkeypatch):
-        monkeypatch.setattr(algebra, "_wnaf_table_cache", collections.OrderedDict())
-
-    @staticmethod
-    def config(scenario, mode, seed=7):
-        return ScenarioConfig(scenario=scenario, adversary=mode, seed=seed)
-
-    def run(self, scenario, mode, prepare):
-        """(report, transcript, attack detail), the cache prepared before
-        each of the scenario run and the attack check."""
-        prepare()
-        result = simnet._run(self.config(scenario, mode))
-        detail = None
-        if mode != "none":
-            prepare()
-            detail = inject_adversary(self.config(scenario, mode)).detail
-        return result.report, result.transcript.render(), detail
-
-    @staticmethod
-    def cold():
-        algebra._wnaf_table_cache.clear()
-
-    def filled(self):
-        # unrelated runs at other seeds, then 64 unrelated points, so the
-        # cache is full and holds none of the run's own points
-        for scenario in ("inclusion", "unification", "bulk"):
-            run_scenario(self.config(scenario, "none", seed=1000))
-        group = algebra.CurveGroup()
-        rng = random.Random(1000)
-        fillers = group.mul_generator([rng.randrange(1, group.order) for _ in range(64)])
-        group.msm([1] * 64, fillers)
-        assert len(algebra._wnaf_table_cache) == algebra._WNAF_TABLES_MAX
-
-    @pytest.mark.parametrize("scenario, mode", [
-        ("inclusion", "none"), ("unification", "none"), ("bulk", "none"),
-        *[(scenario, mode) for mode in ("replay", "eavesdrop", "mitm")
-          for scenario in ("inclusion", "unification")]])
-    def test_runs_do_not_depend_on_cache_state(self, scenario, mode):
-        cold = self.run(scenario, mode, self.cold)
-        assert self.run(scenario, mode, self.filled) == cold
-        # hot: the same run's own points are all cached
-        assert self.run(scenario, mode, lambda: None) == cold
-
-    @pytest.mark.parametrize("scenario", ["inclusion", "unification"])
-    def test_substituted_points_get_their_own_tables(self, scenario, monkeypatch):
-        # each guard receives its own substituted point in place of the
-        # target's, and each substituted point gets a table of its own
-        group = algebra.CurveGroup()
-        substituted = []
-        intercept = Adversary.intercept
-
-        def spy(adversary, msg, receiver):
-            out = intercept(adversary, msg, receiver)
-            if out is not msg:
-                substituted.append(decode_public_share(group, out.payload).point)
-            return out
-        monkeypatch.setattr(Adversary, "intercept", spy)
-        self.cold()
-        simnet._run(self.config(scenario, "none"))
-        honest = set(algebra._wnaf_table_cache)
-        self.cold()
-        result = simnet._run(self.config(scenario, "mitm"))
-        assert not result.transcript.outcome.accepted
-        assert len(substituted) == 4  # t - 1 guards at t = 5
-        cached = set(algebra._wnaf_table_cache)
-        assert cached - honest == set(substituted)
-        assert len(honest - cached) == 1  # the target's own point, never checked
