@@ -32,7 +32,6 @@ makes transcripts reproducible for a fixed seed.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -364,7 +363,7 @@ def fresh_nonce(rng) -> bytes:
 
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
-    return _sender_field(sender.label) + _lp(receiver.encode()) + nonce
+    return _lp(sender.label.encode()) + _lp(receiver.encode()) + nonce
 
 
 def derive_pairwise_key(group, mine: PrivateShare, theirs: PublicShare) -> bytes:
@@ -380,40 +379,24 @@ def group_key_cipher_key(field, group_key: int) -> bytes:
     return hashlib.sha256(field.encode(group_key)).digest()
 
 
-@functools.lru_cache(maxsize=64)
-def _aead(key: bytes) -> AESGCM:
-    """The AES-GCM context of ``key``. A rebroadcast seals and opens
-    thousands of messages under one key, so each key's context is built
-    once; the cache is bounded, and the least recently used key is dropped
-    first."""
-    return AESGCM(key)
-
-
-@functools.lru_cache(maxsize=64)
-def _sender_field(label: str) -> bytes:
-    """The length-prefixed sender label of an AAD. A rebroadcast binds one
-    sender into thousands of AADs, so each label is encoded once; the
-    cache is bounded like :func:`_aead`'s."""
-    return _lp(label.encode())
-
-
-def seal(kind: MessageKind, key: bytes, sender: DroneId, receiver: str,
+def seal(kind: MessageKind, cipher: AESGCM, sender: DroneId, receiver: str,
          plaintext: bytes, rng) -> ProtocolMessage:
-    """A message whose payload is ``plaintext`` sealed with AES-GCM under
-    ``key`` and a fresh nonce; associated data binds (sender, receiver,
-    nonce)."""
+    """A message whose payload is ``plaintext`` sealed with the AES-GCM
+    context ``cipher`` under a fresh nonce; associated data binds (sender,
+    receiver, nonce). The party that derives a key builds its context."""
     nonce = fresh_nonce(rng)
     aad = _aad(sender, receiver, nonce)
     return ProtocolMessage(kind, sender, receiver, nonce,
-                           _aead(key).encrypt(nonce, plaintext, aad))
+                           cipher.encrypt(nonce, plaintext, aad))
 
 
-def open_sealed(key: bytes, msg: ProtocolMessage, receiver: str) -> bytes:
+def open_sealed(cipher: AESGCM, msg: ProtocolMessage, receiver: str) -> bytes:
     """The plaintext of a sealed message as opened by ``receiver``; raises
-    DecryptionFailed unless it was sealed under ``key`` for ``receiver``."""
+    DecryptionFailed unless it was sealed under ``cipher``'s key for
+    ``receiver``."""
     try:
-        return _aead(key).decrypt(msg.nonce, msg.payload,
-                                  _aad(msg.sender, receiver, msg.nonce))
+        return cipher.decrypt(msg.nonce, msg.payload,
+                              _aad(msg.sender, receiver, msg.nonce))
     except InvalidTag:
         raise DecryptionFailed("AEAD authentication failed") from None
 
@@ -427,16 +410,16 @@ def deliver_group_key(group, guard: Drone, recipient_pub: PublicShare,
     """
     if guard.group_key is None:
         raise MissingGroupKey(f"{guard.label} holds no group key")
-    key = derive_pairwise_key(group, guard.private_share, recipient_pub)
-    return seal(MessageKind.ENCRYPTED_GROUP_KEY, key, guard.id, recipient_label,
+    cipher = AESGCM(derive_pairwise_key(group, guard.private_share, recipient_pub))
+    return seal(MessageKind.ENCRYPTED_GROUP_KEY, cipher, guard.id, recipient_label,
                 group.field.encode(guard.group_key), rng)
 
 
 def open_group_key(group, recipient: Drone, sender_pub: PublicShare,
                    msg: ProtocolMessage) -> int:
     """Recover the group-key scalar from an ENCRYPTED_GROUP_KEY message."""
-    key = derive_pairwise_key(group, recipient.private_share, sender_pub)
-    return group.field.decode(open_sealed(key, msg, recipient.label))
+    cipher = AESGCM(derive_pairwise_key(group, recipient.private_share, sender_pub))
+    return group.field.decode(open_sealed(cipher, msg, recipient.label))
 
 
 def _publish_share(group, sender: Drone, share: PublicShare, receiver,
@@ -456,10 +439,13 @@ def _publish_share(group, sender: Drone, share: PublicShare, receiver,
         return None
 
 
-def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng):
+def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng) -> bool:
+    """Send a guard's verdict; returns whether the receiver got it as a
+    fresh ``accept``."""
     msg = ProtocolMessage(MessageKind.AUTH_VERDICT, guard.id, receiver.label,
                           fresh_nonce(rng), b"accept" if ok else b"reject")
-    transport.deliver(msg, receiver)
+    delivered = transport.deliver(msg, receiver)
+    return delivered is not None and delivered.payload == b"accept"
 
 
 def _send_group_key(group, deliverer: Drone, deliverer_pub: PublicShare,
@@ -504,9 +490,11 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     The publisher sends the pair to every guard, the guards exchange their
     own pairs, and each guard checks the t-point Lagrange sum against the
     swarm's commitment and sends its verdict to the publisher. Returns
-    (unanimous, views, own); views maps a guard's x to the published pair
-    as that guard received it, and own maps it to the guard's own pair.
-    The guards' pairs come from one batched generator mul.
+    (unanimous, views, own); unanimous holds when every guard accepts and
+    the publisher receives every guard's ``accept`` fresh. views maps a
+    guard's x to the published pair as that guard received it, and own
+    maps it to the guard's own pair. The guards' pairs come from one
+    batched generator mul.
 
     Each distinct view is verified once. A guard's verdict is a pure
     function of the t pairs it holds, because the commitment, group and
@@ -546,8 +534,8 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
             ok = verdicts[shares] = (
                 len(shares) == t and len({s.x for s in shares}) == t
                 and verify_group(shares, swarm.commitment, group, t))
-        unanimous = unanimous and ok
-        _send_verdict(g, ok, publisher, transport, rng)
+        heard = _send_verdict(g, ok, publisher, transport, rng)
+        unanimous = unanimous and ok and heard
     return unanimous, views, own
 
 
@@ -705,17 +693,19 @@ class CoreNetwork:
             raise UnknownSwarm(f"unknown target swarm {target_swarm!r}")
 
         cross = target_dealer.issue_next()
-        key = derive_pairwise_key(self.group, self._core_shares[requester.swarm],
-                                  drone.public_share(self.group))
-        return seal(MessageKind.CROSS_ISSUE_RESPONSE, key,
+        cipher = AESGCM(derive_pairwise_key(self.group,
+                                            self._core_shares[requester.swarm],
+                                            drone.public_share(self.group)))
+        return seal(MessageKind.CROSS_ISSUE_RESPONSE, cipher,
                     self.core_identity(requester.swarm), requester.label,
                     encode_private_share(self.group.field, cross), rng)
 
 
 def _open_cross_share(group, swarm: Swarm, drone: Drone,
                       msg: ProtocolMessage) -> PrivateShare:
-    key = derive_pairwise_key(group, drone.private_share, swarm.core_public_share)
-    return decode_private_share(group.field, open_sealed(key, msg, drone.label))
+    cipher = AESGCM(derive_pairwise_key(group, drone.private_share,
+                                        swarm.core_public_share))
+    return decode_private_share(group.field, open_sealed(cipher, msg, drone.label))
 
 
 def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
@@ -792,22 +782,23 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     if unified_key is None:
         return Outcome(False, "key-return-failed")
 
-    # rebroadcast under swarm A's current group key
+    # rebroadcast under swarm A's current group key: one AES-GCM context
+    # seals and opens every member's copy
     yield "hop"
-    relay_key = group_key_cipher_key(group.field, d_a.group_key)
+    relay = AESGCM(group_key_cipher_key(group.field, d_a.group_key))
     unified_plain = group.field.encode(unified_key)
     for member in swarm_a.members():
         if member.id.x == d_a.id.x:
             continue
         label = member.id.label
-        msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay_key, d_a.id,
+        msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay, d_a.id,
                    label, unified_plain, rng)
         delivered = transport.deliver(msg, member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
             member.group_key = group.field.decode(
-                open_sealed(relay_key, delivered, label))
+                open_sealed(relay, delivered, label))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     d_a.group_key = unified_key

@@ -28,6 +28,8 @@ import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from . import protocol
 from .algebra import make_group
 from .baseline5g import (
@@ -537,9 +539,10 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     """Run the configured attack scenario and judge the prevention.
 
     replay: every captured message is re-delivered once and must be
-    rejected by the receivers' nonce caches. mitm: the substituted share
-    must cause protocol rejection. eavesdrop: the run must succeed while
-    the attacker's captures contain no private scalar and decrypt no
+    rejected by the receivers' nonce caches. mitm: the guard check must
+    reject the substituted share, ending the run
+    ``rejected(verification-failed)``. eavesdrop: the run must succeed
+    while the attacker's captures contain no private scalar and decrypt no
     key-transport ciphertext with any key derivable from captured points.
 
     When an Adversary instance is supplied, its mode is used and its
@@ -557,8 +560,11 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     outcome = result.transcript.outcome
 
     if mode == "mitm":
-        if outcome.accepted:
-            return AttackOutcome(False, "substituted share was accepted")
+        # only the guard check may stop a substituted share: a later
+        # rejection means the guards accepted it
+        if outcome != Outcome(False, "verification-failed"):
+            return AttackOutcome(False, f"guard check did not reject the "
+                                        f"substituted share: {outcome}")
         return AttackOutcome(True, f"protocol rejected the substituted share: "
                                    f"{outcome}")
 
@@ -615,9 +621,10 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     # each candidate key opens every sealed message in turn, so its AES-GCM
     # context is built once
     for key in candidate_keys:
+        cipher = AESGCM(key)
         for msg in sealed:
             try:
-                protocol.open_sealed(key, msg, msg.receiver)
+                protocol.open_sealed(cipher, msg, msg.receiver)
                 return AttackOutcome(False, "captured material decrypted a "
                                             "key-transport message")
             except protocol.DecryptionFailed:

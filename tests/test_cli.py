@@ -2,6 +2,7 @@
 
 import pytest
 
+from swarmauth import protocol
 from swarmauth.cli import main
 from swarmauth.simnet import LatencyModel, baseline_total_us, time_group_auth
 
@@ -163,6 +164,17 @@ class TestAttack:
         out = capsys.readouterr().out
         assert "inclusion" in out and "unification" in out
         assert "NOT" not in out
+
+    def test_accepted_replays_exit_2(self, monkeypatch, capsys):
+        # negative control: a nonce cache that accepts everything
+        monkeypatch.setattr(protocol.NonceCache, "check_and_store",
+                            lambda cache, sender, nonce: True)
+        assert main(["attack", "--mode", "replay"]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "inclusion replay: NOT THWARTED (22 replayed messages accepted)",
+            "unification replay: NOT THWARTED (27 replayed messages accepted)",
+        ]
 
     def test_unknown_mode_exits_1(self, capsys):
         assert main(["attack", "--mode", "jam"]) == 1

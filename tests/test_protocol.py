@@ -109,9 +109,9 @@ class TestPairwiseKey:
                     != derive_pairwise_key(toy61, a, public_share(c, toy61)))
 
 
-def sealed(rng, key=bytes(32)):
-    return seal(MessageKind.ENCRYPTED_GROUP_KEY, key, DroneId("A", 1), "A/2",
-                b"payload", rng)
+def sealed(rng):
+    return seal(MessageKind.ENCRYPTED_GROUP_KEY, AESGCM(bytes(32)), DroneId("A", 1),
+                "A/2", b"payload", rng)
 
 
 class TestAead:
@@ -120,19 +120,19 @@ class TestAead:
         assert (msg.kind, msg.sender, msg.receiver) == (
             MessageKind.ENCRYPTED_GROUP_KEY, DroneId("A", 1), "A/2")
         assert msg.payload != b"payload"
-        assert open_sealed(bytes(32), msg, "A/2") == b"payload"
+        assert open_sealed(AESGCM(bytes(32)), msg, "A/2") == b"payload"
 
     def test_wrong_key_fails(self, rng):
         msg = sealed(rng)
         with pytest.raises(DecryptionFailed):
-            open_sealed(b"\x01" * 32, msg, "A/2")
+            open_sealed(AESGCM(b"\x01" * 32), msg, "A/2")
 
     def test_tampered_ciphertext_fails(self, rng):
         msg = sealed(rng)
         ct = bytearray(msg.payload)
         ct[0] ^= 1
         with pytest.raises(DecryptionFailed):
-            open_sealed(bytes(32), replace(msg, payload=bytes(ct)), "A/2")
+            open_sealed(AESGCM(bytes(32)), replace(msg, payload=bytes(ct)), "A/2")
 
     def test_sealed_message_binds_sender_receiver_and_nonce(self, rng):
         msg = sealed(rng)
@@ -140,24 +140,7 @@ class TestAead:
                                  (replace(msg, sender=DroneId("A", 3)), "A/2"),
                                  (replace(msg, nonce=fresh_nonce(rng)), "A/2")):
             with pytest.raises(DecryptionFailed):
-                open_sealed(bytes(32), forged, receiver)
-
-    def test_context_cache_reuse_is_safe(self, rng):
-        # more distinct keys than the context cache holds, sealed and opened
-        # interleaved, so contexts are evicted and rebuilt between uses
-        n_keys = 2 * protocol._aead.cache_info().maxsize + 3
-        keys = [hashlib.sha256(i.to_bytes(2, "big")).digest() for i in range(n_keys)]
-        msgs = []
-        for i, key in enumerate(keys):
-            msgs.append(sealed(rng, key))
-            for j in (i, i // 2):
-                assert open_sealed(keys[j], msgs[j], "A/2") == b"payload"
-            with pytest.raises(DecryptionFailed):
-                open_sealed(keys[i - 1], msgs[i], "A/2")
-        for i in range(n_keys):
-            assert open_sealed(keys[i], msgs[i], "A/2") == b"payload"
-            with pytest.raises(DecryptionFailed):
-                open_sealed(keys[(i + 1) % n_keys], msgs[i], "A/2")
+                open_sealed(AESGCM(bytes(32)), forged, receiver)
 
 
 class TestGroupKeyDelivery:
@@ -771,9 +754,10 @@ class TestRunUnification:
         assert transport.transcript.entries == []
 
     def test_aead_contexts_constant_in_swarm_size(self, toy61, monkeypatch):
-        # 200 drones per swarm: the 199 rebroadcast seals and opens share
-        # one relay key, so the run builds three AES-GCM contexts (the
-        # cross-issue key, the key-return key and the relay key), not O(n)
+        # the party that derives a key builds its AES-GCM context: the core
+        # and the designated guard for the cross-issue key, a swarm-B guard
+        # and the designated guard for the key-return key, and the
+        # rebroadcast one context for the relay key, whatever the swarm size
         built = []
 
         def counting_aesgcm(key):
@@ -781,20 +765,33 @@ class TestRunUnification:
             return AESGCM(key)
 
         monkeypatch.setattr(protocol, "AESGCM", counting_aesgcm)
-        protocol._aead.cache_clear()
-        try:
+
+        def merge(n):
+            built.clear()
             rng = random.Random(28)
             core = CoreNetwork(toy61, rng)
-            swarm_a = core.provision_swarm("A", 4, n_drones=200)
-            swarm_b = core.provision_swarm("B", 4, n_drones=200)
+            swarm_a = core.provision_swarm("A", 4, n_drones=n)
+            swarm_b = core.provision_swarm("B", 4, n_drones=n)
             outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
-        finally:
-            protocol._aead.cache_clear()
+            assert outcome == Outcome(True)
+            broadcasts = [e for e in transcript.entries
+                          if e.kind == "UNIFIED_KEY_BROADCAST"]
+            assert len(broadcasts) == n - 1
+            return list(built)
+
+        for n in (200, 2000):
+            first = merge(n)
+            assert (len(first), len(set(first))) == (5, 3)
+            # an identical second run builds every context again
+            assert merge(n) == first
+
+        built.clear()
+        rng = random.Random(28)
+        core = CoreNetwork(toy61, rng)
+        swarm = core.provision_swarm("A", 4, n_drones=3)
+        outcome, _ = run_inclusion(swarm, core.issue_candidate("A"), rng)
         assert outcome == Outcome(True)
-        broadcasts = [e for e in transcript.entries
-                      if e.kind == "UNIFIED_KEY_BROADCAST"]
-        assert len(broadcasts) == 199
-        assert len(built) == len(set(built)) == 3
+        assert (len(built), len(set(built))) == (2, 1)
 
     def test_deterministic_transcript(self, toy61):
         def one_run():
@@ -816,6 +813,14 @@ def zero_identifier(msg, earlier):
 
 def verdict_payload(msg, earlier):
     return replace(msg, payload=b"accept")
+
+
+def rejecting(msg, earlier):
+    return replace(msg, payload=b"reject")
+
+
+def garbled(msg, earlier):
+    return replace(msg, payload=b"\x00garbage")
 
 
 def flipped_byte(msg, earlier):
@@ -865,7 +870,8 @@ class TestTargetedIntercepts:
     """Each row changes one message in flight and names the exact outcome
     the run must end in; no row may end the run with an exception. Share
     publishes 0-2 go to the three guards, and publish 3 is the first
-    guard-to-guard exchange."""
+    guard-to-guard exchange. A verdict the publisher does not receive as
+    a fresh ``accept`` fails the check like a guard's own rejection."""
 
     ROWS = [
         ("inclusion", MessageKind.SHARE_PUBLISH, 0, truncated, "verification-failed"),
@@ -875,6 +881,12 @@ class TestTargetedIntercepts:
         ("inclusion", MessageKind.SHARE_PUBLISH, 3, replayed, "verification-failed"),
         ("unification", MessageKind.SHARE_PUBLISH, 0, zero_identifier, "verification-failed"),
         ("unification", MessageKind.SHARE_PUBLISH, 3, verdict_payload, "verification-failed"),
+        ("inclusion", MessageKind.AUTH_VERDICT, 0, rejecting, "verification-failed"),
+        ("inclusion", MessageKind.AUTH_VERDICT, 2, garbled, "verification-failed"),
+        ("inclusion", MessageKind.AUTH_VERDICT, 1, replayed, "verification-failed"),
+        ("unification", MessageKind.AUTH_VERDICT, 0, rejecting, "verification-failed"),
+        ("unification", MessageKind.AUTH_VERDICT, 2, garbled, "verification-failed"),
+        ("unification", MessageKind.AUTH_VERDICT, 1, replayed, "verification-failed"),
         ("inclusion", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-delivery-failed"),
         ("unification", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-return-failed"),
         ("unification", MessageKind.UNIFIED_KEY_BROADCAST, 1, flipped_byte,

@@ -1,6 +1,7 @@
 """Latency model, closed forms, event loop, scenarios, and adversaries."""
 
 import collections
+import hashlib
 import os
 import random
 from dataclasses import replace
@@ -618,6 +619,43 @@ class TestAdversaries:
         outcome = inject_adversary(config)
         assert not outcome.thwarted
         assert "private material" in outcome.detail
+
+    # negative controls: each breaks one defence in the program and
+    # expects the harness to report the attack NOT THWARTED
+
+    @pytest.mark.parametrize("scenario", ["inclusion", "unification"])
+    def test_replay_control_nonce_cache_accepts_everything(self, scenario,
+                                                           monkeypatch):
+        monkeypatch.setattr(protocol.NonceCache, "check_and_store",
+                            lambda cache, sender, nonce: True)
+        config = toy_config(scenario=scenario, adversary="replay", seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail.endswith(" replayed messages accepted")
+
+    @pytest.mark.parametrize("scenario, reason", [
+        ("inclusion", "key-delivery-failed"),
+        ("unification", "key-return-failed"),
+    ])
+    def test_mitm_control_guard_check_accepts_everything(self, scenario, reason,
+                                                         monkeypatch):
+        # the attacker holds no share, so the pairwise key still stops the
+        # run, but one step too late: the guards accepted the substitution
+        monkeypatch.setattr(protocol, "verify_group", lambda *args: True)
+        config = toy_config(scenario=scenario, adversary="mitm", seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == (f"guard check did not reject the substituted "
+                                  f"share: rejected({reason})")
+
+    def test_eavesdrop_control_relay_key_from_captured_payload(self, monkeypatch):
+        # the relay key is the hash of a captured verdict payload
+        monkeypatch.setattr(protocol, "group_key_cipher_key",
+                            lambda field, group_key: hashlib.sha256(b"accept").digest())
+        config = ScenarioConfig(scenario="unification", adversary="eavesdrop", seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == "captured material decrypted a key-transport message"
 
     def test_mitm_run_reports_rejection(self):
         config = toy_config(scenario="inclusion", adversary="mitm", seed=2)
