@@ -232,18 +232,7 @@ class CurveGroup:
             return h
         if h is None:
             return g
-        x1, y1 = g
-        x2, y2 = h
-        if x1 == x2:
-            if (y1 + y2) % _SECP_P == 0:
-                return None
-            # doubling: slope = 3x^2 / 2y
-            lam = 3 * x1 * x1 * pow(2 * y1, -1, _SECP_P) % _SECP_P
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, _SECP_P) % _SECP_P
-        x3 = (lam * lam - x1 - x2) % _SECP_P
-        y3 = (lam * (x1 - x3) - y1) % _SECP_P
-        return (x3, y3)
+        return _batch_affine_add([(g, h)])[0]
 
     def neg(self, g: Point) -> Point:
         if g is None:
@@ -378,11 +367,7 @@ def _jac_add_affine(x1, y1, z1, x2, y2):
 
 
 def _to_affine(x, y, z) -> Point:
-    if z == 0:
-        return None
-    zinv = pow(z, -1, _SECP_P)
-    z2 = zinv * zinv % _SECP_P
-    return (x * z2 % _SECP_P, y * z2 * zinv % _SECP_P)
+    return _to_affine_all([(x, y, z)])[0] if z else None
 
 
 def _inverses(values: list, modulus: int) -> list:
@@ -587,16 +572,12 @@ def _mul_generator(scalars: Sequence[int]) -> list:
     return out
 
 
-def make_group(kind: str, order: int | None = None):
-    """Build a group by kind: "production" (secp256k1) or "toy" (Z_q, +).
-
-    ``order`` applies to the toy kind only and defaults to the 61-bit
-    Mersenne prime used by the randomized test suites.
+def make_group(kind: str):
+    """Build a group by kind: "production" (secp256k1) or "toy" (Z_q, +)
+    of the 61-bit Mersenne prime order used by the randomized test suites.
     """
-    if kind in ("production", "production-curve"):
-        if order is not None:
-            raise ValueError("production curve has a fixed order")
+    if kind == "production":
         return CurveGroup()
     if kind == "toy":
-        return ToyGroup(TOY_SUITE_ORDER if order is None else order)
+        return ToyGroup()
     raise ValueError(f"unknown group kind {kind!r}")

@@ -113,8 +113,7 @@ def random_supi(rng, length: int = SUPI_LENGTH) -> Supi:
     return Supi(rng.getrandbits(8 * length).to_bytes(length, "big"))
 
 
-def compute_suci(group, supi: Supi, bs_public: Point, rng,
-                 counter: OpCounter | None = None) -> Suci:
+def compute_suci(group, supi: Supi, bs_public: Point, rng) -> Suci:
     """Hybrid encryption of the SUPI: a fresh ephemeral scalar makes the
     ciphertext randomized, and the shared point keys an AEAD."""
     e = group.field.rand_nonzero(rng)
@@ -122,17 +121,11 @@ def compute_suci(group, supi: Supi, bs_public: Point, rng,
     eph_bytes = group.encode(eph)
     key = hashlib.sha256(group.encode(group.mul(e, bs_public))).digest()
     ct = AESGCM(key).encrypt(_ECIES_NONCE, supi.value, eph_bytes)
-    if counter is not None:
-        counter.asym_encrypt += 1
     return Suci(eph_bytes + ct)
 
 
-def udm_decrypt(group, suci: Suci, keys: BaseStationKeys,
-                counter: OpCounter | None = None) -> Supi:
+def udm_decrypt(group, suci: Suci, keys: BaseStationKeys) -> Supi:
     """Invert compute_suci with the base-station private key."""
-    # counts attempts: failed decryptions still consume core-side work
-    if counter is not None:
-        counter.asym_decrypt += 1
     data = suci.ciphertext
     if len(data) <= group.point_width:
         raise DecryptError("SUCI ciphertext too short")
@@ -149,20 +142,17 @@ def udm_decrypt(group, suci: Suci, keys: BaseStationKeys,
     return Supi(supi_bytes)
 
 
-def udm_challenge(group, suci: Suci, keys: BaseStationKeys, rng,
-                  counter: OpCounter | None = None) -> ChallengeState:
+def udm_challenge(group, suci: Suci, keys: BaseStationKeys, rng) -> ChallengeState:
     """Decrypt the SUCI and build the expected response: a fresh random
     challenge with the SUCI bytes appended."""
-    supi = udm_decrypt(group, suci, keys, counter)
+    supi = udm_decrypt(group, suci, keys)
     rand = rng.getrandbits(8 * RAND_BYTES).to_bytes(RAND_BYTES, "big")
     return ChallengeState(rand=rand, xres=rand + suci.ciphertext, supi=supi)
 
 
-def ausf_hxres(state: ChallengeState, counter: OpCounter | None = None) -> bytes:
+def ausf_hxres(state: ChallengeState) -> bytes:
     """Hash of the expected response, stored for the serving network."""
     state.hxres = hashlib.sha256(state.xres).digest()
-    if counter is not None:
-        counter.hash_ops += 1
     return state.hxres
 
 
@@ -170,9 +160,7 @@ def ue_response(suci: Suci, rand: bytes) -> bytes:
     return rand + suci.ciphertext
 
 
-def seaf_check(res: bytes, hxres: bytes, counter: OpCounter | None = None) -> bool:
-    if counter is not None:
-        counter.hash_ops += 1
+def seaf_check(res: bytes, hxres: bytes) -> bool:
     return hashlib.sha256(res).digest() == hxres
 
 
@@ -192,13 +180,18 @@ def ue_authentication_flow(group, supi: Supi, keys: BaseStationKeys, rng,
     ``record(kind, sender, receiver, payload)``.
     """
     yield "encrypt"
-    suci = compute_suci(group, supi, keys.public, rng, counter)
+    suci = compute_suci(group, supi, keys.public, rng)
+    counter.asym_encrypt += 1
     yield "core"
     record("SUCI", "ue", "core", suci.ciphertext)
     yield "decrypt"
-    state = udm_challenge(group, suci, keys, rng, counter)
+    # counted before the attempt: a failed decryption still costs the core
+    # its work
+    counter.asym_decrypt += 1
+    state = udm_challenge(group, suci, keys, rng)
     yield "hash"
-    hxres = ausf_hxres(state, counter)
+    hxres = ausf_hxres(state)
+    counter.hash_ops += 1
     yield "core"
     record("CHALLENGE", "core", "ue", state.rand)
     counter.round_trips += 1  # SUCI up, challenge down
@@ -206,7 +199,8 @@ def ue_authentication_flow(group, supi: Supi, keys: BaseStationKeys, rng,
     yield "core"
     record("RES", "ue", "core", res)
     yield "hash"
-    ok = seaf_check(res, hxres, counter)
+    ok = seaf_check(res, hxres)
+    counter.hash_ops += 1
     yield "core"
     counter.round_trips += 1  # RES up, confirmation down
     recovered = ausf_confirm(res, state) if ok else None

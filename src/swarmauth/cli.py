@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 
 from .simnet import (
+    ATTACK_MODES,
     ConfigError,
     LatencyModel,
     ScenarioConfig,
@@ -31,8 +32,6 @@ from .simnet import (
 )
 
 __all__ = ["main"]
-
-ATTACK_MODES = ("replay", "eavesdrop", "mitm")
 
 
 def _fail(message: str) -> int:

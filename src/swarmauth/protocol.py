@@ -324,8 +324,8 @@ class Transport:
     timestamps instead.
     """
 
-    def __init__(self, transcript: AuthTranscript | None = None, intercept=None):
-        self.transcript = transcript if transcript is not None else AuthTranscript()
+    def __init__(self, intercept=None):
+        self.transcript = AuthTranscript()
         self.intercept = intercept
         self.clock_us: float | None = None
         self._step = 0
@@ -647,7 +647,7 @@ class CoreNetwork:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
         group = self.group
         poly = gen_polynomial(group.field, threshold, self.rng)
-        dealer = Dealer(poly, group)
+        dealer = Dealer(poly)
         drone_shares = dealer.issue_range(n_drones)
         core_share = dealer.issue_at(n_drones + 1)
         q_point, core_point = group.mul_generator([poly.group_key, core_share.y])

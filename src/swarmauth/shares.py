@@ -287,11 +287,8 @@ class Dealer:
     must serialize access.
     """
 
-    def __init__(self, poly: GroupPolynomial, group):
-        if group.field != poly.field:
-            raise ValueError("polynomial field must match the group order")
+    def __init__(self, poly: GroupPolynomial):
         self.poly = poly
-        self.group = group
         self._issued: set[int] = set()
         self._next_x = 1
 

@@ -57,6 +57,7 @@ __all__ = [
     "ScenarioConfig",
     "Adversary",
     "AttackOutcome",
+    "ATTACK_MODES",
     "ADVERTISED_PREFERABLE_BOUND",
     "CrossoverReport",
     "parse_duration",
@@ -73,6 +74,7 @@ __all__ = [
 
 SCENARIOS = ("inclusion", "unification", "nr5g", "bulk")
 ADVERSARY_MODES = ("none", "replay", "eavesdrop", "mitm")
+ATTACK_MODES = ADVERSARY_MODES[1:]
 
 # Threshold bound below which the scheme is advertised as preferable to
 # the 5G NR baseline; the crossover report checks it against the model.
@@ -231,17 +233,18 @@ class TimingReport:
     """Per-scenario authentication-time result; total is the phase sum."""
 
     scenario: str
-    method: str
     threshold: int
     n_drones: int
-    total_us: float
     phases: dict
     outcome: str
 
-    def __post_init__(self):
-        if not math.isclose(self.total_us, sum(self.phases.values()),
-                            rel_tol=1e-9, abs_tol=1e-9):
-            raise ValueError("total_us must equal the sum of phase durations")
+    @property
+    def method(self) -> str:
+        return "nr-5g" if self.scenario == "nr5g" else "group-auth"
+
+    @property
+    def total_us(self) -> float:
+        return sum(self.phases.values(), 0.0)
 
     @property
     def total_ms(self) -> float:
@@ -312,9 +315,17 @@ class CrossoverReport:
 
     baseline_us: float
     crossover_threshold: int | None
-    advertised_bound: int
-    advertised_bound_holds: bool
-    advertised_bound_conservative: bool
+    advertised_bound = ADVERTISED_PREFERABLE_BOUND
+
+    @property
+    def advertised_bound_holds(self) -> bool:
+        return (self.crossover_threshold is None
+                or self.crossover_threshold >= self.advertised_bound)
+
+    @property
+    def advertised_bound_conservative(self) -> bool:
+        return (self.crossover_threshold is None
+                or self.crossover_threshold > self.advertised_bound)
 
     def summary(self) -> str:
         base_ms = self.baseline_us / 1000.0
@@ -332,20 +343,13 @@ class CrossoverReport:
                 f"range t<{self.advertised_bound} is {verdict}")
 
 
-def crossover_report(model: LatencyModel, t_max: int = 10_000,
-                     parallel: bool = False) -> CrossoverReport:
-    """The first t in 2..t_max whose group check, serialized or with
+def crossover_report(model: LatencyModel, parallel: bool = False) -> CrossoverReport:
+    """The first t in 2..10 000 whose group check, serialized or with
     ``parallel`` guards, takes longer than the nr-5g baseline."""
     baseline = baseline_total_us(model)
-    crossover = None
-    for t in range(2, t_max + 1):
-        if time_group_auth(t, model, parallel) > baseline:
-            crossover = t
-            break
-    holds = crossover is None or crossover >= ADVERTISED_PREFERABLE_BOUND
-    conservative = crossover is None or crossover > ADVERTISED_PREFERABLE_BOUND
-    return CrossoverReport(baseline, crossover, ADVERTISED_PREFERABLE_BOUND,
-                           holds, conservative)
+    crossover = next((t for t in range(2, 10_001)
+                      if time_group_auth(t, model, parallel) > baseline), None)
+    return CrossoverReport(baseline, crossover)
 
 
 @dataclass
@@ -360,7 +364,7 @@ class Adversary:
     group: object = None
     rng: random.Random | None = None
     mitm_target: str | None = None
-    captured: list = dc_field(default_factory=list)
+    captured: list = dc_field(init=False, default_factory=list)
 
     def __post_init__(self):
         if self.mode not in ADVERSARY_MODES:
@@ -412,13 +416,10 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
     }[config.scenario]
     flow, transport, adversary, core = setup(config, group, rng)
     outcome = _drive(flow, config, transport)
-    phases = _phases(config)
     n_drones = config.n_drones if config.scenario == "bulk" else (
         2 * config.n_drones if config.scenario == "unification" else 1)
-    report = TimingReport(config.scenario,
-                          "nr-5g" if config.scenario == "nr5g" else "group-auth",
-                          config.threshold, n_drones, sum(phases.values(), 0.0),
-                          phases, str(outcome))
+    report = TimingReport(config.scenario, config.threshold, n_drones, _phases(config),
+                          str(outcome))
     return _ScenarioResult(report, transport.transcript, group, core, adversary)
 
 
@@ -535,7 +536,7 @@ def _setup_bulk(config: ScenarioConfig, group, rng):
     return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core
 
 
-def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None):
+def inject_adversary(config: ScenarioConfig):
     """Run the configured attack scenario and judge the prevention.
 
     replay: every captured message is re-delivered once and must be
@@ -544,19 +545,13 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
     ``rejected(verification-failed)``. eavesdrop: the run must succeed
     while the attacker's captures contain no private scalar and decrypt no
     key-transport ciphertext with any key derivable from captured points.
-
-    When an Adversary instance is supplied, its mode is used and its
-    capture buffer is filled from the run.
     """
-    mode = adversary.mode if adversary is not None else config.adversary
-    if mode not in ("replay", "eavesdrop", "mitm"):
+    mode = config.adversary
+    if mode not in ATTACK_MODES:
         raise ValueError(f"not an attack mode: {mode!r}")
-    config = replace(config, adversary=mode)
 
     result = _run(config)
     adv = result.adversary
-    if adversary is not None:
-        adversary.captured.extend(adv.captured)
     outcome = result.transcript.outcome
 
     if mode == "mitm":
@@ -572,7 +567,7 @@ def inject_adversary(config: ScenarioConfig, adversary: Adversary | None = None)
         if not outcome.accepted:
             return AttackOutcome(False, f"honest run failed under observation: "
                                         f"{outcome}")
-        replay_transport = Transport(AuthTranscript())
+        replay_transport = Transport()
         accepted = sum(
             1 for msg, receiver in adv.captured
             if replay_transport.deliver(msg, receiver) is not None)

@@ -622,11 +622,10 @@ class TestEncoding:
 class TestMakeGroup:
     def test_kinds(self):
         assert make_group("production").kind == "production-curve"
-        assert make_group("toy", 101).order == 101
         assert make_group("toy").order == (1 << 61) - 1
 
     def test_rejects_unknown_kind_and_bad_args(self):
         with pytest.raises(ValueError):
             make_group("dihedral")
         with pytest.raises(ValueError):
-            make_group("production", order=101)
+            make_group("production-curve")

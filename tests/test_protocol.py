@@ -572,7 +572,7 @@ class TestProvisioning:
         """provision_swarm("A", t, n) built share by share from the public
         pieces: (swarm, dealer, core share)."""
         poly = gen_polynomial(group.field, t, rng)
-        dealer = Dealer(poly, group)
+        dealer = Dealer(poly)
         drone_shares = [dealer.issue_next() for _ in range(n)]
         core_share = dealer.issue_at(n + 1)
         swarm = Swarm("A", group, t, group_commitment(poly, group),
@@ -855,7 +855,8 @@ class TargetedIntercept:
 
 def run_with_intercept(group, flow, intercept):
     """An inclusion into a threshold-4 swarm of three guards, or a merge of
-    two threshold-4 swarms of four drones; returns (outcome, transcript)."""
+    two threshold-4 swarms of four drones, one-directional ("unification")
+    or mutual ("mutual"); returns (outcome, transcript)."""
     rng = random.Random(41)
     core = CoreNetwork(group, rng)
     swarm_a = core.provision_swarm("A", 4, n_drones=3 if flow == "inclusion" else 4)
@@ -863,15 +864,18 @@ def run_with_intercept(group, flow, intercept):
     if flow == "inclusion":
         return run_inclusion(swarm_a, core.issue_candidate("A"), rng, transport)
     swarm_b = core.provision_swarm("B", 4, n_drones=4)
-    return run_unification(swarm_a, swarm_b, core, rng, transport)
+    return run_unification(swarm_a, swarm_b, core, rng, transport,
+                           mutual=flow == "mutual")
 
 
 class TestTargetedIntercepts:
     """Each row changes one message in flight and names the exact outcome
     the run must end in; no row may end the run with an exception. Share
     publishes 0-2 go to the three guards, and publish 3 is the first
-    guard-to-guard exchange. A verdict the publisher does not receive as
-    a fresh ``accept`` fails the check like a guard's own rejection."""
+    guard-to-guard exchange; in a mutual merge, publishes 0-8 belong to
+    the first pass and 9-17 to the second. A verdict the publisher does
+    not receive as a fresh ``accept`` fails the check like a guard's own
+    rejection."""
 
     ROWS = [
         ("inclusion", MessageKind.SHARE_PUBLISH, 0, truncated, "verification-failed"),
@@ -881,16 +885,23 @@ class TestTargetedIntercepts:
         ("inclusion", MessageKind.SHARE_PUBLISH, 3, replayed, "verification-failed"),
         ("unification", MessageKind.SHARE_PUBLISH, 0, zero_identifier, "verification-failed"),
         ("unification", MessageKind.SHARE_PUBLISH, 3, verdict_payload, "verification-failed"),
+        ("mutual", MessageKind.SHARE_PUBLISH, 12, zero_identifier,
+         "mutual-verification-failed"),
         ("inclusion", MessageKind.AUTH_VERDICT, 0, rejecting, "verification-failed"),
         ("inclusion", MessageKind.AUTH_VERDICT, 2, garbled, "verification-failed"),
         ("inclusion", MessageKind.AUTH_VERDICT, 1, replayed, "verification-failed"),
         ("unification", MessageKind.AUTH_VERDICT, 0, rejecting, "verification-failed"),
         ("unification", MessageKind.AUTH_VERDICT, 2, garbled, "verification-failed"),
         ("unification", MessageKind.AUTH_VERDICT, 1, replayed, "verification-failed"),
+        ("inclusion", MessageKind.KEY_AGREEMENT_INIT, 0, replayed, "key-delivery-failed"),
         ("inclusion", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-delivery-failed"),
+        ("inclusion", MessageKind.ENCRYPTED_GROUP_KEY, 0, replayed, "key-delivery-failed"),
+        ("mutual", MessageKind.CROSS_ISSUE_RESPONSE, 1, replayed,
+         "mutual-cross-issue-undelivered"),
         ("unification", MessageKind.ENCRYPTED_GROUP_KEY, 0, flipped_byte, "key-return-failed"),
         ("unification", MessageKind.UNIFIED_KEY_BROADCAST, 1, flipped_byte,
          "broadcast-tampered"),
+        ("mutual", MessageKind.UNIFIED_KEY_BROADCAST, 0, replayed, "broadcast-rejected"),
     ]
 
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)

@@ -453,19 +453,19 @@ class TestThresholdProperty:
 
 class TestDealer:
     def test_sequential_identifiers(self, toy101, rng):
-        dealer = Dealer(gen_polynomial(toy101.field, 3, rng), toy101)
+        dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
         xs = [dealer.issue_next().x for _ in range(5)]
         assert xs == [1, 2, 3, 4, 5]
 
     def test_registry_uniqueness(self, toy101, rng):
-        dealer = Dealer(gen_polynomial(toy101.field, 3, rng), toy101)
+        dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
         dealer.issue_at(7)
         with pytest.raises(DuplicateIdentifier):
             dealer.issue_at(7)
         assert dealer.issue_next().x == 1
 
     def test_issue_next_skips_taken(self, toy101, rng):
-        dealer = Dealer(gen_polynomial(toy101.field, 3, rng), toy101)
+        dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
         dealer.issue_at(1)
         dealer.issue_at(2)
         assert dealer.issue_next().x == 3
@@ -483,7 +483,7 @@ class TestDealer:
         # some are 0 mod q, and a long range wraps past q
         group = ToyGroup(101)
         poly = gen_polynomial(group.field, 3, random.Random(n))
-        dealer, twin = Dealer(poly, group), Dealer(poly, group)
+        dealer, twin = Dealer(poly), Dealer(poly)
         for x in taken:
             assert (self._outcome(lambda: dealer.issue_at(x))
                     == self._outcome(lambda: twin.issue_at(x)))
@@ -500,7 +500,7 @@ class TestDealer:
         assert self._outcome(dealer.issue_next) == self._outcome(twin.issue_next)
 
     def test_issue_range_of_zero(self, toy101, rng):
-        dealer = Dealer(gen_polynomial(toy101.field, 3, rng), toy101)
+        dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
         dealer.issue_at(2)
         assert dealer.issue_range(0) == []
         assert dealer.issued_identifiers() == {2}
@@ -511,7 +511,7 @@ class TestDealer:
         # x = 1 again), so the 12th share is the last and the range raises
         # as the 13th issue_next does, keeping the shares issued before it
         poly = gen_polynomial(toy13.field, 3, rng)
-        dealer, twin = Dealer(poly, toy13), Dealer(poly, toy13)
+        dealer, twin = Dealer(poly), Dealer(poly)
         for d in (dealer, twin):
             d.issue_at(14)
         with pytest.raises(InvalidIdentifier):

@@ -292,16 +292,24 @@ class TestCrossover:
         assert not report.advertised_bound_holds
         assert "NOT supported" in report.summary()
 
+    def test_exactly_tight_bound(self):
+        # 10 * (1549 + 612) = 21 610 > 21 600 = the baseline, 9 * 2161 is not
+        report = crossover_report(LatencyModel(drone_to_drone=1549.0))
+        assert report.crossover_threshold == ADVERTISED_PREFERABLE_BOUND == 10
+        assert report.advertised_bound_holds
+        assert not report.advertised_bound_conservative
+        assert "exactly tight" in report.summary()
+
 
 class TestTimingReport:
-    def test_total_must_equal_phase_sum(self):
-        with pytest.raises(ValueError):
-            TimingReport("x", "group-auth", 2, 1, 10.0, {"a": 3.0}, "accepted")
-
     def test_render_millisecond_precision(self):
-        report = TimingReport("x", "group-auth", 2, 1, 1212.0,
-                              {"a": 1212.0}, "accepted")
+        report = TimingReport("inclusion", 2, 1, {"a": 1000.5, "b": 211.5},
+                              "accepted")
+        assert report.total_us == 1212.0
+        assert "method=group-auth" in report.render()
         assert "total_ms=1.212" in report.render()
+        nr5g = TimingReport("nr5g", 2, 1, {"a": 1212.0}, "accepted")
+        assert "method=nr-5g" in nr5g.render()
 
 
 class TestScenarios:
@@ -667,25 +675,17 @@ class TestAdversaries:
     def test_eavesdrop_adds_each_distinct_pair_once(self, scenario, monkeypatch):
         # shares are published to every guard, so captures repeat points;
         # the judge sums each unordered pair of distinct points once
+        config = ScenarioConfig(scenario=scenario, adversary="eavesdrop", seed=3)
+        group = algebra.CurveGroup()
+        captured = [decode_public_share(group, msg.payload).point
+                    for msg, _ in simnet._run(config).adversary.captured
+                    if msg.kind in (MessageKind.SHARE_PUBLISH,
+                                    MessageKind.KEY_AGREEMENT_INIT)]
         adds = []
         add = algebra.CurveGroup.add
         monkeypatch.setattr(algebra.CurveGroup, "add",
                             lambda group, g, h: adds.append(1) or add(group, g, h))
-        adversary = Adversary(mode="eavesdrop")
-        config = ScenarioConfig(scenario=scenario, adversary="eavesdrop", seed=3)
-        assert inject_adversary(config, adversary).thwarted
-        group = algebra.CurveGroup()
-        captured = [decode_public_share(group, msg.payload).point
-                    for msg, _ in adversary.captured
-                    if msg.kind in (MessageKind.SHARE_PUBLISH,
-                                    MessageKind.KEY_AGREEMENT_INIT)]
+        assert inject_adversary(config).thwarted
         d = len(set(captured))
         assert d < len(captured)
         assert len(adds) == d * (d + 1) // 2
-
-    def test_supplied_adversary_collects_captures(self):
-        config = ScenarioConfig(scenario="inclusion", seed=2)
-        adversary = Adversary(mode="eavesdrop")
-        outcome = inject_adversary(config, adversary)
-        assert outcome.thwarted
-        assert adversary.captured
