@@ -29,7 +29,6 @@ from .protocol import (
     CoreNetwork,
     Drone,
     DroneId,
-    Role,
     Swarm,
     derive_pairwise_key,
     run_inclusion,
@@ -57,7 +56,7 @@ __all__ = [
     "lagrange_coeff_at_zero", "public_share", "public_shares",
     "recover_group_key",
     "verify_group",
-    "CoreNetwork", "Drone", "DroneId", "Role", "Swarm",
+    "CoreNetwork", "Drone", "DroneId", "Swarm",
     "derive_pairwise_key", "run_inclusion", "run_unification",
     "Adversary", "LatencyModel", "ScenarioConfig", "TimingReport",
     "crossover_report", "inject_adversary", "parse_config", "run_scenario",

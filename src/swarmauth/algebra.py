@@ -102,18 +102,6 @@ class ScalarField:
     def reduce(self, value: int) -> int:
         return value % self.order
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.order
-
-    def neg(self, a: int) -> int:
-        return -a % self.order
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.order
-
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroInverse("0 has no multiplicative inverse")

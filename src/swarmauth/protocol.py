@@ -23,6 +23,11 @@ verdicts), "hop" (key delivery, key return, rebroadcast), "broadcast"
 Outcome. ``run_inclusion`` and ``run_unification`` run a flow with no
 clock; ``simnet`` runs the same flows on its event loop.
 
+A drone stores no role. A swarm's guards are its threshold - 1 lowest
+identifiers, and a drone is a member once it is in the swarm's drone
+table. A message holds only its wire fields (kind, sender, nonce,
+payload); the delivery names its receiver.
+
 Every message carries a fresh nonce; receivers keep a per-sender nonce
 cache for the scenario lifetime, so replayed messages are rejected.
 All randomness flows through a caller-provided ``random.Random``, which
@@ -65,7 +70,6 @@ __all__ = [
     "CrossIssueDenied",
     "UnknownRequester",
     "UnknownSwarm",
-    "Role",
     "MessageKind",
     "DroneId",
     "ProtocolMessage",
@@ -116,12 +120,6 @@ class UnknownSwarm(CrossIssueDenied):
     """Target swarm is not provisioned at the core."""
 
 
-class Role(enum.Enum):
-    GUARD = "guard"
-    MEMBER = "member"
-    NEW_ARRIVAL = "new-arrival"
-
-
 class MessageKind(enum.Enum):
     SHARE_PUBLISH = 1
     AUTH_VERDICT = 2
@@ -162,11 +160,11 @@ class DroneId:
 
 @dataclass(frozen=True, slots=True)
 class ProtocolMessage:
-    """One protocol message; receiver is delivery metadata, not wire data."""
+    """One protocol message: its wire fields. The receiver is named by
+    the delivery (:meth:`Transport.deliver`), not by the message."""
 
     kind: MessageKind
     sender: DroneId
-    receiver: str
     nonce: bytes
     payload: bytes
 
@@ -180,7 +178,7 @@ class ProtocolMessage:
                 + self.nonce + _lp(self.payload))
 
     @classmethod
-    def from_bytes(cls, data: bytes, receiver: str = "") -> "ProtocolMessage":
+    def from_bytes(cls, data: bytes) -> "ProtocolMessage":
         if not data:
             raise DecodeError("empty message")
         try:
@@ -200,7 +198,7 @@ class ProtocolMessage:
         except UnicodeDecodeError:
             raise DecodeError("sender swarm id is not UTF-8") from None
         sender = DroneId(swarm, int.from_bytes(x_b, "big"))
-        return cls(kind, sender, receiver, nonce, payload)
+        return cls(kind, sender, nonce, payload)
 
 
 @dataclass(frozen=True)
@@ -270,14 +268,14 @@ class NonceCache:
 
 @dataclass(slots=True)
 class Drone:
-    """A swarm participant and the key material it holds.
+    """A swarm participant and the key material it holds. Its role follows
+    from its swarm: see :meth:`Swarm.guards`.
 
     ``nonce_cache`` is built by the first delivery to the drone, so the
     members that never receive a message build none.
     """
 
     id: DroneId
-    role: Role
     private_share: PrivateShare
     group_key: int | None = None
     nonce_cache: NonceCache | None = None
@@ -285,9 +283,6 @@ class Drone:
     @property
     def label(self) -> str:
         return self.id.label
-
-    def public_share(self, group) -> PublicShare:
-        return public_share(self.private_share, group)
 
 
 class Swarm:
@@ -308,8 +303,8 @@ class Swarm:
         self.drones[drone.id.x] = drone
 
     def guards(self) -> list[Drone]:
-        return sorted((d for d in self.drones.values() if d.role is Role.GUARD),
-                      key=lambda d: d.id.x)
+        """The drones of the threshold - 1 lowest identifiers."""
+        return [self.drones[x] for x in sorted(self.drones)[:self.threshold - 1]]
 
     def members(self) -> list[Drone]:
         return sorted(self.drones.values(), key=lambda d: d.id.x)
@@ -386,8 +381,7 @@ def seal(kind: MessageKind, cipher: AESGCM, sender: DroneId, receiver: str,
     receiver, nonce). The party that derives a key builds its context."""
     nonce = fresh_nonce(rng)
     aad = _aad(sender, receiver, nonce)
-    return ProtocolMessage(kind, sender, receiver, nonce,
-                           cipher.encrypt(nonce, plaintext, aad))
+    return ProtocolMessage(kind, sender, nonce, cipher.encrypt(nonce, plaintext, aad))
 
 
 def open_sealed(cipher: AESGCM, msg: ProtocolMessage, receiver: str) -> bytes:
@@ -428,8 +422,8 @@ def _publish_share(group, sender: Drone, share: PublicShare, receiver,
     (the in-path intercept hook may have replaced it), or None when the
     receiver rejects it as a replay or cannot decode it: either way the
     receiver holds no pair from this publish."""
-    msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, receiver.label,
-                          fresh_nonce(rng), encode_public_share(group, share))
+    msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, fresh_nonce(rng),
+                          encode_public_share(group, share))
     delivered = transport.deliver(msg, receiver)
     if delivered is None:
         return None
@@ -442,8 +436,8 @@ def _publish_share(group, sender: Drone, share: PublicShare, receiver,
 def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng) -> bool:
     """Send a guard's verdict; returns whether the receiver got it as a
     fresh ``accept``."""
-    msg = ProtocolMessage(MessageKind.AUTH_VERDICT, guard.id, receiver.label,
-                          fresh_nonce(rng), b"accept" if ok else b"reject")
+    msg = ProtocolMessage(MessageKind.AUTH_VERDICT, guard.id, fresh_nonce(rng),
+                          b"accept" if ok else b"reject")
     delivered = transport.deliver(msg, receiver)
     return delivered is not None and delivered.payload == b"accept"
 
@@ -456,8 +450,7 @@ def _send_group_key(group, deliverer: Drone, deliverer_pub: PublicShare,
     recovered by the recipient, or None when the recipient rejects a
     message as a replay or cannot decode or authenticate it."""
     init = ProtocolMessage(MessageKind.KEY_AGREEMENT_INIT, deliverer.id,
-                           recipient.label, fresh_nonce(rng),
-                           encode_public_share(group, deliverer_pub))
+                           fresh_nonce(rng), encode_public_share(group, deliverer_pub))
     try:
         delivered = transport.deliver(init, recipient)
         if delivered is None:
@@ -552,9 +545,9 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if candidate.id.x in swarm.drones:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, views, own = yield from _guard_check(swarm, guards, candidate,
-                                             candidate.public_share(group),
-                                             transport, rng)
+    ok, views, own = yield from _guard_check(
+        swarm, guards, candidate, public_share(candidate.private_share, group),
+        transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
@@ -565,7 +558,6 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if recovered is None:
         return Outcome(False, "key-delivery-failed")
     candidate.group_key = recovered
-    candidate.role = Role.MEMBER
     swarm.add_drone(candidate)
     return Outcome(True)
 
@@ -654,11 +646,8 @@ class CoreNetwork:
         swarm = Swarm(swarm_id, group, threshold, GroupCommitment(q_point),
                       PublicShare(core_share.x, core_point))
         group_key = poly.group_key
-        swarm.drones = {
-            sh.x: Drone(DroneId(swarm_id, sh.x),
-                        Role.GUARD if i < threshold - 1 else Role.MEMBER,
-                        sh, group_key)
-            for i, sh in enumerate(drone_shares)}
+        swarm.drones = {sh.x: Drone(DroneId(swarm_id, sh.x), sh, group_key)
+                        for sh in drone_shares}
 
         self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share
@@ -674,7 +663,7 @@ class CoreNetwork:
     def issue_candidate(self, swarm_id: str) -> Drone:
         """Provision a legitimate new arrival (a fresh share, no key)."""
         sh = self._dealers[swarm_id].issue_next()
-        return Drone(DroneId(swarm_id, sh.x), Role.NEW_ARRIVAL, sh)
+        return Drone(DroneId(swarm_id, sh.x), sh)
 
     def core_issue_cross_share(self, requester: DroneId, target_swarm: str,
                                rng) -> ProtocolMessage:
@@ -685,8 +674,8 @@ class CoreNetwork:
         home = self.swarms.get(requester.swarm)
         if home is None:
             raise UnknownRequester(f"unknown swarm {requester.swarm!r} for requester")
-        drone = home.drones.get(requester.x)
-        if drone is None or drone.role is not Role.GUARD:
+        drone = next((g for g in home.guards() if g.id.x == requester.x), None)
+        if drone is None:
             raise UnknownRequester(f"{requester} is not a provisioned guard")
         target_dealer = self._dealers.get(target_swarm)
         if target_dealer is None:
@@ -695,7 +684,8 @@ class CoreNetwork:
         cross = target_dealer.issue_next()
         cipher = AESGCM(derive_pairwise_key(self.group,
                                             self._core_shares[requester.swarm],
-                                            drone.public_share(self.group)))
+                                            public_share(drone.private_share,
+                                                         self.group)))
         return seal(MessageKind.CROSS_ISSUE_RESPONSE, cipher,
                     self.core_identity(requester.swarm), requester.label,
                     encode_private_share(self.group.field, cross), rng)
@@ -717,7 +707,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
     group = home.group
     yield "core"
     request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
-                              core.label, fresh_nonce(rng), away.id.encode())
+                              fresh_nonce(rng), away.id.encode())
     transport.deliver(request, core)
     yield "core"
     response = core.core_issue_cross_share(designated.id, away.id, rng)
@@ -775,8 +765,7 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     yield "hop"
     deliverer = b_guards[0]
     # d_a's nonce cache was built by the cross-issue response's delivery
-    cross_holder = Drone(d_a.id, Role.GUARD, cross, group_key=d_a.group_key,
-                         nonce_cache=d_a.nonce_cache)
+    cross_holder = Drone(d_a.id, cross, nonce_cache=d_a.nonce_cache)
     unified_key = _send_group_key(group, deliverer, own[deliverer.id.x], cross_holder,
                                   views[deliverer.id.x], transport, rng)
     if unified_key is None:

@@ -165,8 +165,7 @@ class ScenarioConfig:
 
 
 _INT_KEYS = ("threshold", "n_drones", "seed")
-_LATENCY_KEYS = ("ue_core_round_trip", "asym_encrypt", "asym_decrypt",
-                 "hash_op", "drone_to_drone", "ec_point_mul")
+_LATENCY_KEYS = tuple(LatencyModel.__dataclass_fields__)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -392,7 +391,6 @@ class AttackOutcome:
 class _ScenarioResult:
     report: TimingReport
     transcript: AuthTranscript
-    group: object = None
     core: CoreNetwork | None = None
     adversary: Adversary | None = None
 
@@ -420,7 +418,7 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
         2 * config.n_drones if config.scenario == "unification" else 1)
     report = TimingReport(config.scenario, config.threshold, n_drones, _phases(config),
                           str(outcome))
-    return _ScenarioResult(report, transport.transcript, group, core, adversary)
+    return _ScenarioResult(report, transport.transcript, core, adversary)
 
 
 def _phases(config: ScenarioConfig) -> dict:
@@ -563,10 +561,10 @@ def inject_adversary(config: ScenarioConfig):
         return AttackOutcome(True, f"protocol rejected the substituted share: "
                                    f"{outcome}")
 
+    if not outcome.accepted:
+        return AttackOutcome(False, f"honest run failed under observation: {outcome}")
+
     if mode == "replay":
-        if not outcome.accepted:
-            return AttackOutcome(False, f"honest run failed under observation: "
-                                        f"{outcome}")
         replay_transport = Transport()
         accepted = sum(
             1 for msg, receiver in adv.captured
@@ -577,10 +575,8 @@ def inject_adversary(config: ScenarioConfig):
                                    f"rejected by nonce caches")
 
     # eavesdrop
-    if not outcome.accepted:
-        return AttackOutcome(False, f"honest run failed under observation: {outcome}")
     blob = b"".join(msg.payload for msg, _ in adv.captured)
-    group = result.group
+    group = result.core.group
     # every scalar the core dealt: each group key and every issued share,
     # the core's own and the cross-issued shares included
     for swarm_id in result.core.swarms:
@@ -589,13 +585,10 @@ def inject_adversary(config: ScenarioConfig):
                    *map(dealer.poly.evaluate, dealer.issued_identifiers())]
         if any(group.field.encode(secret) in blob for secret in secrets):
             return AttackOutcome(False, "private material visible in captured traffic")
-    points = []
-    for msg, _ in adv.captured:
-        if msg.kind in (MessageKind.SHARE_PUBLISH, MessageKind.KEY_AGREEMENT_INIT):
-            try:
-                points.append(decode_public_share(group, msg.payload).point)
-            except protocol.DecodeError:
-                pass
+    # the run was accepted, so every receiver decoded these payloads
+    points = [decode_public_share(group, msg.payload).point
+              for msg, _ in adv.captured
+              if msg.kind in (MessageKind.SHARE_PUBLISH, MessageKind.KEY_AGREEMENT_INIT)]
     # everything the attacker can derive without a private scalar: hashes
     # of captured points, of their pairwise sums, and of raw payloads; each
     # distinct point once, since every share is published to many guards
@@ -607,7 +600,7 @@ def inject_adversary(config: ScenarioConfig):
     for msg, _ in adv.captured:
         if msg.payload:
             candidate_keys.add(hashlib.sha256(msg.payload).digest())
-    sealed = [msg for msg, _ in adv.captured
+    sealed = [(msg, receiver.label) for msg, receiver in adv.captured
               if msg.kind in (MessageKind.ENCRYPTED_GROUP_KEY,
                               MessageKind.CROSS_ISSUE_RESPONSE,
                               MessageKind.UNIFIED_KEY_BROADCAST)]
@@ -617,9 +610,9 @@ def inject_adversary(config: ScenarioConfig):
     # context is built once
     for key in candidate_keys:
         cipher = AESGCM(key)
-        for msg in sealed:
+        for msg, receiver in sealed:
             try:
-                protocol.open_sealed(cipher, msg, msg.receiver)
+                protocol.open_sealed(cipher, msg, receiver)
                 return AttackOutcome(False, "captured material decrypted a "
                                             "key-transport message")
             except protocol.DecryptionFailed:

@@ -120,6 +120,26 @@ class TestSweep:
         assert main(["sweep", "--variable", "altitude", "--from", "2",
                      "--to", "9", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("variable, start, needle", [
+        ("threshold", 1, "threshold sweep must start at 2"),
+        ("n_drones", -1, "n_drones sweep must start at 0"),
+    ], ids=["threshold", "n_drones"])
+    def test_start_below_range_exits_1(self, tmp_path, capsys, variable, start,
+                                       needle):
+        out_csv = tmp_path / "x.csv"
+        assert main(["sweep", "--variable", variable, "--from", str(start),
+                     "--to", "5", "--out", str(out_csv)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        assert main(["sweep", "--variable", "threshold", "--from", "2",
+                     "--to", "5", "--out", str(out_csv),
+                     "--config", str(tmp_path / "missing.cfg")]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         assert main(["sweep", "--variable", "threshold", "--from", "2",
                      "--to", "5", "--out", str(tmp_path / "no" / "x.csv")]) == 1

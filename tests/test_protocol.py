@@ -24,7 +24,6 @@ from swarmauth.protocol import (
     NotEnoughGuards,
     Outcome,
     ProtocolMessage,
-    Role,
     Swarm,
     Transport,
     TranscriptEntry,
@@ -68,8 +67,7 @@ def manual_swarm(toy101):
     commitment = group_commitment(poly, toy101)
     core_pub = public_share(issue_share(poly, 50), toy101)
     swarm = Swarm("A", toy101, 2, commitment, core_pub)
-    guard = Drone(DroneId("A", 1), Role.GUARD, issue_share(poly, 1),
-                  group_key=poly.group_key)
+    guard = Drone(DroneId("A", 1), issue_share(poly, 1), group_key=poly.group_key)
     swarm.add_drone(guard)
     return poly, swarm
 
@@ -117,8 +115,8 @@ def sealed(rng):
 class TestAead:
     def test_round_trip(self, rng):
         msg = sealed(rng)
-        assert (msg.kind, msg.sender, msg.receiver) == (
-            MessageKind.ENCRYPTED_GROUP_KEY, DroneId("A", 1), "A/2")
+        assert (msg.kind, msg.sender) == (MessageKind.ENCRYPTED_GROUP_KEY,
+                                          DroneId("A", 1))
         assert msg.payload != b"payload"
         assert open_sealed(AESGCM(bytes(32)), msg, "A/2") == b"payload"
 
@@ -147,51 +145,53 @@ class TestGroupKeyDelivery:
     def test_honest_round_trip(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
-        recipient = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2))
-        msg = deliver_group_key(toy101, guard, recipient.public_share(toy101),
+        recipient = Drone(DroneId("A", 2), issue_share(poly, 2))
+        msg = deliver_group_key(toy101, guard,
+                                public_share(recipient.private_share, toy101),
                                 recipient.label, rng)
         assert msg.kind is MessageKind.ENCRYPTED_GROUP_KEY
         recovered = open_group_key(toy101, recipient,
-                                   guard.public_share(toy101), msg)
+                                   public_share(guard.private_share, toy101), msg)
         assert recovered == 5
 
     def test_wrong_private_share_fails_auth(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
-        honest = Drone(DroneId("A", 2), Role.NEW_ARRIVAL, issue_share(poly, 2))
-        msg = deliver_group_key(toy101, guard, honest.public_share(toy101),
+        honest = Drone(DroneId("A", 2), issue_share(poly, 2))
+        msg = deliver_group_key(toy101, guard,
+                                public_share(honest.private_share, toy101),
                                 honest.label, rng)
-        impostor = Drone(DroneId("A", 2), Role.NEW_ARRIVAL, PrivateShare(2, 20))
+        impostor = Drone(DroneId("A", 2), PrivateShare(2, 20))
         with pytest.raises(DecryptionFailed):
-            open_group_key(toy101, impostor, guard.public_share(toy101), msg)
+            open_group_key(toy101, impostor,
+                           public_share(guard.private_share, toy101), msg)
 
     def test_missing_group_key(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
-        keyless = Drone(DroneId("A", 9), Role.GUARD, issue_share(poly, 9))
+        keyless = Drone(DroneId("A", 9), issue_share(poly, 9))
         with pytest.raises(MissingGroupKey):
             deliver_group_key(toy101, keyless,
-                              keyless.public_share(toy101), "A/2", rng)
+                              public_share(keyless.private_share, toy101), "A/2", rng)
 
     def test_nonce_bound_in_aad(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
         guard = swarm.drones[1]
-        recipient = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2))
-        msg = deliver_group_key(toy101, guard, recipient.public_share(toy101),
+        recipient = Drone(DroneId("A", 2), issue_share(poly, 2))
+        msg = deliver_group_key(toy101, guard,
+                                public_share(recipient.private_share, toy101),
                                 recipient.label, rng)
         substituted = replace(msg, nonce=fresh_nonce(rng))
         with pytest.raises(DecryptionFailed):
-            open_group_key(toy101, recipient, guard.public_share(toy101),
-                           substituted)
+            open_group_key(toy101, recipient,
+                           public_share(guard.private_share, toy101), substituted)
 
 
 class TestTransportFreshness:
     def test_replayed_message_rejected(self, toy101, rng):
         transport = Transport()
-        receiver = Drone(DroneId("A", 1), Role.GUARD, PrivateShare(1, 12))
+        receiver = Drone(DroneId("A", 1), PrivateShare(1, 12))
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 2),
-                              receiver.label, fresh_nonce(rng), b"data")
+                              fresh_nonce(rng), b"data")
         assert receiver.nonce_cache is None
         assert transport.deliver(msg, receiver) is not None
         assert transport.deliver(msg, receiver) is None
@@ -207,21 +207,18 @@ class TestTransportFreshness:
 class TestRunInclusion:
     def test_hand_example_accepts(self, toy101):
         poly, swarm = manual_swarm(toy101)
-        candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2))
+        candidate = Drone(DroneId("A", 2), issue_share(poly, 2))
         outcome, transcript = run_inclusion(swarm, candidate, random.Random(1))
         assert outcome == Outcome(True)
         assert candidate.group_key == 5
-        assert candidate.role is Role.MEMBER
-        assert swarm.drones[2] is candidate
+        assert swarm.drones[candidate.id.x] is candidate
         kinds = [e.kind for e in transcript.entries]
         assert kinds == ["SHARE_PUBLISH", "AUTH_VERDICT",
                          "KEY_AGREEMENT_INIT", "ENCRYPTED_GROUP_KEY"]
 
     def test_bogus_share_rejected(self, toy101):
         poly, swarm = manual_swarm(toy101)
-        candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          PrivateShare(2, 20))  # f(2) = 19
+        candidate = Drone(DroneId("A", 2), PrivateShare(2, 20))  # f(2) = 19
         outcome, _ = run_inclusion(swarm, candidate, random.Random(1))
         assert outcome == Outcome(False, "verification-failed")
         assert candidate.group_key is None
@@ -232,19 +229,18 @@ class TestRunInclusion:
         commitment = group_commitment(poly, toy101)
         swarm = Swarm("A", toy101, 3, commitment,
                       public_share(issue_share(poly, 50), toy101))
-        swarm.add_drone(Drone(DroneId("A", 1), Role.GUARD, issue_share(poly, 1),
-                              group_key=poly.group_key))
-        candidate = Drone(DroneId("A", 2), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2))
+        swarm.add_drone(Drone(DroneId("A", 1), issue_share(poly, 1), poly.group_key))
+        candidate = Drone(DroneId("A", 2), issue_share(poly, 2))
         with pytest.raises(NotEnoughGuards):
             run_inclusion(swarm, candidate, rng)
 
     def test_duplicate_identifier(self, toy101, rng):
         poly, swarm = manual_swarm(toy101)
-        candidate = Drone(DroneId("A", 1), Role.NEW_ARRIVAL,
-                          issue_share(poly, 2))
+        candidate = Drone(DroneId("A", 1), issue_share(poly, 2))
         with pytest.raises(DuplicateIdentifier):
             run_inclusion(swarm, candidate, rng)
+        with pytest.raises(DuplicateIdentifier, match="already present"):
+            swarm.add_drone(candidate)
 
     def test_completeness_provisioned_candidates(self, toy61):
         rng = random.Random(5150)
@@ -267,8 +263,7 @@ class TestRunInclusion:
             bad_y = toy61.field.rand(rng)
             while bad_y == legit.private_share.y:
                 bad_y = toy61.field.rand(rng)
-            impostor = Drone(legit.id, Role.NEW_ARRIVAL,
-                             PrivateShare(legit.id.x, bad_y))
+            impostor = Drone(legit.id, PrivateShare(legit.id.x, bad_y))
             outcome, _ = run_inclusion(swarm, impostor, rng)
             assert not outcome.accepted, trial
             assert impostor.group_key is None
@@ -413,9 +408,8 @@ class TestBulkFlow:
     def test_forged_first_arrival_rejected(self, toy61):
         swarm, arrivals = self.setup_batch(toy61, 5)
         first = arrivals[0]
-        bad_y = toy61.field.add(first.private_share.y, 1)
-        arrivals[0] = Drone(first.id, Role.NEW_ARRIVAL,
-                            PrivateShare(first.id.x, bad_y))
+        bad_y = (first.private_share.y + 1) % toy61.field.order
+        arrivals[0] = Drone(first.id, PrivateShare(first.id.x, bad_y))
         steps, outcome = drain(bulk_flow(swarm, arrivals, Transport()))
         assert outcome == Outcome(False, "verification-failed")
         assert steps[-1] == "check"
@@ -446,6 +440,10 @@ class TestHotPathTypes:
         assert replace(a, swarm="B").label == "B/3"
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.label = "B/3"
+
+    def test_drone_holds_no_role(self):
+        assert [f.name for f in dataclasses.fields(Drone)] == [
+            "id", "private_share", "group_key", "nonce_cache"]
 
     def test_drone_label_reads_its_id(self, toy101):
         _, swarm = manual_swarm(toy101)
@@ -510,14 +508,24 @@ class TestTranscript:
 class TestMessageWire:
     def test_round_trip(self, rng):
         msg = ProtocolMessage(MessageKind.AUTH_VERDICT, DroneId("swarm-b", 12),
-                              "A/3", fresh_nonce(rng), b"accept")
-        decoded = ProtocolMessage.from_bytes(msg.to_bytes(), receiver="A/3")
+                              fresh_nonce(rng), b"accept")
+        decoded = ProtocolMessage.from_bytes(msg.to_bytes())
         assert decoded == msg
+
+    def test_fields_are_the_wire_fields(self):
+        assert [f.name for f in dataclasses.fields(ProtocolMessage)] == [
+            "kind", "sender", "nonce", "payload"]
 
     def test_kind_tag_leads(self, rng):
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
-                              "A/2", fresh_nonce(rng), b"p")
+                              fresh_nonce(rng), b"p")
         assert msg.to_bytes()[0] == MessageKind.SHARE_PUBLISH.value
+
+    @pytest.mark.parametrize("width", (0, 15, 17))
+    def test_nonce_length_enforced(self, width):
+        with pytest.raises(ValueError, match="nonce must be 16 bytes"):
+            ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
+                            bytes(width), b"p")
 
     def test_malformed_rejected(self):
         with pytest.raises(DecodeError):
@@ -532,11 +540,11 @@ class TestMessageWire:
 
     def test_over_long_field_names_the_limit(self, rng):
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
-                              "A/2", fresh_nonce(rng), bytes(65_536))
+                              fresh_nonce(rng), bytes(65_536))
         with pytest.raises(ValueError, match="65535"):
             msg.to_bytes()
         limit = replace(msg, payload=bytes(65_535))
-        assert ProtocolMessage.from_bytes(limit.to_bytes(), "A/2") == limit
+        assert ProtocolMessage.from_bytes(limit.to_bytes()) == limit
 
     # Valid length prefixes around arbitrary bytes (some of them exactly
     # as wide as a toy or curve scalar or point), mixed with raw runs
@@ -577,10 +585,8 @@ class TestProvisioning:
         core_share = dealer.issue_at(n + 1)
         swarm = Swarm("A", group, t, group_commitment(poly, group),
                       public_share(core_share, group))
-        for i, sh in enumerate(drone_shares):
-            swarm.add_drone(Drone(DroneId("A", sh.x),
-                                  Role.GUARD if i < t - 1 else Role.MEMBER, sh,
-                                  group_key=poly.group_key))
+        for sh in drone_shares:
+            swarm.add_drone(Drone(DroneId("A", sh.x), sh, group_key=poly.group_key))
         return swarm, dealer, core_share
 
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
@@ -594,9 +600,9 @@ class TestProvisioning:
         assert list(swarm.drones) == list(ref.drones) == list(range(1, n + 1))
         for got, want in zip(swarm.drones.values(), ref.drones.values()):
             assert got.id == want.id and got.label == want.label
-            assert got.role is want.role
             assert got.private_share == want.private_share
             assert got.group_key == want.group_key
+        assert swarm.guards() == ref.guards()
         assert swarm.commitment == ref.commitment
         assert swarm.core_public_share == ref.core_public_share
         assert core.core_identity("A") == DroneId("A", ref_core_share.x)
@@ -604,6 +610,12 @@ class TestProvisioning:
                 == ref_dealer.issued_identifiers())
         assert core.dealer("A").issue_next() == ref_dealer.issue_next()
         assert core.rng.getstate() == ref_rng.getstate()
+
+    def test_swarm_provisioned_once(self, toy61):
+        core = CoreNetwork(toy61, random.Random(3))
+        core.provision_swarm("A", 3, 2)
+        with pytest.raises(DuplicateIdentifier, match="already provisioned"):
+            core.provision_swarm("A", 3, 2)
 
     def test_at_most_four_tracked_objects_per_drone(self, toy61):
         # every object the cyclic GC tracks is one it walks on each pass
@@ -648,7 +660,7 @@ class TestCrossIssue:
         core = CoreNetwork(toy61, rng)
         swarm_a = core.provision_swarm("A", 3, n_drones=3)
         core.provision_swarm("B", 3, n_drones=2)
-        member = [d for d in swarm_a.members() if d.role is Role.MEMBER][0]
+        member = swarm_a.members()[2]  # above the two guards
         with pytest.raises(UnknownRequester):
             core.core_issue_cross_share(member.id, "B", rng)
 
@@ -744,6 +756,20 @@ class TestRunUnification:
         requests = [e for e in transcript.entries
                     if e.kind == "CROSS_ISSUE_REQUEST"]
         assert len(requests) == 2
+
+    def test_swarms_in_different_groups_rejected(self, toy61):
+        core, swarm_a, _, rng = self.setup_swarms(toy61, 29)
+        other = CoreNetwork(ToyGroup(61), rng).provision_swarm("B", 4, 4)
+        with pytest.raises(ValueError, match="one group configuration"):
+            run_unification(swarm_a, other, core, rng)
+
+    def test_swarm_a_without_drones_rejected(self, toy61):
+        core, _, swarm_b, rng = self.setup_swarms(toy61, 30)
+        empty = core.provision_swarm("C", 4, 0)
+        transport = Transport()
+        with pytest.raises(NotEnoughGuards, match="swarm C has no guards"):
+            run_unification(empty, swarm_b, core, rng, transport)
+        assert transport.transcript.entries == []
 
     def test_designated_guard_without_key(self, toy61):
         core, swarm_a, swarm_b, rng = self.setup_swarms(toy61, 27)

@@ -57,6 +57,8 @@ class TestGenPolynomial:
     def test_threshold_too_small(self, toy101, rng):
         with pytest.raises(ThresholdTooSmall):
             gen_polynomial(toy101.field, 1, rng)
+        with pytest.raises(ThresholdTooSmall):
+            GroupPolynomial(toy101.field, (5,))
 
     def test_group_key_distribution_uniform(self, toy101):
         # 1000 draws of coeffs[0] over q=101, chi-square at p=0.999
@@ -70,8 +72,11 @@ class TestGenPolynomial:
         assert stat < CHI2_CRIT_DF100
 
     def test_leading_coefficient_invariant_enforced(self, toy101):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leading coefficient"):
             GroupPolynomial(toy101.field, (5, 0))
+        for coeffs in ((5, 101), (-1, 7)):
+            with pytest.raises(ValueError, match="canonical"):
+                GroupPolynomial(toy101.field, coeffs)
 
 
 class TestIssueShare:
@@ -85,6 +90,10 @@ class TestIssueShare:
             issue_share(poly_5_7x(toy101), 0)
         with pytest.raises(InvalidIdentifier):
             issue_share(poly_5_7x(toy101), 101)  # 0 mod q
+        with pytest.raises(InvalidIdentifier):
+            PrivateShare(0, 12)
+        with pytest.raises(InvalidIdentifier):
+            PublicShare(0, 12)
 
     def test_horner_matches_naive_power_sum(self, toy61, rng):
         f = toy61.field
@@ -164,6 +173,10 @@ class TestLagrange:
     def test_zero_identifier_rejected(self, toy101):
         with pytest.raises(InvalidIdentifier):
             lagrange_coeff_at_zero(toy101.field, [0, 2], 0)
+
+    def test_single_identifier_rejected(self, toy101):
+        with pytest.raises(WrongShareCount):
+            lagrange_coeff_at_zero(toy101.field, [1], 0)
 
     def test_identifiers_equal_mod_q_rejected(self, toy101):
         # 102 = 1 (mod 101): the same evaluation point, so a duplicate

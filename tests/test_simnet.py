@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmauth import algebra, protocol, simnet
+from swarmauth import algebra, baseline5g, protocol, simnet
 from swarmauth.algebra import ToyGroup
 from swarmauth.protocol import MessageKind, Outcome, Transport
 from swarmauth.shares import decode_public_share
@@ -563,7 +563,9 @@ class TestScenarios:
         verdict_senders = {e.sender for e in transcript.entries
                            if e.kind == "AUTH_VERDICT"}
         assert verdict_senders == {"A/1", "A/2", "A/3"}
+        # the accepted candidate is a member, and the guards stay the same
         swarm = simnet._run(config).core.swarms["A"]
+        assert len(swarm.drones) == 7
         assert [d.id.x for d in swarm.guards()] == [1, 2, 3]
 
     def test_determinism(self):
@@ -664,6 +666,42 @@ class TestAdversaries:
         outcome = inject_adversary(config)
         assert not outcome.thwarted
         assert outcome.detail == "captured material decrypted a key-transport message"
+
+    @pytest.mark.parametrize("mode", ["replay", "eavesdrop"])
+    def test_control_honest_run_rejected(self, mode, monkeypatch):
+        # a judge must not call an attack thwarted when the observed run
+        # itself failed
+        monkeypatch.setattr(protocol, "verify_group", lambda *args: False)
+        config = toy_config(scenario="inclusion", adversary=mode, seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == ("honest run failed under observation: "
+                                  "rejected(verification-failed)")
+
+    def test_eavesdrop_control_no_sealed_capture(self, monkeypatch):
+        # an eavesdropper that saw no sealed message has tested nothing
+        sealed = (MessageKind.ENCRYPTED_GROUP_KEY, MessageKind.CROSS_ISSUE_RESPONSE,
+                  MessageKind.UNIFIED_KEY_BROADCAST)
+        intercept = Adversary.intercept
+
+        def blind_intercept(adversary, msg, receiver):
+            out = intercept(adversary, msg, receiver)
+            if msg.kind in sealed:
+                adversary.captured.pop()
+            return out
+
+        monkeypatch.setattr(Adversary, "intercept", blind_intercept)
+        config = ScenarioConfig(scenario="unification", adversary="eavesdrop", seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == "no key-transport traffic observed"
+
+    def test_nr5g_control_seaf_check_fails(self, monkeypatch):
+        monkeypatch.setattr(baseline5g, "seaf_check", lambda res, hxres: False)
+        report, transcript = run_scenario(toy_config(scenario="nr5g"))
+        assert report.outcome == "rejected(confirmation-failed)"
+        assert transcript.outcome == Outcome(False, "confirmation-failed")
+        assert transcript.entries[-1].kind == "CONFIRM"
 
     def test_mitm_run_reports_rejection(self):
         config = toy_config(scenario="inclusion", adversary="mitm", seed=2)
