@@ -28,8 +28,9 @@ identifiers, and a drone is a member once it is in the swarm's drone
 table. A message holds only its wire fields (kind, sender, nonce,
 payload); the delivery names its receiver.
 
-Every message carries a fresh nonce; receivers keep a per-sender nonce
-cache for the scenario lifetime, so replayed messages are rejected.
+Every message carries a fresh nonce; receivers keep the (sender, nonce)
+pairs they have seen for the scenario lifetime, so replayed messages are
+rejected.
 All randomness flows through a caller-provided ``random.Random``, which
 makes transcripts reproducible for a fixed seed.
 """
@@ -248,21 +249,19 @@ class AuthTranscript:
 
 
 class NonceCache:
-    """Per-sender nonce sets; a repeated (sender, nonce) pair is a replay."""
+    """The (sender, nonce) pairs a receiver has seen; a repeated pair is a
+    replay."""
 
     __slots__ = ("_seen",)
 
     def __init__(self):
-        self._seen: dict[str, set[bytes]] = {}
+        self._seen: set[tuple[str, bytes]] = set()
 
     def check_and_store(self, sender: str, nonce: bytes) -> bool:
-        seen = self._seen.get(sender)
-        if seen is None:
-            self._seen[sender] = {nonce}
-        elif nonce in seen:
+        key = (sender, nonce)
+        if key in self._seen:
             return False
-        else:
-            seen.add(nonce)
+        self._seen.add(key)
         return True
 
 
@@ -307,7 +306,7 @@ class Swarm:
         return [self.drones[x] for x in sorted(self.drones)[:self.threshold - 1]]
 
     def members(self) -> list[Drone]:
-        return sorted(self.drones.values(), key=lambda d: d.id.x)
+        return [self.drones[x] for x in sorted(self.drones)]
 
 
 class Transport:
@@ -416,21 +415,14 @@ def open_group_key(group, recipient: Drone, sender_pub: PublicShare,
     return group.field.decode(open_sealed(cipher, msg, recipient.label))
 
 
-def _publish_share(group, sender: Drone, share: PublicShare, receiver,
-                   transport: Transport, rng) -> PublicShare | None:
-    """Send a SHARE_PUBLISH and return the share as decoded by the receiver
-    (the in-path intercept hook may have replaced it), or None when the
-    receiver rejects it as a replay or cannot decode it: either way the
-    receiver holds no pair from this publish."""
-    msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, fresh_nonce(rng),
-                          encode_public_share(group, share))
+def _publish_share(sender: Drone, payload: bytes, receiver,
+                   transport: Transport, rng) -> bytes | None:
+    """Send a SHARE_PUBLISH of an encoded public pair; returns the payload
+    as the receiver got it (the in-path intercept hook may have replaced
+    it), or None when the receiver rejects it as a replay."""
+    msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, fresh_nonce(rng), payload)
     delivered = transport.deliver(msg, receiver)
-    if delivered is None:
-        return None
-    try:
-        return decode_public_share(group, delivered.payload)
-    except DecodeError:
-        return None
+    return None if delivered is None else delivered.payload
 
 
 def _send_verdict(guard: Drone, ok: bool, receiver, transport: Transport, rng) -> bool:
@@ -477,35 +469,52 @@ def _quorum(swarm: Swarm) -> list[Drone]:
 
 
 def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
-                 share: PublicShare, transport: Transport, rng):
-    """Step generator of one guard-quorum check of ``share``.
+                 private: PrivateShare, transport: Transport, rng):
+    """Step generator of one guard-quorum check of the publisher's share.
 
-    The publisher sends the pair to every guard, the guards exchange their
-    own pairs, and each guard checks the t-point Lagrange sum against the
+    The publisher's public pair and the guards' own pairs come from one
+    batched generator mul, and each sender's pair is encoded once. The
+    publisher sends its pair to every guard, the guards exchange their own
+    pairs, and each guard checks the t-point Lagrange sum against the
     swarm's commitment and sends its verdict to the publisher. Returns
     (unanimous, views, own); unanimous holds when every guard accepts and
     the publisher receives every guard's ``accept`` fresh. views maps a
     guard's x to the published pair as that guard received it, and own
-    maps it to the guard's own pair. The guards' pairs come from one
-    batched generator mul.
+    maps it to the guard's own pair.
 
-    Each distinct view is verified once. A guard's verdict is a pure
-    function of the t pairs it holds, because the commitment, group and
-    threshold are fixed for the check, so a guard whose sorted pairs equal
-    an earlier guard's reuses that verdict and every guard still sends the
-    verdict of its own view. In an honest check all views agree and one
-    ``verify_group`` runs; under a man-in-the-middle every substituted view
-    differs and is checked on its own.
+    Each distinct delivered payload is decoded once and each distinct
+    view is verified once. Decoding is a pure function of the bytes, and a
+    guard's verdict is a pure function of the t pairs it holds, because
+    the commitment, group and threshold are fixed for the check; a payload
+    that fails to decode gives its receiver no pair. In an honest check
+    the t payloads are decoded once each, all views agree and one
+    ``verify_group`` runs; under a man-in-the-middle every substituted
+    payload differs, so each is decoded, on-curve checked and verified on
+    its own.
     """
     group = swarm.group
     t = swarm.threshold
-    own = dict(zip((g.id.x for g in guards),
-                   public_shares([g.private_share for g in guards], group)))
+    share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
+    own = {g.id.x: pair for g, pair in zip(guards, pairs)}
+    payload = encode_public_share(group, share)
+    payloads = {g.id.x: encode_public_share(group, pair) for g, pair in zip(guards, pairs)}
+    decoded: dict[bytes, PublicShare | None] = {}
+
+    def receive(payload: bytes | None) -> PublicShare | None:
+        if payload is None:
+            return None
+        if payload not in decoded:
+            try:
+                decoded[payload] = decode_public_share(group, payload)
+            except DecodeError:
+                decoded[payload] = None
+        return decoded[payload]
+
     received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
     views: dict[int, PublicShare] = {}
     yield "transfer"
     for g in guards:
-        seen = _publish_share(group, publisher, share, g, transport, rng)
+        seen = receive(_publish_share(publisher, payload, g, transport, rng))
         if seen is not None:
             received[g.id.x][seen.x] = seen
             views[g.id.x] = seen
@@ -513,7 +522,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
         yield "round"
         for h in guards:
             if h.id.x != g.id.x:
-                seen = _publish_share(group, g, own[g.id.x], h, transport, rng)
+                seen = receive(_publish_share(g, payloads[g.id.x], h, transport, rng))
                 if seen is not None:
                     received[h.id.x][seen.x] = seen
     yield "verdict"
@@ -545,9 +554,8 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if candidate.id.x in swarm.drones:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, views, own = yield from _guard_check(
-        swarm, guards, candidate, public_share(candidate.private_share, group),
-        transport, rng)
+    ok, views, own = yield from _guard_check(swarm, guards, candidate,
+                                             candidate.private_share, transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
@@ -718,8 +726,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
         cross = _open_cross_share(group, home, designated, delivered)
     except (DecryptionFailed, DecodeError):
         return "cross-share-unusable", None, None, None
-    ok, views, own = yield from _guard_check(away, away_guards, designated,
-                                             public_share(cross, group),
+    ok, views, own = yield from _guard_check(away, away_guards, designated, cross,
                                              transport, rng)
     if not ok:
         return "verification-failed", None, None, None

@@ -26,11 +26,14 @@ from swarmauth.algebra import (
     _SECP_P,
     _batch_affine_add,
     _glv_split,
+    _WINDOW_MIN_BITS,
     _inverses,
+    _jac_add,
     _jac_add_affine,
     _jac_double,
-    _naf,
+    _odd_multiples,
     _to_affine,
+    _wnaf,
 )
 
 
@@ -446,22 +449,111 @@ class TestMultiScalarMul:
         assert toy61.msm([s for s, _ in terms], [g for _, g in terms]) == want
 
 
-class TestNaf:
-    """The signed binary digits that ``msm`` adds a point at."""
+def window_cutover_scalars():
+    """Scalars whose longer GLV half has the cut-over length of ``msm``'s
+    windows, and one bit more; the other half is short and of either sign."""
+    out = []
+    for bits in (_WINDOW_MIN_BITS, _WINDOW_MIN_BITS + 1):
+        for k1, k2 in ((2**bits - 1, 0), (-(2**(bits - 1)), 5), (2**(bits - 1) + 1, -3),
+                       (7, 2**bits - 1)):
+            out.append((k1 + k2 * _GLV_LAMBDA) % _SECP_N)
+    return tuple(out)
+
+
+WINDOW_CUTOVER_SCALARS = window_cutover_scalars()
+# full-width, short of either sign, k = n - 1 and both sides of the cut-over
+window_scalars = st.one_of(st.sampled_from(WINDOW_CUTOVER_SCALARS + (_SECP_N - 1,)),
+                           st.integers(0, _SECP_N - 1),
+                           st.integers(-2**16, 2**16),
+                           st.integers(-2**(_WINDOW_MIN_BITS + 8), 2**(_WINDOW_MIN_BITS + 8)))
+
+
+class TestWindowedMsm:
+    """``msm`` when one call holds width-5 and plain-NAF terms."""
+
+    def test_cutover_scalars_split_on_both_sides(self):
+        lengths = [max(abs(h) for h in _glv_split(k)).bit_length()
+                   for k in WINDOW_CUTOVER_SCALARS]
+        assert lengths == [_WINDOW_MIN_BITS] * 4 + [_WINDOW_MIN_BITS + 1] * 4
+
+    def test_tables_only_for_terms_past_the_cutover(self, curve, monkeypatch):
+        built = []
+
+        def spy(points, w):
+            built.append((len(points), w))
+            return _odd_multiples(points, w)
+
+        monkeypatch.setattr(algebra, "_odd_multiples", spy)
+        # points as discrete logs: p, -p, G and the identity
+        logs = [0xC0FFEE, 0xC0FFEE, -0xC0FFEE, 0xC0FFEE, 1, 0xC0FFEE, 0xC0FFEE, 0,
+                0xC0FFEE, 0xC0FFEE, 0xC0FFEE]
+        points = [None if k == 0 else reference_mul(curve, k, curve.generator)
+                  for k in logs]
+        scalars = [3, _SECP_N - 1, *WINDOW_CUTOVER_SCALARS, 2**255 % _SECP_N]
+        total = sum(s * k for s, k in zip(scalars, logs))
+        assert curve.msm(scalars, points) == reference_mul(curve, total, curve.generator)
+        # three of the four terms one bit past the cut-over (the fourth is
+        # on the identity point and drops out) and the full-width one, in
+        # one call with one shared normalisation
+        assert built == [(4, 5)]
+
+    @settings(max_examples=40)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=3),
+           terms=st.lists(st.tuples(window_scalars, st.integers(0, 3), st.booleans()),
+                          min_size=1, max_size=10))
+    def test_mixed_widths_match_toy_oracle(self, curve, logs, terms):
+        # repeated and negated points each build their own table; index
+        # len(logs) and above is the identity point
+        oracle = ToyGroup(_SECP_N)
+        pool = [reference_mul(curve, k, curve.generator) for k in logs]
+        scalar_list, points, point_logs = [], [], []
+        for s, i, negate in terms:
+            k, point = (logs[i], pool[i]) if i < len(logs) else (0, None)
+            scalar_list.append(s)
+            points.append(curve.neg(point) if negate else point)
+            point_logs.append(oracle.neg(k) if negate else k)
+        want = reference_mul(curve, oracle.msm(scalar_list, point_logs), curve.generator)
+        assert curve.msm(scalar_list, points) == want
+
+
+class TestWnaf:
+    """The signed digits that ``msm`` adds a table entry at: w = 2 is the
+    plain NAF of the short terms, w = 5 the windows of the full-width ones."""
 
     @settings(max_examples=300)
     @given(k=st.one_of(st.integers(-2**130, 2**130), st.sampled_from(
-        [0, 1, -1, 3, -3, 7, 2**128 - 1, -2**129 - 1, _SECP_N - 1])))
-    def test_recombines_with_nonadjacent_unit_digits(self, k):
-        digits = _naf(k)
+        [0, 1, -1, 3, -3, 7, 15, -15, 17, 31, 2**128 - 1, -2**129 - 1, _SECP_N - 1])),
+           w=st.integers(2, 6))
+    def test_recombines_with_spaced_odd_digits(self, k, w):
+        digits = _wnaf(k, w)
         assert sum(d << i for i, d in digits) == k
-        assert all(d in (1, -1) for _, d in digits)
+        assert all(d % 2 == 1 and abs(d) < 2**(w - 1) for _, d in digits)
         positions = [i for i, _ in digits]
-        # least significant first, and no two nonzero digits side by side
-        assert all(b - a >= 2 for a, b in zip(positions, positions[1:]))
+        # least significant first, and nonzero digits at least w places apart
+        assert all(b - a >= w for a, b in zip(positions, positions[1:]))
         # the top digit sits at most one place above the top bit of |k|
         assert not digits or positions[-1] <= abs(k).bit_length()
-        assert _naf(-k) == [(i, -d) for i, d in digits]
+        assert _wnaf(-k, w) == [(i, -d) for i, d in digits]
+
+    def test_hand_examples(self):
+        assert _wnaf(7, 2) == [(0, -1), (3, 1)]
+        assert _wnaf(7, 5) == [(0, 7)]
+        assert _wnaf(-29, 5) == [(0, 3), (5, -1)]
+
+
+class TestOddMultiples:
+    """The width-5 tables of ``msm``, one normalisation for all of them."""
+
+    def test_tables_match_reference(self, curve):
+        g = curve.generator
+        p = reference_mul(curve, 0xC0FFEE, g)
+        points = [g, p, curve.neg(p), p]
+        tables = _odd_multiples(points, 5)
+        assert tables == [[reference_mul(curve, j, q) for j in range(1, 16, 2)]
+                          for q in points]
+        assert _odd_multiples([p], 2) == [[p]]
+        assert _odd_multiples([p], 3) == [[p, reference_mul(curve, 3, p)]]
+        assert _odd_multiples([], 5) == []
 
 
 class TestGLVSplit:
@@ -535,7 +627,7 @@ class TestGLVSplit:
 
 
 class TestJacobianFormulas:
-    """``_jac_double`` and ``_jac_add_affine`` on their own: a known point
+    """``_jac_double``, ``_jac_add_affine`` and ``_jac_add`` on their own: a known point
     written as (X*z^2, Y*z^3, z) for a random z != 1, against the affine
     ``CurveGroup.add``."""
 
@@ -561,6 +653,9 @@ class TestJacobianFormulas:
         assert doubled == (nx, (m * (s - nx) - 8 * y**4) % _SECP_P,
                            2 * y * z % _SECP_P)
         assert _to_affine(*_jac_add_affine(*jac, *a)) == curve.add(p, a)
+        # both summands Jacobian, with a different z for the second
+        z2 = z * 3 % _SECP_P or 5
+        assert _to_affine(*_jac_add(*jac, *self.jacobian(a, z2))) == curve.add(p, a)
 
     @given(log=discrete_logs, x=st.integers(0, _SECP_P - 1),
            y=st.integers(0, _SECP_P - 1))
@@ -569,6 +664,8 @@ class TestJacobianFormulas:
         p = reference_mul(curve, log, curve.generator)
         assert _to_affine(*_jac_double(x, y, 0)) is None
         assert _jac_add_affine(x, y, 0, *p) == (*p, 1)
+        assert _jac_add(x, y, 0, *p, 1) == (*p, 1)
+        assert _jac_add(*p, 1, x, y, 0) == (*p, 1)
 
 
 class TestEncoding:

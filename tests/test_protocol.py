@@ -55,6 +55,7 @@ from swarmauth.shares import (
     group_commitment,
     issue_share,
     public_share,
+    public_shares,
     verify_group,
 )
 
@@ -375,6 +376,82 @@ class TestGuardCheckVerdictReuse:
         assert verdicts == {g: b"reject" if g == "A/2" else b"accept"
                             for g in guards}
         assert len(verified) == 1 and len(verified[0]) == 5
+
+
+def coded_inclusion(group, t, intercept=None, seed=78):
+    """Run one inclusion into a fresh swarm of t-1 guards, with the share
+    codec spied on in ``protocol``; returns (outcome, pairs encoded and
+    payloads decoded when the guard check reaches its verdicts, the
+    candidate, the guards)."""
+    rng = random.Random(seed)
+    core = CoreNetwork(group, rng)
+    swarm = core.provision_swarm("A", t, n_drones=t - 1)
+    candidate = core.issue_candidate("A")
+    guards = swarm.guards()
+    encoded, decoded, at_verdict = [], [], None
+
+    def counting_encode(group, share):
+        encoded.append(share)
+        return encode_public_share(group, share)
+
+    def counting_decode(group, payload):
+        decoded.append(payload)
+        return decode_public_share(group, payload)
+
+    transport = Transport(intercept=None if intercept is None
+                          else lambda msg, receiver: intercept(candidate, msg, receiver))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "encode_public_share", counting_encode)
+        mp.setattr(protocol, "decode_public_share", counting_decode)
+        flow = protocol.inclusion_flow(swarm, candidate, rng, transport)
+        while True:
+            try:
+                if next(flow) == "verdict":
+                    at_verdict = (list(encoded), list(decoded))
+            except StopIteration as stop:
+                return stop.value, at_verdict, candidate, guards
+
+
+class TestGuardCheckCodec:
+    """A guard check encodes each sender's pair once and decodes each
+    distinct delivered payload once."""
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_honest_check_codes_t_payloads(self, group):
+        t = 10
+        outcome, (encoded, decoded), candidate, guards = coded_inclusion(group, t)
+        assert outcome.accepted
+        assert len(encoded) == t and len(decoded) == t
+        assert len(set(decoded)) == t
+        pairs = public_shares([candidate.private_share]
+                              + [g.private_share for g in guards], group)
+        assert sorted(encoded, key=lambda s: s.x) == sorted(pairs, key=lambda s: s.x)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_every_substituted_payload_is_decoded(self, group):
+        # each guard receives its own forged pair for the candidate; on the
+        # curve the last one is off the curve and fails its decode
+        t = 6
+        forged = {}
+
+        def intercept(candidate, msg, receiver):
+            if msg.kind is MessageKind.SHARE_PUBLISH and msg.sender == candidate.id:
+                x = candidate.id.x
+                point = group.mul(receiver.id.x + 1000, group.generator)
+                payload = encode_public_share(group, PublicShare(x, point))
+                if group.kind != "toy" and receiver.id.x == t - 1:
+                    payload = payload[:-1] + bytes([payload[-1] ^ 1])
+                forged[receiver.label] = payload
+                return replace(msg, payload=payload)
+            return msg
+
+        outcome, (encoded, decoded), _, _ = coded_inclusion(group, t, intercept)
+        assert outcome == Outcome(False, "verification-failed")
+        assert len(forged) == t - 1 and len(set(forged.values())) == t - 1
+        # the guards' own t - 1 payloads and every forged one, once each
+        assert len(encoded) == t
+        assert len(decoded) == len(set(decoded)) == 2 * (t - 1)
+        assert set(forged.values()) <= set(decoded)
 
 
 def drain(flow):

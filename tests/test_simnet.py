@@ -400,8 +400,8 @@ class TestScenarios:
         # adds the requester's pair at the core and the cross pair; bulk:
         # every arrival and t-1 guards). A batched generator mul counts one
         # fixed-base mul per scalar; its batches are listed in call order:
-        # each guard check derives the quorum's pairs in one batch, and
-        # bulk derives all its pairs in one. Variable-base: the pairwise
+        # each guard check derives the publisher's pair and the quorum's in
+        # one batch of t, and bulk derives all its pairs in one. Variable-base: the pairwise
         # keys. Each guard check verifies each distinct view once, and in an
         # honest run the t-1 guards hold the same t pairs, so it is one msm
         # of t + 1 points: the t public points and the commitment, folded in
@@ -428,9 +428,8 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): ((t + 2, 2, 1, t + 1), [2, 1, t - 1]),
-            ("unification", None): ((t + 5, 4, 1, t + 1),
-                                    [2, 2, 1, 1, t - 1]),
+            ("inclusion", None): ((t + 2, 2, 1, t + 1), [2, t]),
+            ("unification", None): ((t + 5, 4, 1, t + 1), [2, 2, 1, t]),
             ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [2, 1 + t - 1]),
             ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [2, 25 + t - 1]),
             ("bulk", 0): ((2, 0, 0, 0), [2]),
