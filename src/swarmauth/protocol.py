@@ -131,10 +131,6 @@ class MessageKind(enum.Enum):
     UNIFIED_KEY_BROADCAST = 7
 
 
-# the transcript names of the kinds; an enum's ``name`` is a property
-_KIND_NAMES = {kind: kind.name for kind in MessageKind}
-
-
 @dataclass(frozen=True, slots=True)
 class DroneId:
     """Protocol identity: the share identifier x scoped by a swarm id.
@@ -147,8 +143,12 @@ class DroneId:
     x: int
     label: str = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "label", f"{self.swarm}/{self.x}")
+    # written out in place of the generated __init__ and a __post_init__,
+    # since provisioning builds one id per drone (see PrivateShare)
+    def __init__(self, swarm: str, x: int):
+        _set_id_swarm(self, swarm)
+        _set_id_x(self, x)
+        _set_id_label(self, f"{swarm}/{x}")
 
     def __str__(self):
         return self.label
@@ -157,6 +157,12 @@ class DroneId:
         swarm_b = self.swarm.encode()
         x_b = self.x.to_bytes((self.x.bit_length() + 7) // 8 or 1, "big")
         return _lp(swarm_b) + _lp(x_b)
+
+
+# the slot descriptors of the class that @dataclass(slots=True) returned;
+# setting through them skips the frozen __setattr__
+_set_id_swarm, _set_id_x, _set_id_label = (
+    DroneId.swarm.__set__, DroneId.x.__set__, DroneId.label.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,20 +254,17 @@ class AuthTranscript:
         return "\n".join(lines) + "\n"
 
 
-class NonceCache:
+class NonceCache(set):
     """The (sender, nonce) pairs a receiver has seen; a repeated pair is a
-    replay."""
+    replay. The cache is the set of pairs itself, one object per receiver."""
 
-    __slots__ = ("_seen",)
-
-    def __init__(self):
-        self._seen: set[tuple[str, bytes]] = set()
+    __slots__ = ()
 
     def check_and_store(self, sender: str, nonce: bytes) -> bool:
         key = (sender, nonce)
-        if key in self._seen:
+        if key in self:
             return False
-        self._seen.add(key)
+        self.add(key)
         return True
 
 
@@ -346,7 +349,9 @@ class Transport:
         if cache is None:
             cache = receiver.nonce_cache = NonceCache()
         fresh = cache.check_and_store(sender, msg.nonce)
-        self.transcript.record(self._stamp(), _KIND_NAMES[msg.kind], sender,
+        # an enum's ``name`` is a property over the stored ``_name_``, and
+        # hashing a member for a lookup runs Enum.__hash__ in Python
+        self.transcript.record(self._stamp(), msg.kind._name_, sender,
                                receiver.label, msg.payload,
                                note="" if fresh else "replay-rejected")
         return msg if fresh else None
@@ -357,7 +362,15 @@ def fresh_nonce(rng) -> bytes:
 
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
-    return _lp(sender.label.encode()) + _lp(receiver.encode()) + nonce
+    """The associated data (sender label, receiver label, nonce), each
+    label length-prefixed as :func:`shares._lp` does. The prefixes are
+    built inline: every rebroadcast receiver costs one seal and one open."""
+    sender_b, receiver_b = sender.label.encode(), receiver.encode()
+    if len(sender_b) > 0xFFFF or len(receiver_b) > 0xFFFF:
+        raise ValueError(f"label of {max(len(sender_b), len(receiver_b))} bytes "
+                         f"exceeds the 65535-byte length prefix")
+    return b"".join((len(sender_b).to_bytes(2, "big"), sender_b,
+                     len(receiver_b).to_bytes(2, "big"), receiver_b, nonce))
 
 
 def derive_pairwise_key(group, mine: PrivateShare, theirs: PublicShare) -> bytes:
@@ -740,10 +753,11 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     A designated guard of swarm A (lowest x) obtains a share under swarm
     B's polynomial from the core, swarm B's guards group-verify the cross
     public pair, and on success the designated guard receives swarm B's
-    key and rebroadcasts it to swarm A under swarm A's current key. The
-    verification is one-directional by default; ``mutual=True`` adds the
-    mirrored pass (a swarm-B guard verified by swarm A) before any key
-    moves.
+    key and rebroadcasts it to swarm A under swarm A's current key. Swarm
+    A moves all or nothing: no member's key changes unless every member's
+    copy opens. The verification is one-directional by default;
+    ``mutual=True`` adds the mirrored pass (a swarm-B guard verified by
+    swarm A) before any key moves.
     """
     if swarm_a.group is not swarm_b.group:
         raise ValueError("swarms must share one group configuration")
@@ -779,24 +793,26 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
         return Outcome(False, "key-return-failed")
 
     # rebroadcast under swarm A's current group key: one AES-GCM context
-    # seals and opens every member's copy
+    # seals and opens every member's copy, and each opened key is staged
+    # until the last copy has opened
     yield "hop"
     relay = AESGCM(group_key_cipher_key(group.field, d_a.group_key))
     unified_plain = group.field.encode(unified_key)
-    for member in swarm_a.members():
-        if member.id.x == d_a.id.x:
-            continue
+    kind, sender, deliver, decode = (MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
+                                     transport.deliver, group.field.decode)
+    members = [m for m in swarm_a.members() if m is not d_a]
+    staged = []
+    for member in members:
         label = member.id.label
-        msg = seal(MessageKind.UNIFIED_KEY_BROADCAST, relay, d_a.id,
-                   label, unified_plain, rng)
-        delivered = transport.deliver(msg, member)
+        delivered = deliver(seal(kind, relay, sender, label, unified_plain, rng), member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
-            member.group_key = group.field.decode(
-                open_sealed(relay, delivered, label))
+            staged.append(decode(open_sealed(relay, delivered, label)))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
+    for member, key in zip(members, staged):
+        member.group_key = key
     d_a.group_key = unified_key
     # both swarms now share swarm B's key for intra-group traffic
     return Outcome(True)

@@ -12,6 +12,7 @@ multi-scalar multiplication of t + 1 points with short integer weights
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -93,9 +94,19 @@ class PrivateShare:
     x: int
     y: int
 
-    def __post_init__(self):
-        if self.x == 0:
+    # written out in place of the generated __init__ and a __post_init__,
+    # since the dealer builds one share per drone; the generated method
+    # would call object.__setattr__ per field and then __post_init__
+    def __init__(self, x: int, y: int):
+        if x == 0:
             raise InvalidIdentifier("share identifier must be nonzero")
+        _set_share_x(self, x)
+        _set_share_y(self, y)
+
+
+# the slot descriptors of the class that @dataclass(slots=True) returned;
+# setting through them skips the frozen __setattr__
+_set_share_x, _set_share_y = PrivateShare.x.__set__, PrivateShare.y.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,24 +311,26 @@ class Dealer:
         return self.issue_range(1)[0]
 
     def issue_range(self, n: int) -> list:
-        """The shares of the next n free identifiers, lowest first, each
-        registered as it is issued: what n calls of :meth:`issue_next`
-        return. Raises InvalidIdentifier once every identifier below q is
-        taken, keeping the shares issued before it."""
+        """The shares of the next n free identifiers, lowest first, all
+        registered: what n calls of :meth:`issue_next` return. Raises
+        InvalidIdentifier once every identifier below q is taken, keeping
+        the identifiers found before it registered."""
         q = self.poly.field.order
-        evaluate, issued = self.poly.evaluate, self._issued
-        x = self._next_x
-        shares = []
-        for _ in range(n):
-            while x in issued:
-                x += 1
-            self._next_x = x
-            # registered identifiers are reduced and nonzero, so x stops at q
-            if x == q:
-                raise InvalidIdentifier(f"every identifier below {q} is issued")
-            issued.add(x)
-            shares.append(PrivateShare(x, evaluate(x)))
-        return shares
+        issued = self._issued
+        # registered identifiers are reduced and nonzero, so the scan stops at q
+        xs = list(islice(filterfalse(issued.__contains__, range(self._next_x, q)), n))
+        issued.update(xs)
+        if xs:
+            self._next_x = xs[-1] + 1
+        if len(xs) < n:
+            raise InvalidIdentifier(f"every identifier below {q} is issued")
+        # GroupPolynomial.evaluate's Horner rule, one coefficient at a time
+        # across every x, with one reduction per share at the end
+        top, *rest = reversed(self.poly.coeffs)
+        accs = [top] * len(xs)
+        for c in rest:
+            accs = [acc * x + c for acc, x in zip(accs, xs)]
+        return [PrivateShare(x, acc % q) for x, acc in zip(xs, accs)]
 
     def issue_at(self, x: int) -> PrivateShare:
         x = self.poly.field.reduce(x)

@@ -1,8 +1,10 @@
 """Inclusion, key delivery, and unification flows on the toy group."""
 
+import copy
 import dataclasses
 import gc
 import hashlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -44,6 +46,7 @@ from swarmauth.shares import (
     Dealer,
     DuplicateIdentifier,
     GroupPolynomial,
+    InvalidIdentifier,
     PrivateShare,
     PublicShare,
     _lp,
@@ -517,6 +520,44 @@ class TestHotPathTypes:
         assert replace(a, swarm="B").label == "B/3"
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.label = "B/3"
+        share = PrivateShare(3, 9)
+        assert replace(share, y=10) == PrivateShare(x=3, y=10)
+        with pytest.raises(InvalidIdentifier):
+            replace(share, x=0)
+        with pytest.raises(InvalidIdentifier):
+            PrivateShare(0, 9)
+
+    # DroneId and PrivateShare write their own __init__; every field stays
+    # frozen, and copies and pickles bypass __init__ yet keep each field
+    @pytest.mark.parametrize("obj, names", [
+        (DroneId("A", 3), ("swarm", "x", "label")),
+        (PrivateShare(3, 9), ("x", "y")),
+    ], ids=["DroneId", "PrivateShare"])
+    def test_every_field_frozen(self, obj, names):
+        assert tuple(f.name for f in dataclasses.fields(obj)) == names
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trips(self, copier):
+        drone_id, share = DroneId("A", 3), PrivateShare(3, 9)
+        cache = NonceCache()
+        cache.check_and_store("B/1", b"n" * 16)
+        drone = Drone(drone_id, share, group_key=5, nonce_cache=cache)
+        for obj in (drone_id, share, drone):
+            twin = copier(obj)
+            assert type(twin) is type(obj) and twin == obj
+        assert hash(copier(drone_id)) == hash(drone_id)
+        assert hash(copier(share)) == hash(share)
+        twin = copier(drone)
+        assert twin.label == twin.id.label == "A/3"
+        assert type(twin.nonce_cache) is NonceCache
+        assert not twin.nonce_cache.check_and_store("B/1", b"n" * 16)
 
     def test_drone_holds_no_role(self):
         assert [f.name for f in dataclasses.fields(Drone)] == [
@@ -1020,3 +1061,29 @@ class TestTargetedIntercepts:
         notes = [line for line in rendered.splitlines() if " !" in line]
         assert len(notes) == (mutate is replayed)
         assert all(line.endswith(" !replay-rejected") for line in notes)
+
+    # A merge rejected in the rebroadcast moves no member of swarm A to
+    # swarm B's key, however many copies opened before the failing one.
+    # The designated guard is A/1, so copy k goes to A/(k + 2).
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("mutual, t, sizes, index, mutate, reason", [
+        # A/5's copy, in a merge of swarms of 8 and 6 at t = 3
+        (False, 3, (8, 6), 3, flipped_byte, "broadcast-tampered"),
+        # A/3's copy, replaced by the publish A/3 got from A/2 in the
+        # mutual pass
+        (True, 4, (4, 4), 1, replayed, "broadcast-rejected"),
+    ], ids=["tampered", "replayed"])
+    def test_rejected_rebroadcast_keeps_swarm_a_on_its_key(
+            self, group, mutual, t, sizes, index, mutate, reason):
+        rng = random.Random(41)
+        core = CoreNetwork(group, rng)
+        swarm_a = core.provision_swarm("A", t, n_drones=sizes[0])
+        swarm_b = core.provision_swarm("B", t, n_drones=sizes[1])
+        intercept = TargetedIntercept(MessageKind.UNIFIED_KEY_BROADCAST, index, mutate)
+        outcome, _ = run_unification(swarm_a, swarm_b, core, rng,
+                                     Transport(intercept=intercept), mutual=mutual)
+        assert intercept.hit
+        assert outcome == Outcome(False, reason)
+        key_a, key_b = core.dealer("A").group_key, core.dealer("B").group_key
+        assert key_a != key_b
+        assert [d.group_key for d in swarm_a.members()] == [key_a] * sizes[0]

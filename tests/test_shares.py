@@ -512,6 +512,22 @@ class TestDealer:
         assert dealer.issued_identifiers() == twin.issued_identifiers()
         assert self._outcome(dealer.issue_next) == self._outcome(twin.issue_next)
 
+    @given(st.sampled_from(("toy", "curve")), st.integers(2, 6),
+           st.lists(st.integers(1, 60), max_size=12), st.integers(0, 60),
+           st.integers(0, 2**32))
+    def test_issue_range_evaluates_the_polynomial(self, toy61, curve, kind, t,
+                                                  taken, n, seed):
+        # issue_range runs its own Horner rule; GroupPolynomial.evaluate is
+        # the reference, also across the gaps that issue_at leaves
+        field = (toy61 if kind == "toy" else curve).field
+        poly = gen_polynomial(field, t, random.Random(seed))
+        dealer = Dealer(poly)
+        for x in set(taken):
+            dealer.issue_at(x)
+        shares = dealer.issue_range(n)
+        assert len(shares) == n and not {s.x for s in shares} & set(taken)
+        assert [s.y for s in shares] == [poly.evaluate(s.x) for s in shares]
+
     def test_issue_range_of_zero(self, toy101, rng):
         dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
         dealer.issue_at(2)
