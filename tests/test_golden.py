@@ -154,6 +154,10 @@ def _cases() -> dict:
     for scenario in ("inclusion", "unification"):
         cases[f"{scenario}-production"] = lambda s=scenario: _scenario(
             scenario=s, threshold=3, seed=1, group="production")
+    cases["inclusion-production-t10"] = lambda: _scenario(
+        scenario="inclusion", threshold=10, seed=10, group="production")
+    cases["bulk-production"] = lambda: _scenario(
+        scenario="bulk", n_drones=25, threshold=5, seed=25, group="production")
     for seed, t in ((0, 2), (1, 3), (2, 5)):
         cases[f"protocol-inclusion-{seed}"] = lambda s=seed, t=t: (
             _protocol_inclusion(s, t))
@@ -186,6 +190,7 @@ GOLDEN = {
     'bulk-n0': 'cd12eff8eae91e4df5777fe3f96e2660',
     'bulk-n1': '48e8d32d4c6dd56455017982869b0856',
     'bulk-n25': '3faa8c5750bbeea1586f6ed7e2581e88',
+    'bulk-production': '5f6048c2061b827d6c76fae8d4f9ce9e',
     'bulk-zero': 'd315e4c1dd4420d17950e703f8a67d42',
     'cli-attack-eavesdrop': '2bd9b2aac41c0525a2d5040282ee266c',
     'cli-attack-mitm': 'a7a9700ab64095c992983947d8110036',
@@ -196,6 +201,7 @@ GOLDEN = {
     'inclusion-fractional-parallel': 'ae7cb39fb12f27436563592d43c322b4',
     'inclusion-mitm': '7b009a20033d305ae538caa8bf8af06b',
     'inclusion-production': '43cdaf3155d223103396357cb06ff637',
+    'inclusion-production-t10': 'af73e98a023e763a95f863978d83e90e',
     'inclusion-replay': '565ec418eb88788b9ad722eab7b0026d',
     'inclusion-t2': '7a8d1dc6628e645b1c44aea61b768f2c',
     'inclusion-t2-parallel': 'f6f29214405fb57a8792e35651674fab',
