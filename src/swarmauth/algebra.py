@@ -236,10 +236,11 @@ class CurveGroup:
         return self.msm([s], [g])
 
     def mul_generator(self, scalars: Sequence[int]) -> list:
-        """[s*G for s in scalars]: table entries picked by the signed
-        width-7 digits of each scalar, summed pairwise in affine form, with
-        one inversion per level of pairwise sums shared by the scalars of a
-        chunk of 128 (see :func:`_mul_generator`)."""
+        """[s*G for s in scalars]: each scalar split into GLV halves, table
+        entries picked by the signed width-9 digits of each half, summed
+        pairwise in affine form, and the halves added as k1*G +
+        lambda*(k2*G), with one inversion per level of pairwise sums shared
+        by the scalars of a chunk of 128 (see :func:`_mul_generator`)."""
         return _mul_generator(scalars)
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
@@ -536,99 +537,150 @@ def _batch_affine_add(pairs: list) -> list:
     return out
 
 
-# Fixed-base table for the generator, width 7: row i holds d * 2^(7i) * G
-# for d = 1..64, so s*G is the sum of one entry per nonzero signed digit
-# of s, with no doubling. The 37 rows hold the 256 bits of a scalar and the
-# carry out of its top full window. Built once per process, on first use,
-# because every scenario run makes its own CurveGroup.
+# The largest |k1| or |k2| that _glv_split returns. Each half is
+# e1*a + e2*b over one coordinate of the basis, with |e1|, |e2| <= 1/2
+# the rounding errors of c1 and c2: under 2^127.35 for secp256k1.
+_GLV_HALF_BOUND = max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) // 2
+
+# Fixed-base table for the generator over GLV halves, width 9: full row i
+# holds d * 2^(9i) * G for d = 1..256, so k*G for a half k is the sum of
+# one entry per nonzero signed digit of |k|, with no doubling. The 14 full
+# rows hold 126 bits; the top row, at 2^126 * G, holds only the digits the
+# recoding can leave there for |k| <= _GLV_HALF_BOUND. The recoding's
+# carries act as if 2^8 * 2^(9i) were added at each full row, so that
+# digit is at most (bound + sum of those) >> 126, which is 3. Built once
+# per process, on first use, because every scenario run makes its own
+# CurveGroup.
 #
-# The width trades additions per scalar (about one per row) against the
-# table's size and build time, which every process pays once, in setup.
-# Medians of interleaved runs on a 2-core VM (Python 3.11.7):
-#   width  entries  build ms  batch of 104 ms  additions per scalar
-#     5       832       7.0        33.0              49.1
-#     6      1376      10.5        28.8              41.3
-#     7      2368      16.6        25.5              35.7
-#     8      4224      27.5        22.9              31.4
-# Width 8 would save under 3 ms per batch and add 11 ms to every setup.
+# A row is the pair of lists (xs, ys), not a list of (x, y) tuples. That
+# saves 64 bytes per entry, 230 KB in all, which kept the peak RSS of a
+# 5000-drone merge from stepping up by 1 MB; a batch takes 2-3% longer,
+# since it builds each (x, y) it reads.
+#
+# The width trades additions per scalar (about one per row of each half)
+# against the table's size and build time, which every process pays once,
+# in setup. "full" rows cover all 256 bits of a scalar, with no split
+# (the width-7 table this one replaced); "GLV" rows cover a half. Medians
+# of 11 builds and of 25 batches of 104 random scalars, all interleaved,
+# on a 2-core VM (Python 3.11.7):
+#   layout    entries  build ms  batch of 104 ms  additions per scalar
+#   full w7     2368      10.8        16.5              35.6
+#   GLV w7      1155       5.2        17.0              36.2
+#   GLV w8      2049       8.8        14.6              30.9
+#   GLV w9      3587      14.9        13.8              28.4
+#   GLV w10     6307      27.5        12.2              25.0
+# At w9 a half has 15 rows, so a chunk sums its halves in 4 levels, plus
+# one batch that adds them (6 levels at full w7, GLV w7 and GLV w8).
+# Width 10 would save under 2 ms per batch and add 13 ms to every setup.
+_GENERATOR_WIDTH = 9
+_GENERATOR_ROWS = _GLV_HALF_BOUND.bit_length() // _GENERATOR_WIDTH
+_GENERATOR_TOP = (_GLV_HALF_BOUND + sum(1 << (_GENERATOR_WIDTH * (i + 1) - 1)
+                                        for i in range(_GENERATOR_ROWS))
+                  ) >> (_GENERATOR_WIDTH * _GENERATOR_ROWS)
 _generator_table = None
 
 
 def _build_generator_table() -> list:
-    # the row bases 2^(7i) * G by Jacobian doublings, normalized together
+    w = _GENERATOR_WIDTH
+    # the row bases 2^(wi) * G by Jacobian doublings, normalized together
     bases = [(_SECP_GX, _SECP_GY, 1)]
-    for _ in range(36):
+    for _ in range(_GENERATOR_ROWS):
         b = bases[-1]
-        for _ in range(7):
+        for _ in range(w):
             b = _jac_double(*b)
         bases.append(b)
     rows = [[b] for b in _to_affine_all(bases)]
-    # with 1*B..k*B in every row, one batch adds k*B to each of them (the
-    # last is a doubling), giving (k+1)*B..2k*B; six batches reach 64*B
-    for _ in range(6):
-        k = len(rows[0])
-        added = _batch_affine_add([(p, row[-1]) for row in rows for p in row])
-        for i, row in enumerate(rows):
-            row += added[i * k:(i + 1) * k]
-    return rows
+    lengths = [1 << (w - 1)] * _GENERATOR_ROWS + [_GENERATOR_TOP]
+    # with 1*B..k*B in a row, one batch adds k*B to the first of them (the
+    # last is a doubling), giving (k+1)*B..2k*B, or up to the row's length
+    while pending := [(row, n - len(row)) for row, n in zip(rows, lengths) if len(row) < n]:
+        added = iter(_batch_affine_add([(p, row[-1]) for row, more in pending
+                                        for p in row[:more]]))
+        for row, more in pending:
+            row += [next(added) for _ in row[:more]]
+    return [([x for x, _ in row], [y for _, y in row]) for row in rows]
 
 
 # Scalars per chunk of a batched generator mul. One level of a chunk's
-# sums holds at most 18 new points per scalar, so chunks bound the memory
-# of a large batch; with 128 scalars an inversion is already shared by
-# thousands of additions, so bigger chunks would save no time.
+# sums holds at most 14 new points per scalar (7 per half), so chunks
+# bound the memory of a large batch; with 128 scalars an inversion is
+# already shared by thousands of additions, so bigger chunks would save
+# no time.
 _GENERATOR_CHUNK = 128
 
 
 def _mul_generator(scalars: Sequence[int]) -> list:
     """[s*G for s in scalars], each s reduced mod n; None for s = 0 (mod n).
 
-    Each scalar is recoded into 37 signed digits in [-64, 64); a nonzero
-    digit d of row i selects the table entry |d| * 2^(7i) * G, with y
-    negated when d < 0. The entries of a chunk of scalars are summed
-    pairwise, level by level, in affine form, and each level is one
-    :func:`_batch_affine_add` with one shared inversion. A scalar costs at
-    most 36 additions, and a chunk at most 6 inversions however many
-    scalars it holds.
+    Each scalar is split by :func:`_glv_split` into halves k1 and k2 with
+    k1 + k2*lambda = s (mod n). Each |k| is recoded into 15 signed digits,
+    in [-256, 256) for the 14 full rows and in [0, 3] for the top row; a
+    nonzero digit d of row i selects the table entry |d| * 2^(9i) * G,
+    with y negated when d < 0. The entries of every half of a chunk of
+    scalars are summed pairwise, level by level, in affine form, and each
+    level is one :func:`_batch_affine_add` with one shared inversion. A
+    last batch adds k1*G to lambda*(k2*G) = (beta*x, y), with y negated for
+    a negative half; a zero half adds nothing. A scalar costs at most 29
+    additions, and a chunk at most 5 inversions however many scalars it
+    holds.
 
-    With signed digits, no argument keeps two sibling sums from meeting
-    equal x, so the adder handles it: equal points make a doubling, and a
-    point plus its negation gives None, which drops out of its scalar's
-    terms.
+    Within a half, two sibling sums never meet equal x: each is c*G for a
+    signed-digit sum c over its own rows with |c| < 2^128, far below n,
+    so equal x would make a signed-digit sum over disjoint rows vanish,
+    which its lowest nonzero digit forbids. The last batch has no such
+    argument, so the adder handles it: equal points make a doubling.
+    k1*G + lambda*(k2*G) = s*G is never the identity for s != 0 (mod n).
     """
     global _generator_table
     if _generator_table is None:
         _generator_table = _build_generator_table()
+    table = _generator_table
+    w = _GENERATOR_WIDTH
+    mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
     for start in range(0, len(scalars), _GENERATOR_CHUNK):
-        sums = []
+        sums, negative = [], []
         for s in scalars[start:start + _GENERATOR_CHUNK]:
-            s %= _SECP_N
-            terms = []
-            for row in _generator_table:
-                if not s:
-                    break
-                d = s & 127
-                s >>= 7
-                if d < 64:
-                    if d:
-                        terms.append(row[d - 1])
-                else:
-                    # digit d - 128: entry 128 - d negated, and a carry
-                    x, y = row[127 - d]
-                    terms.append((x, _SECP_P - y))
-                    s += 1
-            sums.append(terms)
+            for k in _glv_split(s % _SECP_N):
+                negative.append(k < 0)
+                k = abs(k)
+                terms = []
+                for xs, ys in table:
+                    if not k:
+                        break
+                    d = k & mask
+                    k >>= w
+                    if d < half:
+                        if d:
+                            terms.append((xs[d - 1], ys[d - 1]))
+                    else:
+                        # digit d - 512: entry 512 - d negated, and a carry
+                        d = mask - d
+                        terms.append((xs[d], _SECP_P - ys[d]))
+                        k += 1
+                sums.append(terms)
         while pairs := [(terms[i], terms[i + 1]) for terms in sums
                         for i in range(0, len(terms) - 1, 2)]:
             added = _batch_affine_add(pairs)
-            # each scalar's sums of this level, then its odd entry left over
+            # each half's sums of this level, then its odd entry left over
             at = 0
             for j, terms in enumerate(sums):
-                half = len(terms) >> 1
-                sums[j] = [p for p in added[at:at + half] if p is not None] + terms[2 * half:]
-                at += half
-        out += [terms[0] if terms else None for terms in sums]
+                m = len(terms) >> 1
+                sums[j] = added[at:at + m] + terms[2 * m:]
+                at += m
+        # |k1|*G and |k2|*G, signed, and the second mapped by lambda
+        ends = []
+        for j, terms in enumerate(sums):
+            if terms:
+                x, y = terms[0]
+                ends.append((_GLV_BETA * x % _SECP_P if j & 1 else x,
+                             _SECP_P - y if negative[j] else y))
+            else:
+                ends.append(None)
+        firsts, seconds = ends[0::2], ends[1::2]
+        pairs = [(p, q) for p, q in zip(firsts, seconds) if p and q]
+        added = iter(_batch_affine_add(pairs))
+        out += [next(added) if p and q else p or q for p, q in zip(firsts, seconds)]
     return out
 
 

@@ -53,12 +53,13 @@ def reference_mul(group, s, g):
 EDGE_SCALARS = (0, 1, _SECP_N - 1, _SECP_N - 2, 2**255 % _SECP_N,
                 (2**256 - 1) % _SECP_N)
 # edge values, uniform 256-bit values (reduced by mul), k low bits that
-# are all 1 (signed digits -1 and long carries), and k 7-bit windows that
-# all hold 64 (the digit -64, the table's largest entry negated)
+# are all 1 (signed digits -1 and long carries), and k 9-bit windows that
+# all hold 256 (below 2^126 the split leaves them whole in k1, as digits
+# -256, the generator table's largest entry negated, and carries)
 scalars = st.one_of(st.sampled_from(EDGE_SCALARS),
                     st.integers(0, 2**256 - 1),
                     st.integers(1, 256).map(lambda k: 2**k - 1),
-                    st.integers(1, 36).map(lambda k: (2**(7 * k) - 1) // 127 * 64))
+                    st.integers(1, 28).map(lambda k: (2**(9 * k) - 1) // 511 * 256))
 discrete_logs = st.integers(1, _SECP_N - 1)
 
 
@@ -75,6 +76,47 @@ def rounding_boundary_scalars():
 GLV_EDGE_SCALARS = (0, 1, _GLV_LAMBDA, _SECP_N - _GLV_LAMBDA,
                     _SECP_N - 1) + rounding_boundary_scalars()
 glv_scalars = st.one_of(st.sampled_from(GLV_EDGE_SCALARS), scalars)
+
+
+def from_halves(k1, k2):
+    """The scalar k1 + k2*lambda (mod n). For |k1|, |k2| <= 2^126 (and for
+    other pairs near the origin of the split's lattice), ``_glv_split``
+    returns (k1, k2) for it."""
+    return (k1 + k2 * _GLV_LAMBDA) % _SECP_N
+
+
+def signed_digits(k):
+    """Signed base-512 digits of k >= 0, each in [-256, 256), least
+    significant first: the recoding of a GLV half over the rows of the
+    generator table."""
+    digits = []
+    while k:
+        d = (k + 256) % 512 - 256
+        digits.append(d)
+        k = (k - d) >> 9
+    return digits
+
+
+# GLV halves of either sign: uniform up to 2^126, and k 9-bit windows that
+# all hold 256 (digits -256 and carries across every row)
+halves = st.one_of(st.integers(-2**126, 2**126),
+                   st.tuples(st.integers(1, 14), st.sampled_from((1, -1))).map(
+                       lambda ks: ks[1] * ((2**(9 * ks[0]) - 1) // 511 * 256)))
+half_scalars = st.tuples(halves, halves).map(lambda h: from_halves(*h))
+
+
+def carry_splits():
+    """GLV halves whose row 13 (bits 117-125) is at 256 or above, so that
+    it becomes a negative digit and carries into row 14, the top one, as a
+    digit 1, 2 or 3. Only halves near the split's bound reach 3, and only
+    beside a k2 of the size that goes with them."""
+    near = (_GLV_B1 + _GLV_B2) * 4999 // 10000
+    splits = [((t << 126) + (v << 117), 0) for t in (0, 1) for v in range(256, 512, 8)]
+    splits += [((2 << 126) + (v << 117), near) for v in (256, 270)]
+    return splits + [(-k1, -k2) for k1, k2 in splits[:64:8] + splits[-2:]]
+
+
+CARRY_SPLITS = carry_splits()
 
 
 class TestScalarField:
@@ -243,12 +285,14 @@ class TestCurveGroup:
 
 
 class TestBatchedGeneratorMul:
-    """``mul_generator`` recodes each scalar into signed width-7 digits and
-    sums their table entries pairwise over a chunk of scalars, one
-    ``_batch_affine_add`` per level of sums."""
+    """``mul_generator`` splits each scalar into GLV halves, recodes each
+    half into signed width-9 digits, sums their table entries pairwise over
+    a chunk of scalars, one ``_batch_affine_add`` per level of sums, and
+    adds k1*G to lambda*(k2*G) in one last batch."""
 
     def test_edge_scalars_match_reference(self, curve):
-        edge = [0, 1, 15, 16, 2**252, 15 * 2**252, _SECP_N - 2, _SECP_N - 1]
+        edge = [0, 1, 15, 16, 2**252, 15 * 2**252, _SECP_N - 2, _SECP_N - 1,
+                _GLV_LAMBDA, _SECP_N - _GLV_LAMBDA]
         assert curve.mul_generator(edge) == [
             reference_mul(curve, s, curve.generator) for s in edge]
 
@@ -263,35 +307,63 @@ class TestBatchedGeneratorMul:
         assert toy61.mul_generator([]) == []
 
     def test_every_count_of_nonzero_digits(self, curve):
-        # 1..64 hex digits that are all 15, in one call: signed digits -1
-        # and carries that run across whole windows
+        # 1..64 hex digits that are all 15, in one call: below 2^126 the
+        # split leaves them whole in k1, as signed digits -1 and carries
+        # that run across whole windows
         batch = [16**k - 1 for k in range(1, 65)]
         assert curve.mul_generator(batch) == [
             reference_mul(curve, s, curve.generator) for s in batch]
 
     def test_every_count_of_nonzero_signed_digits(self, curve):
-        # 1..37 table entries per scalar, all in one call: every pattern of
-        # odd entries left over across the levels of pairwise sums. Signed
-        # digits are unique, so sum(d_i * 2^(7i)) recodes to exactly d_i;
-        # the positive top digit outweighs the lower ones, so s > 0.
-        lower = (-64, 63, -1, 1, -33, 17)
-        batch = [sum(lower[i % len(lower)] << (7 * i) for i in range(k - 1))
-                 + (5 << (7 * (k - 1))) for k in range(1, 38)]
-        assert all(0 < s < _SECP_N for s in batch)
+        # 1..15 table entries per half, k1 positive and k2 negative, all in
+        # one call: every pattern of odd entries left over across the
+        # levels of pairwise sums. Signed digits are unique, so
+        # sum(d_i * 2^(9i)) recodes to exactly d_i; the positive top digit
+        # outweighs the lower ones, so the half is positive before its sign.
+        lower = (-256, 255, -1, 1, -129, 65)
+
+        def half(count):
+            top = 1 if count == 15 else 5  # the top row holds 1..3 only
+            return (sum(lower[i % len(lower)] << (9 * i) for i in range(count - 1))
+                    + (top << (9 * (count - 1))))
+
+        def nonzero(k):
+            return sum(1 for d in signed_digits(abs(k)) if d)
+
+        splits = [(half(c), -half(16 - c)) for c in range(1, 16)]
+        assert [(nonzero(k1), nonzero(k2)) for k1, k2 in splits] == [
+            (c, 16 - c) for c in range(1, 16)]
+        batch = [from_halves(k1, k2) for k1, k2 in splits]
+        assert [_glv_split(s) for s in batch] == splits
         assert curve.mul_generator(batch) == [
             reference_mul(curve, s, curve.generator) for s in batch]
 
-    @pytest.mark.parametrize("s", [
-        _SECP_N - 1, 2**255, 2**256 - 1, 2**252 - 1, 2**252 - 2**245,
-        *(v << 245 for v in range(64, 128))])
-    def test_carry_into_the_top_row_matches_reference(self, curve, s):
-        # window 35 (bits 245-251) at 64 or above becomes a negative digit
-        # and carries into row 36, the 37th; n - 1 and 2^255 put a digit
-        # there themselves, and 2^256 - 1 reduces below n first
+    def test_every_sign_of_the_halves_and_a_zero_half(self, curve):
+        # y is negated for a negative half, and lambda is applied to k2*G
+        # alone; a zero half drops out of the last batch
+        a, b = 0xC0FFEE << 100, 0xBEEF << 90
+        splits = [(a, b), (a, -b), (-a, b), (-a, -b),
+                  (a, 0), (-a, 0), (0, b), (0, -b), (1, 0), (-1, 0), (0, 1), (0, -1)]
+        batch = [from_halves(k1, k2) for k1, k2 in splits]
+        assert batch[-4:] == [1, _SECP_N - 1, _GLV_LAMBDA, _SECP_N - _GLV_LAMBDA]
+        assert [_glv_split(s) for s in batch] == splits
+        assert curve.mul_generator(batch) == [
+            reference_mul(curve, s, curve.generator) for s in batch]
+
+    def test_carry_halves_reach_every_top_digit(self):
+        assert all(signed_digits(abs(k1))[13] < 0 for k1, _ in CARRY_SPLITS)
+        assert {signed_digits(abs(k1))[14] for k1, _ in CARRY_SPLITS} == {1, 2, 3}
+
+    @pytest.mark.parametrize("k1, k2", CARRY_SPLITS, ids=[
+        f"k1={'-' if k1 < 0 else ''}{abs(k1) >> 117}<<117" + (",near" if k2 else "")
+        for k1, k2 in CARRY_SPLITS])
+    def test_carry_into_the_top_row_matches_reference(self, curve, k1, k2):
+        s = from_halves(k1, k2)
+        assert _glv_split(s) == (k1, k2)
         assert curve.mul_generator([s]) == [reference_mul(curve, s, curve.generator)]
 
     @settings(max_examples=40)
-    @given(s=scalars)
+    @given(s=st.one_of(glv_scalars, half_scalars))
     def test_table_agrees_with_straus_msm(self, curve, s):
         # two independent paths: the signed fixed-base table, and the
         # GLV-split wNAF msm on G as an arbitrary point
@@ -359,8 +431,17 @@ class TestBatchAffineAdd:
         assert _batch_affine_add([]) == []
 
 
+def split_bound():
+    """The largest |k1| or |k2| that ``_glv_split`` can return, from the
+    basis alone: a half is e1*a1 + e2*a2 (k1) or e1*b1 + e2*b2 (k2), where
+    e1 and e2 are the rounding errors of the split's quotients, each at
+    most 1/2 in size."""
+    return max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) // 2
+
+
 class TestGeneratorTable:
-    """The signed width-7 fixed-base table and the work a batch costs."""
+    """The signed width-9 fixed-base table over GLV halves and the work a
+    batch costs."""
 
     @pytest.fixture()
     def table(self, curve):
@@ -368,19 +449,44 @@ class TestGeneratorTable:
         return algebra._generator_table
 
     def test_shape(self, table):
-        assert len(table) == 37
-        assert all(len(row) == 64 for row in table)
+        # 14 full rows and a top row as long as the bound's top digit, each
+        # the x and the y of its entries
+        assert [(len(xs), len(ys)) for xs, ys in table] == [
+            (n, n) for n in [256] * 14 + [signed_digits(split_bound())[14]]]
 
-    @pytest.mark.parametrize("i", [0, 1, 36])
+    @pytest.mark.parametrize("i", [0, 1, 13, 14])
     def test_entries_are_multiples_of_the_row_base(self, curve, table, i):
-        # entry d - 1 of row i is d * 2^(7i) * G
-        base = reference_mul(curve, 2**(7 * i), curve.generator)
-        assert table[i] == [reference_mul(curve, d, base) for d in range(1, 65)]
+        # entry d - 1 of row i is d * 2^(9i) * G: the first and last by the
+        # reference, the others as a chain of single additions
+        base = reference_mul(curve, 2**(9 * i), curve.generator)
+        entries = list(zip(*table[i]))
+        chain = [base]
+        while len(chain) < len(entries):
+            chain.append(curve.add(chain[-1], base))
+        assert entries == chain
+        assert entries[-1] == reference_mul(curve, len(entries), base)
 
-    def test_batch_of_104_costs_at_most_36_additions_per_scalar(self, curve, table,
+    def test_top_row_covers_the_split_bound_with_its_carry(self, table):
+        bound = split_bound()
+        # the bound holds for the halves of edge and random scalars, and the
+        # split returns halves within 0.1% of it
+        rng = random.Random(22)
+        for k in GLV_EDGE_SCALARS + tuple(rng.randrange(_SECP_N) for _ in range(500)):
+            assert max(abs(h) for h in _glv_split(k)) <= bound
+        corner = ((_GLV_A1 + _GLV_A2) * 4999 // 10000, (_GLV_B1 + _GLV_B2) * 4999 // 10000)
+        assert _glv_split(from_halves(*corner)) == corner
+        assert corner[0] > bound * 999 // 1000
+        # the top digit only grows with |k|, so the bound's is the largest;
+        # without the carries out of the full rows it would be smaller
+        digits = signed_digits(bound)
+        assert len(digits) == len(table) == 15
+        assert digits[14] == len(table[14][0])
+        assert bound >> 126 < digits[14]
+
+    def test_batch_of_104_costs_at_most_29_additions_per_scalar(self, curve, table,
                                                                 monkeypatch):
-        # a count, not a timing: a scalar has at most 37 signed digits, so
-        # at most 36 additions, in at most 6 levels for the whole chunk
+        # a count, not a timing: a half has at most 15 signed digits, so at
+        # most 14 additions in 4 levels, and one more adds the halves
         batches = []
         add = algebra._batch_affine_add
         monkeypatch.setattr(algebra, "_batch_affine_add",
@@ -388,8 +494,8 @@ class TestGeneratorTable:
         rng = random.Random(104)
         batch = [rng.randrange(_SECP_N) for _ in range(104)]
         curve.mul_generator(batch)
-        assert sum(batches) <= 104 * 36
-        assert len(batches) <= 6
+        assert sum(batches) <= 104 * 29
+        assert len(batches) <= 5
 
 
 class TestMultiScalarMul:

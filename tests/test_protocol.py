@@ -527,12 +527,15 @@ class TestHotPathTypes:
         with pytest.raises(InvalidIdentifier):
             PrivateShare(0, 9)
 
-    # DroneId and PrivateShare write their own __init__; every field stays
-    # frozen, and copies and pickles bypass __init__ yet keep each field
+    # DroneId, PrivateShare and ProtocolMessage write their own __init__;
+    # every field stays frozen, and copies and pickles bypass __init__ yet
+    # keep each field
     @pytest.mark.parametrize("obj, names", [
         (DroneId("A", 3), ("swarm", "x", "label")),
         (PrivateShare(3, 9), ("x", "y")),
-    ], ids=["DroneId", "PrivateShare"])
+        (ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1), b"n" * 16, b"p"),
+         ("kind", "sender", "nonce", "payload")),
+    ], ids=["DroneId", "PrivateShare", "ProtocolMessage"])
     def test_every_field_frozen(self, obj, names):
         assert tuple(f.name for f in dataclasses.fields(obj)) == names
         for name in names:
@@ -549,11 +552,13 @@ class TestHotPathTypes:
         cache = NonceCache()
         cache.check_and_store("B/1", b"n" * 16)
         drone = Drone(drone_id, share, group_key=5, nonce_cache=cache)
-        for obj in (drone_id, share, drone):
+        msg = ProtocolMessage(MessageKind.AUTH_VERDICT, drone_id, b"n" * 16, b"p")
+        for obj in (drone_id, share, drone, msg):
             twin = copier(obj)
             assert type(twin) is type(obj) and twin == obj
         assert hash(copier(drone_id)) == hash(drone_id)
         assert hash(copier(share)) == hash(share)
+        assert hash(copier(msg)) == hash(msg)
         twin = copier(drone)
         assert twin.label == twin.id.label == "A/3"
         assert type(twin.nonce_cache) is NonceCache
@@ -568,6 +573,30 @@ class TestHotPathTypes:
         guard = swarm.guards()[0]
         assert guard.label == "A/1"
         assert guard.label is guard.id.label
+
+    def test_replace_builds_a_checked_message(self):
+        # the man-in-the-middle swaps a payload through dataclasses.replace
+        msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1), b"n" * 16, b"p")
+        fake = replace(msg, payload=b"q")
+        assert fake == ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
+                                       b"n" * 16, b"q")
+        assert msg.payload == b"p"
+        with pytest.raises(ValueError, match="nonce must be 16 bytes"):
+            replace(msg, nonce=b"n" * 15)
+        assert ProtocolMessage(kind=msg.kind, sender=msg.sender, nonce=msg.nonce,
+                               payload=msg.payload) == msg
+
+    def test_recorded_rows_are_transcript_entries(self):
+        transcript = AuthTranscript()
+        transcript.record(1.5, "AUTH_VERDICT", "A/1", "A/2", b"p")
+        transcript.record(2.0, "SHARE_PUBLISH", "A/2", "A/*", b"", note="replay-rejected")
+        digest = hashlib.sha256(b"p").hexdigest()[:16]
+        empty = hashlib.sha256(b"").hexdigest()[:16]
+        assert transcript.entries == [
+            TranscriptEntry(1.5, "AUTH_VERDICT", "A/1", "A/2", digest),
+            TranscriptEntry(2.0, "SHARE_PUBLISH", "A/2", "A/*", empty, "replay-rejected")]
+        assert all(type(e) is TranscriptEntry for e in transcript.entries)
+        assert transcript.entries[0].note == ""
 
     def test_transcript_entry_fields_by_name_and_immutable(self):
         entry = TranscriptEntry(1.5, "AUTH_VERDICT", "A/1", "A/2", "ab" * 8)
