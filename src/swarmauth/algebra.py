@@ -559,10 +559,9 @@ _GLV_HALF_BOUND = max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) 
 #
 # The width trades additions per scalar (about one per row of each half)
 # against the table's size and build time, which every process pays once,
-# in setup. "full" rows cover all 256 bits of a scalar, with no split
-# (the width-7 table this one replaced); "GLV" rows cover a half. Medians
-# of 11 builds and of 25 batches of 104 random scalars, all interleaved,
-# on a 2-core VM (Python 3.11.7):
+# in setup. "full" rows cover all 256 bits of a scalar, with no split;
+# "GLV" rows cover a half. Medians of 11 builds and of 25 batches of 104
+# random scalars, all interleaved, on a 2-core VM (Python 3.11.7):
 #   layout    entries  build ms  batch of 104 ms  additions per scalar
 #   full w7     2368      10.8        16.5              35.6
 #   GLV w7      1155       5.2        17.0              36.2
