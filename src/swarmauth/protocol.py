@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import heapq
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -302,7 +303,19 @@ class Drone:
 
 
 class Swarm:
-    """Provisioned swarm state: members, guards, and the public commitment."""
+    """Provisioned swarm state: members, guards, and the public commitment.
+
+    ``drones`` maps identifier to drone: the provisioned drones lowest
+    first, then each admitted drone in order of admission. A swarm from
+    :meth:`CoreNetwork.provision_swarm` builds its drones on first read.
+    :meth:`guards` builds only the threshold - 1 lowest; reading
+    ``drones``, :meth:`members` or :meth:`add_drone` builds every drone not
+    yet built, in one pass of the dealer. The table is then what building
+    every drone at provisioning gives, in the same order: a drone built
+    late holds its share, the provisioning group key and no nonce cache,
+    as an untouched drone would, since keys change and messages arrive only
+    through drones that have been built.
+    """
 
     def __init__(self, swarm_id: str, group, threshold: int,
                  commitment: GroupCommitment, core_public_share: PublicShare):
@@ -311,19 +324,42 @@ class Swarm:
         self.threshold = threshold
         self.commitment = commitment
         self.core_public_share = core_public_share
-        self.drones: dict[int, Drone] = {}
+        self._table: dict[int, Drone] = {}
+        # identifiers registered with the dealer and not built yet,
+        # ascending and above every built one (see CoreNetwork.provision_swarm)
+        self._dealer: Dealer | None = None
+        self._unbuilt: list[int] = []
+
+    @property
+    def drones(self) -> dict[int, Drone]:
+        if self._unbuilt:
+            self._build(len(self._unbuilt))
+        return self._table
+
+    def _build(self, k: int):
+        """Build the drones of the k lowest unbuilt identifiers."""
+        xs, self._unbuilt = self._unbuilt[:k], self._unbuilt[k:]
+        swarm_id, group_key = self.id, self._dealer.group_key
+        self._table.update({sh.x: Drone(DroneId(swarm_id, sh.x), sh, group_key)
+                            for sh in self._dealer.shares_at(xs)})
 
     def add_drone(self, drone: Drone):
         if drone.id.x in self.drones:
             raise DuplicateIdentifier(f"identifier {drone.id.x} already present in swarm {self.id}")
-        self.drones[drone.id.x] = drone
+        self._table[drone.id.x] = drone
 
     def guards(self) -> list[Drone]:
         """The drones of the threshold - 1 lowest identifiers."""
-        return [self.drones[x] for x in sorted(self.drones)[:self.threshold - 1]]
+        k = self.threshold - 1
+        table = self._table
+        # every built identifier is below every unbuilt one
+        if len(table) < k and self._unbuilt:
+            self._build(k - len(table))
+        return [table[x] for x in heapq.nsmallest(k, table)]
 
     def members(self) -> list[Drone]:
-        return [self.drones[x] for x in sorted(self.drones)]
+        table = self.drones
+        return [table[x] for x in sorted(table)]
 
 
 class Transport:
@@ -661,28 +697,26 @@ class CoreNetwork:
     def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int) -> Swarm:
         """Create a swarm from a fresh polynomial and hand out shares.
 
-        Drones get identifiers 1..n_drones, issued in one
-        :meth:`Dealer.issue_range` pass; the t-1 lowest become the guards,
-        whose shares and a newcomer's make the t points of every check.
-        The core keeps one share of its own, n_drones + 1, for key
-        agreement with members. The commitment Q = f(0)*P and the core's
-        public pair come from one batched generator mul; Q is held by the
-        swarm, whose guards check every share against it. The drone table
-        is built in one pass: fresh dealer identifiers are distinct.
+        Drones get identifiers 1..n_drones, all registered with the dealer
+        at once; the t-1 lowest become the guards, whose shares and a
+        newcomer's make the t points of every check. The core keeps one
+        share of its own, n_drones + 1, for key agreement with members. The
+        commitment Q = f(0)*P and the core's public pair come from one
+        batched generator mul; Q is held by the swarm, whose guards check
+        every share against it. The drones themselves, with their shares,
+        are built when the swarm first reads them (see :class:`Swarm`).
         """
         if swarm_id in self._dealers:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
         group = self.group
         poly = gen_polynomial(group.field, threshold, self.rng)
         dealer = Dealer(poly)
-        drone_shares = dealer.issue_range(n_drones)
+        xs = dealer.register_range(n_drones)
         core_share = dealer.issue_at(n_drones + 1)
         q_point, core_point = group.mul_generator([poly.group_key, core_share.y])
         swarm = Swarm(swarm_id, group, threshold, GroupCommitment(q_point),
                       PublicShare(core_share.x, core_point))
-        group_key = poly.group_key
-        swarm.drones = {sh.x: Drone(DroneId(swarm_id, sh.x), sh, group_key)
-                        for sh in drone_shares}
+        swarm._dealer, swarm._unbuilt = dealer, xs
 
         self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share

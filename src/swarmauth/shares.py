@@ -292,10 +292,11 @@ class Dealer:
 
     Identifiers are handed out as 1, 2, 3, ... and uniqueness is enforced,
     so transcripts are reproducible and the distinctness precondition of
-    verification holds by construction. :meth:`issue_range` is the one
-    path that hands out free identifiers, and :meth:`issue_next` is its
-    one-share case; :meth:`issue_at` issues a chosen identifier. Callers
-    must serialize access.
+    verification holds by construction. :meth:`register_range` is the one
+    path that hands out free identifiers and :meth:`shares_at` computes
+    their shares; :meth:`issue_range` does both, and :meth:`issue_next` is
+    its one-share case. :meth:`issue_at` issues a chosen identifier.
+    Callers must serialize access.
     """
 
     def __init__(self, poly: GroupPolynomial):
@@ -315,6 +316,12 @@ class Dealer:
         registered: what n calls of :meth:`issue_next` return. Raises
         InvalidIdentifier once every identifier below q is taken, keeping
         the identifiers found before it registered."""
+        return self.shares_at(self.register_range(n))
+
+    def register_range(self, n: int) -> list:
+        """Register the next n free identifiers and return them, lowest
+        first, without evaluating their shares (see :meth:`shares_at`).
+        Raises as :meth:`issue_range` does."""
         q = self.poly.field.order
         issued = self._issued
         # registered identifiers are reduced and nonzero, so the scan stops at q
@@ -324,8 +331,13 @@ class Dealer:
             self._next_x = xs[-1] + 1
         if len(xs) < n:
             raise InvalidIdentifier(f"every identifier below {q} is issued")
-        # GroupPolynomial.evaluate's Horner rule, one coefficient at a time
-        # across every x, with one reduction per share at the end
+        return xs
+
+    def shares_at(self, xs: Sequence[int]) -> list:
+        """The shares of identifiers from :meth:`register_range`, in order.
+        GroupPolynomial.evaluate's Horner rule, one coefficient at a time
+        across every x, with one reduction per share at the end."""
+        q = self.poly.field.order
         top, *rest = reversed(self.poly.coeffs)
         accs = [top] * len(xs)
         for c in rest:

@@ -736,14 +736,17 @@ class TestProvisioning:
             swarm.add_drone(Drone(DroneId("A", sh.x), sh, group_key=poly.group_key))
         return swarm, dealer, core_share
 
-    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
-    @pytest.mark.parametrize("n", (0, 1, 3, 50))
-    def test_one_pass_equals_share_by_share(self, group, n):
+    def check_against_reference(self, group, n, read_guards_first):
         t = 4
         core = CoreNetwork(group, random.Random(n))
         swarm = core.provision_swarm("A", t, n)
         ref_rng = random.Random(n)
         ref, ref_dealer, ref_core_share = self.reference_swarm(group, ref_rng, t, n)
+        if read_guards_first:
+            guards = swarm.guards()
+            assert [g.id.x for g in guards] == list(range(1, min(n, t - 1) + 1))
+            # the guards stay the drones that the table holds
+            assert all(swarm.drones[g.id.x] is g for g in guards)
         assert list(swarm.drones) == list(ref.drones) == list(range(1, n + 1))
         for got, want in zip(swarm.drones.values(), ref.drones.values()):
             assert got.id == want.id and got.label == want.label
@@ -757,6 +760,38 @@ class TestProvisioning:
                 == ref_dealer.issued_identifiers())
         assert core.dealer("A").issue_next() == ref_dealer.issue_next()
         assert core.rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("n", (0, 1, 3, 50))
+    def test_one_pass_equals_share_by_share(self, group, n):
+        self.check_against_reference(group, n, read_guards_first=False)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("n", (0, 1, 3, 50))
+    def test_guards_read_first_equal_share_by_share(self, group, n):
+        self.check_against_reference(group, n, read_guards_first=True)
+
+    def test_merge_builds_only_the_drones_it_reads(self, toy61, monkeypatch):
+        # swarm A is rebroadcast to, so all of it is built; of swarm B only
+        # the t - 1 guards are read; the designated guard's cross share
+        # makes one more drone
+        built = []
+
+        def counting_drone(*args, **kwargs):
+            drone = Drone(*args, **kwargs)
+            built.append(drone.id)
+            return drone
+
+        monkeypatch.setattr(protocol, "Drone", counting_drone)
+        rng = random.Random(23)
+        core = CoreNetwork(toy61, rng)
+        swarm_a = core.provision_swarm("A", 4, 50)
+        swarm_b = core.provision_swarm("B", 4, 50)
+        assert built == []
+        outcome, _ = run_unification(swarm_a, swarm_b, core, rng)
+        assert outcome.accepted
+        assert len(built) == 50 + 3 + 1
+        assert sorted(d.label for d in built if d.swarm == "B") == ["B/1", "B/2", "B/3"]
 
     def test_swarm_provisioned_once(self, toy61):
         core = CoreNetwork(toy61, random.Random(3))
@@ -773,7 +808,8 @@ class TestProvisioning:
         try:
             before = gc.get_objects()  # kept alive, so no id is reused
             seen = {id(o) for o in before}
-            core.provision_swarm("A", 5, n)
+            # reading the table builds every drone
+            assert len(core.provision_swarm("A", 5, n).drones) == n
             tracked = sum(id(o) not in seen for o in gc.get_objects())
         finally:
             gc.enable()
