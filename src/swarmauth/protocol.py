@@ -332,6 +332,7 @@ class Swarm:
 
     @property
     def drones(self) -> dict[int, Drone]:
+        """The drone table, identifier to drone, with every drone built."""
         if self._unbuilt:
             self._build(len(self._unbuilt))
         return self._table
