@@ -353,19 +353,25 @@ def _wnaf(k: int, w: int) -> list:
 
 def _odd_multiples(points: list, w: int) -> list:
     """[[g, 3g, ..., (2^(w-1) - 1)*g] for g in points], affine: per point
-    one doubling and 2^(w-2) - 1 Jacobian additions of 2g, all normalised
+    one doubling and 2^(w-2) - 1 mixed additions of 2g, all normalised
     with one shared inversion. The points are not the identity, and the
     group's prime order exceeds 2^w, so no sum meets a doubling or the
-    identity."""
+    identity.
+
+    With 2g = (X, Y, Z), the map (x, y) -> (x*Z^2, y*Z^3) takes the curve
+    to y^2 = x^3 + b*Z^6, where 2g is the affine (X, Y). The sums are taken
+    there, since the a = 0 formulas never read b, and a sum (X', Y', Z')
+    maps back as (X', Y', Z'*Z)."""
     count = 1 << (w - 2)
     jacobian = []
     for x, y in points:
-        twice = _jac_double(x, y, 1)
-        p = (x, y, 1)
-        jacobian.append(p)
+        tx, ty, z = _jac_double(x, y, 1)
+        zz = z * z % _SECP_P
+        p = (x * zz % _SECP_P, y * zz * z % _SECP_P, 1)
+        jacobian.append((x, y, 1))
         for _ in range(count - 1):
-            p = _jac_add(*p, *twice)
-            jacobian.append(p)
+            p = _jac_add_affine(*p, tx, ty)
+            jacobian.append((p[0], p[1], p[2] * z % _SECP_P))
     flat = _to_affine_all(jacobian)
     return [flat[i:i + count] for i in range(0, len(flat), count)]
 
@@ -401,30 +407,6 @@ def _jac_add_affine(x1, y1, z1, x2, y2):
     nx = (r * r - h3 - 2 * x1h2) % _SECP_P
     ny = (r * (x1h2 - nx) - y1 * h3) % _SECP_P
     return nx, ny, h * z1 % _SECP_P
-
-
-def _jac_add(x1, y1, z1, x2, y2, z2):
-    """Jacobian (x1, y1, z1) plus Jacobian (x2, y2, z2)."""
-    if z1 == 0:
-        return x2, y2, z2
-    if z2 == 0:
-        return x1, y1, z1
-    z1s = z1 * z1 % _SECP_P
-    z2s = z2 * z2 % _SECP_P
-    u1 = x1 * z2s % _SECP_P
-    s1 = y1 * z2s * z2 % _SECP_P
-    h = (x2 * z1s - u1) % _SECP_P
-    r = (y2 * z1s * z1 - s1) % _SECP_P
-    if h == 0:
-        if r != 0:
-            return 0, 1, 0
-        return _jac_double(x1, y1, z1)
-    h2 = h * h % _SECP_P
-    h3 = h2 * h % _SECP_P
-    u1h2 = u1 * h2 % _SECP_P
-    nx = (r * r - h3 - 2 * u1h2) % _SECP_P
-    ny = (r * (u1h2 - nx) - s1 * h3) % _SECP_P
-    return nx, ny, h * z1 * z2 % _SECP_P
 
 
 def _to_affine(x, y, z) -> Point:

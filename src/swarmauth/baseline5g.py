@@ -7,8 +7,9 @@ byte comparison. Responses are modeled as the challenge concatenated
 with the SUCI bytes, which keeps the flow's operation counts (one
 asymmetric encryption, one decryption, two hashes, two round trips)
 exactly those the latency model charges for. The exchange is written once,
-as ``ue_authentication_flow``: ``run_ue_authentication`` runs it with no
-clock and ``simnet`` runs it on its event loop.
+as ``ue_authentication_flow``, which names each modeled wait through a
+callback: ``run_ue_authentication`` passes one that does nothing, and
+``simnet`` passes its transport's clock.
 """
 
 from __future__ import annotations
@@ -171,37 +172,37 @@ def ausf_confirm(res: bytes, state: ChallengeState) -> Supi:
 
 
 def ue_authentication_flow(group, supi: Supi, keys: BaseStationKeys, rng,
-                           counter: OpCounter, record):
-    """Step generator of one UE authentication; returns the SUPI as
-    recovered by the serving network and raises AuthenticationFailure on a
-    mismatch. Before each modeled wait it yields "encrypt", "core" (each
-    half of a round trip), "decrypt" (UDM) or "hash" (AUSF, then SEAF), and
-    it logs SUCI, CHALLENGE, RES and CONFIRM on arrival through
+                           counter: OpCounter, record, wait):
+    """One UE authentication; returns the SUPI as recovered by the serving
+    network and raises AuthenticationFailure on a mismatch. Before each
+    modeled wait it calls ``wait`` with "encrypt", "core" (each half of a
+    round trip), "decrypt" (UDM) or "hash" (AUSF, then SEAF), and it logs
+    SUCI, CHALLENGE, RES and CONFIRM on arrival through
     ``record(kind, sender, receiver, payload)``.
     """
-    yield "encrypt"
+    wait("encrypt")
     suci = compute_suci(group, supi, keys.public, rng)
     counter.asym_encrypt += 1
-    yield "core"
+    wait("core")
     record("SUCI", "ue", "core", suci.ciphertext)
-    yield "decrypt"
+    wait("decrypt")
     # counted before the attempt: a failed decryption still costs the core
     # its work
     counter.asym_decrypt += 1
     state = udm_challenge(group, suci, keys, rng)
-    yield "hash"
+    wait("hash")
     hxres = ausf_hxres(state)
     counter.hash_ops += 1
-    yield "core"
+    wait("core")
     record("CHALLENGE", "core", "ue", state.rand)
     counter.round_trips += 1  # SUCI up, challenge down
     res = ue_response(suci, state.rand)
-    yield "core"
+    wait("core")
     record("RES", "ue", "core", res)
-    yield "hash"
+    wait("hash")
     ok = seaf_check(res, hxres)
     counter.hash_ops += 1
-    yield "core"
+    wait("core")
     counter.round_trips += 1  # RES up, confirmation down
     recovered = ausf_confirm(res, state) if ok else None
     record("CONFIRM", "core", "ue", b"ok" if ok else b"fail")
@@ -216,11 +217,6 @@ def run_ue_authentication(group, supi: Supi, keys: BaseStationKeys, rng,
     the SUPI as recovered by the serving network. Raises
     AuthenticationFailure or DecryptError on any mismatch.
     """
-    flow = ue_authentication_flow(group, supi, keys, rng,
+    return ue_authentication_flow(group, supi, keys, rng,
                                   counter if counter is not None else OpCounter(),
-                                  lambda *message: None)
-    while True:
-        try:
-            next(flow)
-        except StopIteration as stop:
-            return stop.value
+                                  lambda *message: None, lambda step: None)

@@ -14,14 +14,17 @@ Four flows are implemented as explicit message sequences:
 * bulk admission -- n arrivals broadcast their public shares, and one
   threshold check of the guards plus the first arrival admits them all.
 
-Inclusion, unification and bulk admission are step generators. Before
-each modeled wait a flow yields the wait's name -- "core" (each half of
-the cross-issue round trip), "transfer" (the first share round of a guard
+Inclusion, unification and bulk admission are plain functions that
+return their Outcome. Before each modeled wait a flow calls
+``transport.wait`` with the wait's name -- "core" (each half of the
+cross-issue round trip), "transfer" (the first share round of a guard
 check), "round" (each later share round), "verdict" (before the guards'
 verdicts), "hop" (key delivery, key return, rebroadcast), "broadcast"
-(each bulk arrival) or "check" (the bulk check) -- and returns its
-Outcome. ``run_inclusion`` and ``run_unification`` run a flow with no
-clock; ``simnet`` runs the same flows on its event loop.
+(each bulk arrival) or "check" (the bulk check). A :class:`Transport`
+built without costs ignores the waits and stamps its transcript with a
+step counter, as ``run_inclusion`` and ``run_unification`` do; ``simnet``
+gives the transport a cost per step, and its exact clock stamps the
+modeled time.
 
 A drone stores no role. A swarm's guards are its threshold - 1 lowest
 identifiers, and a drone is a member once it is in the swarm's drone
@@ -41,6 +44,7 @@ import enum
 import hashlib
 import heapq
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -364,23 +368,35 @@ class Swarm:
 
 
 class Transport:
-    """Message delivery with nonce freshness, transcript recording, and an
-    optional in-path intercept hook (the adversary seam).
+    """Message delivery with nonce freshness, transcript recording, an
+    optional in-path intercept hook (the adversary seam) and the flow's
+    modeled clock.
 
-    Without an external clock the transcript uses a logical step counter.
-    A simulator can set ``clock_us`` before each delivery to emit modeled
-    timestamps instead.
+    ``costs`` maps each step name a flow waits on to its cost in us, as a
+    Fraction. With costs, :meth:`wait` adds the step's cost to an exact
+    clock, and every later record or delivery is stamped with the float
+    nearest the exact sum, however many steps there are. Without costs,
+    waits do nothing and the transcript uses a logical step counter.
     """
 
-    def __init__(self, intercept=None):
+    def __init__(self, intercept=None, costs: dict[str, Fraction] | None = None):
         self.transcript = AuthTranscript()
         self.intercept = intercept
-        self.clock_us: float | None = None
+        self._costs = costs
+        self._elapsed = Fraction(0)
+        # the stamp of the current clock time, None without costs
+        self._now = None if costs is None else 0.0
         self._step = 0
 
+    def wait(self, step: str):
+        """Let the modeled clock pass the cost of ``step``."""
+        if self._costs is not None:
+            self._elapsed += self._costs[step]
+            self._now = float(self._elapsed)
+
     def _stamp(self) -> float:
-        if self.clock_us is not None:
-            return self.clock_us
+        if self._now is not None:
+            return self._now
         t = float(self._step)
         self._step += 1
         return t
@@ -534,7 +550,7 @@ def _quorum(swarm: Swarm) -> list[Drone]:
 
 def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
                  private: PrivateShare, transport: Transport, rng):
-    """Step generator of one guard-quorum check of the publisher's share.
+    """One guard-quorum check of the publisher's share.
 
     The publisher's public pair and the guards' own pairs come from one
     batched generator mul, and each sender's pair is encoded once. The
@@ -576,20 +592,20 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
 
     received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
     views: dict[int, PublicShare] = {}
-    yield "transfer"
+    transport.wait("transfer")
     for g in guards:
         seen = receive(_publish_share(publisher, payload, g, transport, rng))
         if seen is not None:
             received[g.id.x][seen.x] = seen
             views[g.id.x] = seen
     for g in guards:
-        yield "round"
+        transport.wait("round")
         for h in guards:
             if h.id.x != g.id.x:
                 seen = receive(_publish_share(g, payloads[g.id.x], h, transport, rng))
                 if seen is not None:
                     received[h.id.x][seen.x] = seen
-    yield "verdict"
+    transport.wait("verdict")
     unanimous = True
     verdicts: dict[tuple[PublicShare, ...], bool] = {}
     for g in guards:
@@ -606,7 +622,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
 
 
 def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
-    """Step generator of an inclusion; returns its Outcome.
+    """An inclusion; returns its Outcome.
 
     The candidate publishes its public share to the swarm's t-1 guards,
     the guards exchange their own public shares, and each guard checks
@@ -618,12 +634,12 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if candidate.id.x in swarm.drones:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, views, own = yield from _guard_check(swarm, guards, candidate,
-                                             candidate.private_share, transport, rng)
+    ok, views, own = _guard_check(swarm, guards, candidate, candidate.private_share,
+                                  transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
-    yield "hop"
+    transport.wait("hop")
     deliverer = guards[0]
     recovered = _send_group_key(group, deliverer, own[deliverer.id.x], candidate,
                                 views[deliverer.id.x], transport, rng)
@@ -635,7 +651,7 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
 
 
 def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
-    """Step generator of a bulk admission; returns its Outcome.
+    """A bulk admission; returns its Outcome.
 
     The public pairs of every arrival and of the guard quorum are derived
     together, in one batched generator mul, before the first broadcast.
@@ -649,24 +665,14 @@ def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
     quorum = _quorum(swarm)
     pubs = public_shares([d.private_share for d in arrivals + quorum], group)
     for arrival, pub in zip(arrivals, pubs):
-        yield "broadcast"
+        transport.wait("broadcast")
         transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
                          f"{swarm.id}/*", encode_public_share(group, pub))
-    yield "check"
+    transport.wait("check")
     shares = sorted([pubs[0], *pubs[len(arrivals):]], key=lambda s: s.x)
     if not verify_group(shares, swarm.commitment, group, swarm.threshold):
         return Outcome(False, "verification-failed")
     return Outcome(True)
-
-
-def _drain(flow, transport: Transport):
-    """Run a flow with no clock; returns (outcome, transcript)."""
-    while True:
-        try:
-            next(flow)
-        except StopIteration as stop:
-            transport.transcript.set_outcome(stop.value)
-            return stop.value, transport.transcript
 
 
 def run_inclusion(swarm: Swarm, candidate: Drone, rng,
@@ -678,7 +684,9 @@ def run_inclusion(swarm: Swarm, candidate: Drone, rng,
     Returns (outcome, transcript).
     """
     transport = transport if transport is not None else Transport()
-    return _drain(inclusion_flow(swarm, candidate, rng, transport), transport)
+    outcome = inclusion_flow(swarm, candidate, rng, transport)
+    transport.transcript.set_outcome(outcome)
+    return outcome, transport.transcript
 
 
 class CoreNetwork:
@@ -770,16 +778,16 @@ def _open_cross_share(group, swarm: Swarm, drone: Drone,
 
 def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
                 away_guards: list[Drone], transport: Transport, rng):
-    """Step generator of one direction of a unification: the designated
-    guard of ``home`` obtains a share under ``away``'s polynomial and
-    ``away``'s guards check it. Returns (failure reason or None, cross
-    share, guard views of the cross public pair, the guards' own pairs)."""
+    """One direction of a unification: the designated guard of ``home``
+    obtains a share under ``away``'s polynomial and ``away``'s guards check
+    it. Returns (failure reason or None, cross share, guard views of the
+    cross public pair, the guards' own pairs)."""
     group = home.group
-    yield "core"
+    transport.wait("core")
     request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
                               fresh_nonce(rng), away.id.encode())
     transport.deliver(request, core)
-    yield "core"
+    transport.wait("core")
     response = core.core_issue_cross_share(designated.id, away.id, rng)
     delivered = transport.deliver(response, designated)
     if delivered is None:
@@ -788,8 +796,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
         cross = _open_cross_share(group, home, designated, delivered)
     except (DecryptionFailed, DecodeError):
         return "cross-share-unusable", None, None, None
-    ok, views, own = yield from _guard_check(away, away_guards, designated, cross,
-                                             transport, rng)
+    ok, views, own = _guard_check(away, away_guards, designated, cross, transport, rng)
     if not ok:
         return "verification-failed", None, None, None
     return None, cross, views, own
@@ -797,7 +804,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
 
 def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
                      transport: Transport, mutual: bool = False):
-    """Step generator of a merge onto swarm B's group key; returns its Outcome.
+    """A merge onto swarm B's group key; returns its Outcome.
 
     A designated guard of swarm A (lowest x) obtains a share under swarm
     B's polynomial from the core, swarm B's guards group-verify the cross
@@ -820,19 +827,19 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     b_guards = _quorum(swarm_b)
     a_quorum = _quorum(swarm_a) if mutual else None
 
-    failure, cross, views, own = yield from _cross_pass(core, d_a, swarm_a, swarm_b,
-                                                        b_guards, transport, rng)
+    failure, cross, views, own = _cross_pass(core, d_a, swarm_a, swarm_b, b_guards,
+                                             transport, rng)
     if failure:
         return Outcome(False, failure)
     if mutual:
-        failure, _, _, _ = yield from _cross_pass(core, b_guards[0], swarm_b, swarm_a,
-                                                  a_quorum, transport, rng)
+        failure, _, _, _ = _cross_pass(core, b_guards[0], swarm_b, swarm_a, a_quorum,
+                                       transport, rng)
         if failure:
             return Outcome(False, f"mutual-{failure}")
 
     # a swarm-B guard returns swarm B's key to the designated guard,
     # encrypted under the pairwise key of the cross share
-    yield "hop"
+    transport.wait("hop")
     deliverer = b_guards[0]
     # d_a's nonce cache was built by the cross-issue response's delivery
     cross_holder = Drone(d_a.id, cross, nonce_cache=d_a.nonce_cache)
@@ -844,7 +851,7 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # rebroadcast under swarm A's current group key: one AES-GCM context
     # seals and opens every member's copy, and each opened key is staged
     # until the last copy has opened
-    yield "hop"
+    transport.wait("hop")
     relay = AESGCM(group_key_cipher_key(group.field, d_a.group_key))
     unified_plain = group.field.encode(unified_key)
     kind, sender, deliver, decode = (MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
@@ -876,5 +883,6 @@ def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     Returns (outcome, transcript).
     """
     transport = transport if transport is not None else Transport()
-    return _drain(unification_flow(swarm_a, swarm_b, core, rng, transport, mutual),
-                  transport)
+    outcome = unification_flow(swarm_a, swarm_b, core, rng, transport, mutual)
+    transport.transcript.set_outcome(outcome)
+    return outcome, transport.transcript

@@ -1,22 +1,22 @@
-"""Deterministic discrete-event simulation of the authentication scenarios.
+"""Deterministic simulation of the authentication scenarios.
 
 Each scenario (5G NR, inclusion, unification, bulk admission) runs its
-flow, a step generator from ``baseline5g`` or ``protocol``, with real
-cryptography while a heap-ordered event loop assigns modeled timestamps
-from a configurable latency model. The group-authentication critical
+flow, a plain function from ``baseline5g`` or ``protocol``, with real
+cryptography on a transport whose clock assigns modeled timestamps from a
+configurable latency model. The group-authentication critical
 path is serialized per share (one drone-to-drone transfer followed by one
 curve multiplication per participant), so an inclusion at threshold t
 costs t * (drone_to_drone + ec_point_mul) and a bulk admission of n
 drones n * drone_to_drone plus one such check; the 5G NR baseline costs
 2 * round_trip + asym_encrypt + asym_decrypt + 2 * hash_op.
 
-Every flow step waits its cost on an exact clock: the loop sums the
+Every flow step waits its cost on an exact clock: the transport sums the
 costs as fractions, so a timestamp is the float nearest the exact sum of
 the costs of the steps before it, however many steps there are.
 
 Identical (config, seed) pairs produce identical timing reports and
-byte-identical transcripts: event-queue ties break by insertion order
-and every nonce and key draw comes from the scenario's seeded RNG.
+byte-identical transcripts: a flow takes its steps in one fixed order, and
+every nonce and key draw comes from the scenario's seeded RNG.
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(latency=LatencyModel(**overrides), **fields)
 
 
+# No scenario schedules on an event loop: each flow waits on its
+# transport's clock. The class stays while the benchmark's tracer wraps
+# ``schedule_at``.
 class EventLoop:
     """Heap-ordered event queue; ties fire in insertion order. The clock
     starts at an exact zero, so times scheduled as fractions stay exact."""
@@ -402,8 +405,8 @@ def run_scenario(config: ScenarioConfig):
 
 
 def _run(config: ScenarioConfig) -> _ScenarioResult:
-    """Provision the configured scenario, run its flow on the event loop and
-    report the closed-form phases with the flow's outcome."""
+    """Provision the configured scenario, run its flow on the modeled clock
+    and report the closed-form phases with the flow's outcome."""
     rng = random.Random(config.seed)
     group = make_group(config.group)
     setup = {
@@ -412,8 +415,8 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
         "unification": _setup_unification,
         "bulk": _setup_bulk,
     }[config.scenario]
-    flow, transport, adversary, core = setup(config, group, rng)
-    outcome = _drive(flow, config, transport)
+    outcome, transport, adversary, core = setup(config, group, rng)
+    transport.transcript.set_outcome(outcome)
     n_drones = config.n_drones if config.scenario == "bulk" else (
         2 * config.n_drones if config.scenario == "unification" else 1)
     report = TimingReport(config.scenario, config.threshold, n_drones, _phases(config),
@@ -441,23 +444,21 @@ def _phases(config: ScenarioConfig) -> dict:
             **group_auth_phases(t, model)}
 
 
-def _transport_for(config: ScenarioConfig, group, rng, target: Drone):
-    """(transport, adversary): the configured in-path adversary, if any,
-    aims its substitutions at ``target``'s share publishes."""
+def _transport_for(config: ScenarioConfig, group, rng, target: Drone | None = None):
+    """(transport, adversary): a transport on the config's modeled clock.
+    The configured in-path adversary, if any, aims its substitutions at
+    ``target``'s share publishes."""
+    costs = _costs(config)
     if config.adversary == "none":
-        return Transport(), None
+        return Transport(costs=costs), None
     adversary = Adversary(mode=config.adversary, group=group, rng=rng,
                           mitm_target=target.id.label)
-    return Transport(intercept=adversary.intercept), adversary
+    return Transport(intercept=adversary.intercept, costs=costs), adversary
 
 
-def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
-    """Run a flow on the event loop and return its outcome.
-
-    Each yielded step resumes the flow after the step's cost, with the
-    transcript clock set to the loop's. The loop's clock sums the costs
-    exactly, so a time is rounded to a float only when it is stamped.
-    """
+def _costs(config: ScenarioConfig) -> dict:
+    """The modeled cost in us of each step a flow waits on, as a Fraction
+    of the float the latency model charges."""
     model, t = config.latency, config.threshold
     d2d, ecmul = model.drone_to_drone, model.ec_point_mul
     parallel = config.parallel_guards
@@ -467,33 +468,14 @@ def _drive(flow, config: ScenarioConfig, transport: Transport) -> Outcome:
              "hop": d2d, "broadcast": d2d, "check": time_group_auth(t, model),
              "encrypt": model.asym_encrypt, "decrypt": model.asym_decrypt,
              "hash": model.hash_op}
-    costs = {step: Fraction(cost) for step, cost in costs.items()}
-    loop = EventLoop()
-    done = []
-
-    def resume():
-        transport.clock_us = float(loop.now_us)
-        try:
-            step = next(flow)
-        except StopIteration as stop:
-            done.append(stop.value)
-            return
-        loop.schedule_at(loop.now_us + costs[step], resume)
-
-    resume()
-    loop.run()
-    # resume refers to itself; break that cycle so that a finished run's
-    # swarms are freed now rather than at the next garbage collection
-    del resume
-    transport.transcript.set_outcome(done[0])
-    return done[0]
+    return {step: Fraction(cost) for step, cost in costs.items()}
 
 
-def _nr5g_flow(group, supi, keys, rng, transport: Transport):
+def _nr5g(group, supi, keys, rng, transport: Transport) -> Outcome:
     """The UE authentication flow with its verdict as an Outcome."""
     try:
-        recovered = yield from ue_authentication_flow(group, supi, keys, rng,
-                                                      OpCounter(), transport.record)
+        recovered = ue_authentication_flow(group, supi, keys, rng, OpCounter(),
+                                           transport.record, transport.wait)
     except AuthenticationFailure:
         recovered = None
     return Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")
@@ -502,8 +484,8 @@ def _nr5g_flow(group, supi, keys, rng, transport: Transport):
 def _setup_nr5g(config: ScenarioConfig, group, rng):
     keys = gen_bs_keys(group, rng)
     supi = random_supi(rng)
-    transport = Transport()
-    return _nr5g_flow(group, supi, keys, rng, transport), transport, None, None
+    transport, _ = _transport_for(config, group, rng)
+    return _nr5g(group, supi, keys, rng, transport), transport, None, None
 
 
 def _setup_inclusion(config: ScenarioConfig, group, rng):
@@ -530,7 +512,7 @@ def _setup_bulk(config: ScenarioConfig, group, rng):
     swarm = core.provision_swarm("A", config.threshold,
                                  n_drones=config.threshold - 1)
     arrivals = [core.issue_candidate("A") for _ in range(config.n_drones)]
-    transport = Transport()
+    transport, _ = _transport_for(config, group, rng)
     return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core
 
 
@@ -606,11 +588,31 @@ def inject_adversary(config: ScenarioConfig):
                               MessageKind.UNIFIED_KEY_BROADCAST)]
     if not sealed:
         return AttackOutcome(False, "no key-transport traffic observed")
-    # each candidate key opens every sealed message in turn, so its AES-GCM
-    # context is built once
+    # Group the sealed messages by the key that sealed them: a swarm's
+    # UNIFIED_KEY_BROADCAST copies that its relay key (derived from the
+    # group key the core dealt it) opens are one group, and every other
+    # sealed message is a group of its own. Each candidate key is tried on
+    # the first message of each group: the candidates come from captured
+    # public data, so one that is not a group's key opens a message of the
+    # group only by a 128-bit tag forgery, no likelier on one copy than on
+    # another.
+    relays = {swarm_id: AESGCM(protocol.group_key_cipher_key(
+                  group.field, result.core.dealer(swarm_id).group_key))
+              for swarm_id in result.core.swarms}
+    groups = {}
+    for i, (msg, receiver) in enumerate(sealed):
+        tag = i
+        if msg.kind is MessageKind.UNIFIED_KEY_BROADCAST and msg.sender.swarm in relays:
+            try:
+                protocol.open_sealed(relays[msg.sender.swarm], msg, receiver)
+                tag = msg.sender.swarm
+            except protocol.DecryptionFailed:
+                pass
+        groups.setdefault(tag, (msg, receiver))
+    # each candidate key's AES-GCM context is built once
     for key in candidate_keys:
         cipher = AESGCM(key)
-        for msg, receiver in sealed:
+        for msg, receiver in groups.values():
             try:
                 protocol.open_sealed(cipher, msg, receiver)
                 return AttackOutcome(False, "captured material decrypted a "

@@ -28,7 +28,6 @@ from swarmauth.algebra import (
     _glv_split,
     _WINDOW_MIN_BITS,
     _inverses,
-    _jac_add,
     _jac_add_affine,
     _jac_double,
     _odd_multiples,
@@ -733,7 +732,7 @@ class TestGLVSplit:
 
 
 class TestJacobianFormulas:
-    """``_jac_double``, ``_jac_add_affine`` and ``_jac_add`` on their own: a known point
+    """``_jac_double`` and ``_jac_add_affine`` on their own: a known point
     written as (X*z^2, Y*z^3, z) for a random z != 1, against the affine
     ``CurveGroup.add``."""
 
@@ -759,9 +758,6 @@ class TestJacobianFormulas:
         assert doubled == (nx, (m * (s - nx) - 8 * y**4) % _SECP_P,
                            2 * y * z % _SECP_P)
         assert _to_affine(*_jac_add_affine(*jac, *a)) == curve.add(p, a)
-        # both summands Jacobian, with a different z for the second
-        z2 = z * 3 % _SECP_P or 5
-        assert _to_affine(*_jac_add(*jac, *self.jacobian(a, z2))) == curve.add(p, a)
 
     @given(log=discrete_logs, x=st.integers(0, _SECP_P - 1),
            y=st.integers(0, _SECP_P - 1))
@@ -770,8 +766,6 @@ class TestJacobianFormulas:
         p = reference_mul(curve, log, curve.generator)
         assert _to_affine(*_jac_double(x, y, 0)) is None
         assert _jac_add_affine(x, y, 0, *p) == (*p, 1)
-        assert _jac_add(x, y, 0, *p, 1) == (*p, 1)
-        assert _jac_add(*p, 1, x, y, 0) == (*p, 1)
 
 
 class TestEncoding:

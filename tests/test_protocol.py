@@ -391,7 +391,7 @@ def coded_inclusion(group, t, intercept=None, seed=78):
     swarm = core.provision_swarm("A", t, n_drones=t - 1)
     candidate = core.issue_candidate("A")
     guards = swarm.guards()
-    encoded, decoded, at_verdict = [], [], None
+    encoded, decoded, at_verdict = [], [], []
 
     def counting_encode(group, share):
         encoded.append(share)
@@ -401,18 +401,18 @@ def coded_inclusion(group, t, intercept=None, seed=78):
         decoded.append(payload)
         return decode_public_share(group, payload)
 
+    def wait(step):
+        if step == "verdict":
+            at_verdict.append((list(encoded), list(decoded)))
+
     transport = Transport(intercept=None if intercept is None
                           else lambda msg, receiver: intercept(candidate, msg, receiver))
+    transport.wait = wait
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "encode_public_share", counting_encode)
         mp.setattr(protocol, "decode_public_share", counting_decode)
-        flow = protocol.inclusion_flow(swarm, candidate, rng, transport)
-        while True:
-            try:
-                if next(flow) == "verdict":
-                    at_verdict = (list(encoded), list(decoded))
-            except StopIteration as stop:
-                return stop.value, at_verdict, candidate, guards
+        outcome = protocol.inclusion_flow(swarm, candidate, rng, transport)
+        return outcome, at_verdict[-1], candidate, guards
 
 
 class TestGuardCheckCodec:
@@ -457,14 +457,11 @@ class TestGuardCheckCodec:
         assert set(forged.values()) <= set(decoded)
 
 
-def drain(flow):
-    """Run a flow with no clock; returns (yielded steps, outcome)."""
+def bulk(swarm, arrivals, transport):
+    """Run a bulk admission; returns (the steps it waited on, outcome)."""
     steps = []
-    while True:
-        try:
-            steps.append(next(flow))
-        except StopIteration as stop:
-            return steps, stop.value
+    transport.wait = steps.append
+    return steps, bulk_flow(swarm, arrivals, transport)
 
 
 class TestBulkFlow:
@@ -477,7 +474,7 @@ class TestBulkFlow:
     def test_honest_batch_accepted(self, toy61):
         swarm, arrivals = self.setup_batch(toy61, 5)
         transport = Transport()
-        steps, outcome = drain(bulk_flow(swarm, arrivals, transport))
+        steps, outcome = bulk(swarm, arrivals, transport)
         assert outcome == Outcome(True)
         assert steps == ["broadcast"] * 5 + ["check"]
         entries = transport.transcript.entries
@@ -490,14 +487,14 @@ class TestBulkFlow:
         first = arrivals[0]
         bad_y = (first.private_share.y + 1) % toy61.field.order
         arrivals[0] = Drone(first.id, PrivateShare(first.id.x, bad_y))
-        steps, outcome = drain(bulk_flow(swarm, arrivals, Transport()))
+        steps, outcome = bulk(swarm, arrivals, Transport())
         assert outcome == Outcome(False, "verification-failed")
         assert steps[-1] == "check"
 
     def test_empty_batch_needs_no_check(self, toy61):
         swarm, _ = self.setup_batch(toy61, 0)
         transport = Transport()
-        assert drain(bulk_flow(swarm, [], transport)) == ([], Outcome(True))
+        assert bulk(swarm, [], transport) == ([], Outcome(True))
         assert transport.transcript.entries == []
 
 

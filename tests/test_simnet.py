@@ -1,12 +1,17 @@
-"""Latency model, closed forms, event loop, scenarios, and adversaries."""
+"""Latency model, closed forms, event loop, transport clock, scenarios, and
+adversaries."""
 
 import collections
 import hashlib
 import os
 import random
+import re
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from swarmauth import algebra, baseline5g, protocol, simnet
@@ -210,19 +215,61 @@ class TestEventLoop:
         loop.run()
         assert times == [0.0, 10.0, 20.0]
 
-    def test_drive_clock_sums_costs_exactly(self):
+
+STEPS = ("hop", "round", "verdict")
+# a wait names its step; "record" and "deliver" stamp a transcript entry
+CLOCK_EVENTS = st.lists(st.sampled_from((*STEPS, "record", "deliver")), max_size=80)
+
+
+def run_clock(costs, events):
+    """Play waits, records and deliveries on a transport with ``costs``;
+    returns the exact sum of the costs waited before each entry, and the
+    entries' stamps."""
+    transport = Transport(costs=costs)
+    receiver = SimpleNamespace(label="A/2", nonce_cache=None)
+    sender = protocol.DroneId("A", 1)
+    elapsed, sums = Fraction(0), []
+    for i, event in enumerate(events):
+        if event in STEPS:
+            transport.wait(event)
+            elapsed += costs[event] if costs else 0
+            continue
+        if event == "record":
+            transport.record("HOP", "a", "b", b"")
+        else:
+            msg = protocol.ProtocolMessage(MessageKind.SHARE_PUBLISH, sender,
+                                           i.to_bytes(16, "big"), b"")
+            assert transport.deliver(msg, receiver) is msg
+        sums.append(elapsed)
+    return sums, [e.time_us for e in transport.transcript.entries]
+
+
+class TestTransportClock:
+    """The modeled clock a transport keeps for the flows."""
+
+    @settings(max_examples=80)
+    @given(tenths=st.lists(st.integers(0, 99), min_size=3, max_size=3),
+           events=CLOCK_EVENTS)
+    def test_stamps_are_the_exact_sums_of_the_waits(self, tenths, events):
+        # one-decimal costs are not binary fractions, so a running float
+        # sum of them would drift from the exact one
+        costs = {step: Fraction(k / 10) for step, k in zip(STEPS, tenths)}
+        sums, stamps = run_clock(costs, events)
+        assert stamps == [float(total) for total in sums]
+
+    @given(events=CLOCK_EVENTS)
+    def test_without_costs_stamps_count_the_entries(self, events):
+        _, stamps = run_clock(None, events)
+        assert stamps == [float(i) for i in range(len(stamps))]
+
+    def test_thousand_hops_of_a_tenth_us_end_at_100us(self):
         # 1000 float additions of 0.1 us drift to 99.9999999999986
-        transport = Transport()
-
-        def flow():
-            for _ in range(1000):
-                yield "hop"
-                transport.record("HOP", "a", "b", b"")
-            return Outcome(True)
-
         config = toy_config(scenario="inclusion",
                             latency=LatencyModel(drone_to_drone=0.1))
-        assert simnet._drive(flow(), config, transport).accepted
+        transport = Transport(costs=simnet._costs(config))
+        for _ in range(1000):
+            transport.wait("hop")
+            transport.record("HOP", "a", "b", b"")
         assert transport.transcript.entries[-1].time_us == 100.0
 
 
@@ -356,7 +403,7 @@ class TestScenarios:
         assert report.outcome == "accepted"
 
     def test_event_loop_meets_closed_forms_under_random_models(self):
-        # the event loop times every flow step, apart from the closed
+        # the transport clock times every flow step, apart from the closed
         # forms: an accepted run's last authentication message must land
         # exactly at the reported total, and bulk broadcast k at k*d2d
         rng = random.Random(405)
@@ -665,6 +712,63 @@ class TestAdversaries:
         outcome = inject_adversary(config)
         assert not outcome.thwarted
         assert outcome.detail == "captured material decrypted a key-transport message"
+
+    def test_eavesdrop_control_key_opens_a_later_rebroadcast_copy(self, monkeypatch):
+        # one rebroadcast copy after the first is resealed, after the run,
+        # under the hash of a captured verdict payload: the judge tries each
+        # candidate key on one copy per key group, and must still find it
+        key = hashlib.sha256(b"accept").digest()
+        run = simnet._run
+
+        def run_and_reseal(config):
+            result = run(config)
+            captured = result.adversary.captured
+            copies = [i for i, (msg, _) in enumerate(captured)
+                      if msg.kind is MessageKind.UNIFIED_KEY_BROADCAST]
+            i = copies[2]
+            msg, receiver = captured[i]
+            captured[i] = (protocol.seal(msg.kind, AESGCM(key), msg.sender, receiver.label,
+                                         bytes(32), random.Random(0)), receiver)
+            return result
+
+        monkeypatch.setattr(simnet, "_run", run_and_reseal)
+        config = ScenarioConfig(scenario="unification", adversary="eavesdrop", seed=2,
+                                n_drones=6)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == "captured material decrypted a key-transport message"
+
+    def test_eavesdrop_judge_opens_linearly(self, monkeypatch):
+        # every UNIFIED_KEY_BROADCAST copy is sealed under one relay key and
+        # every other sealed message under a key of its own: the judge opens
+        # at most (candidate keys x groups) + sealed messages, not their product
+        opens, groups = [], []
+        open_sealed, run = protocol.open_sealed, simnet._run
+
+        def counting_open(*args):
+            opens.append(1)
+            return open_sealed(*args)
+
+        def run_then_count(config):
+            result = run(config)
+            sealed = [msg.kind for msg, _ in result.adversary.captured
+                      if msg.kind in (MessageKind.ENCRYPTED_GROUP_KEY,
+                                      MessageKind.CROSS_ISSUE_RESPONSE,
+                                      MessageKind.UNIFIED_KEY_BROADCAST)]
+            broadcasts = sealed.count(MessageKind.UNIFIED_KEY_BROADCAST)
+            groups.append(len(sealed) - broadcasts + 1)
+            monkeypatch.setattr(protocol, "open_sealed", counting_open)
+            return result
+
+        monkeypatch.setattr(simnet, "_run", run_then_count)
+        config = ScenarioConfig(scenario="unification", adversary="eavesdrop", seed=1,
+                                n_drones=200)
+        outcome = inject_adversary(config)
+        assert outcome.thwarted, outcome.detail
+        keys, sealed = map(int, re.search(r"(\d+) derivable keys open none of (\d+) "
+                                          r"sealed messages", outcome.detail).groups())
+        assert sealed == 201 and groups == [3]
+        assert len(opens) <= keys * groups[0] + sealed
 
     @pytest.mark.parametrize("mode", ["replay", "eavesdrop"])
     def test_control_honest_run_rejected(self, mode, monkeypatch):
