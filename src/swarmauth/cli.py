@@ -47,7 +47,7 @@ def _load_config(path: str, **changes) -> ScenarioConfig | None:
             return replace(parse_config(fh.read()), **changes)
     except OSError as exc:
         _fail(f"cannot read config: {exc}")
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         _fail(f"config error: {exc}")
     return None
 

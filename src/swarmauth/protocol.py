@@ -309,16 +309,17 @@ class Drone:
 class Swarm:
     """Provisioned swarm state: members, guards, and the public commitment.
 
-    ``drones`` maps identifier to drone: the provisioned drones lowest
-    first, then each admitted drone in order of admission. A swarm from
-    :meth:`CoreNetwork.provision_swarm` builds its drones on first read.
-    :meth:`guards` builds only the threshold - 1 lowest; reading
-    ``drones``, :meth:`members` or :meth:`add_drone` builds every drone not
-    yet built, in one pass of the dealer. The table is then what building
-    every drone at provisioning gives, in the same order: a drone built
-    late holds its share, the provisioning group key and no nonce cache,
-    as an untouched drone would, since keys change and messages arrive only
-    through drones that have been built.
+    The members are the built drones and the unbuilt identifiers: one
+    range the dealer handed out at provisioning, whose drones are built
+    when first read. ``x in swarm`` asks both without building anything,
+    so :meth:`add_drone` admits a drone without building the table.
+    :meth:`guards` builds only the guards among the unbuilt; reading
+    ``drones`` or :meth:`members` builds every drone not yet built, in one
+    pass of the dealer. ``drones`` maps identifier to drone in order of
+    building and admission; :meth:`members` lists them by identifier. A
+    drone built late holds its share, the provisioning group key and no
+    nonce cache, as an untouched drone would, since keys change and
+    messages arrive only through drones that have been built.
     """
 
     def __init__(self, swarm_id: str, group, threshold: int,
@@ -329,10 +330,12 @@ class Swarm:
         self.commitment = commitment
         self.core_public_share = core_public_share
         self._table: dict[int, Drone] = {}
-        # identifiers registered with the dealer and not built yet,
-        # ascending and above every built one (see CoreNetwork.provision_swarm)
+        # set by CoreNetwork.provision_swarm
         self._dealer: Dealer | None = None
-        self._unbuilt: list[int] = []
+        self._unbuilt = range(0)
+
+    def __contains__(self, x: int) -> bool:
+        return x in self._table or x in self._unbuilt
 
     @property
     def drones(self) -> dict[int, Drone]:
@@ -349,7 +352,7 @@ class Swarm:
                             for sh in self._dealer.shares_at(xs)})
 
     def add_drone(self, drone: Drone):
-        if drone.id.x in self.drones:
+        if drone.id.x in self:
             raise DuplicateIdentifier(f"identifier {drone.id.x} already present in swarm {self.id}")
         self._table[drone.id.x] = drone
 
@@ -357,10 +360,12 @@ class Swarm:
         """The drones of the threshold - 1 lowest identifiers."""
         k = self.threshold - 1
         table = self._table
-        # every built identifier is below every unbuilt one
-        if len(table) < k and self._unbuilt:
-            self._build(k - len(table))
-        return [table[x] for x in heapq.nsmallest(k, table)]
+        xs = heapq.nsmallest(k, [*table, *self._unbuilt[:k]])
+        # the unbuilt identifiers among them are a prefix of the range
+        unbuilt = sum(x not in table for x in xs)
+        if unbuilt:
+            self._build(unbuilt)
+        return [table[x] for x in xs]
 
     def members(self) -> list[Drone]:
         table = self.drones
@@ -557,10 +562,10 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     publisher sends its pair to every guard, the guards exchange their own
     pairs, and each guard checks the t-point Lagrange sum against the
     swarm's commitment and sends its verdict to the publisher. Returns
-    (unanimous, views, own); unanimous holds when every guard accepts and
-    the publisher receives every guard's ``accept`` fresh. views maps a
-    guard's x to the published pair as that guard received it, and own
-    maps it to the guard's own pair.
+    (unanimous, view, own); unanimous holds when every guard accepts and
+    the publisher receives every guard's ``accept`` fresh. view is the
+    published pair as the first guard received it (None if it got none),
+    and own is that guard's own pair.
 
     Each distinct delivered payload is decoded once and each distinct
     view is verified once. Decoding is a pure function of the bytes, and a
@@ -575,9 +580,8 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     group = swarm.group
     t = swarm.threshold
     share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
-    own = {g.id.x: pair for g, pair in zip(guards, pairs)}
     payload = encode_public_share(group, share)
-    payloads = {g.id.x: encode_public_share(group, pair) for g, pair in zip(guards, pairs)}
+    payloads = [encode_public_share(group, pair) for pair in pairs]
     decoded: dict[bytes, PublicShare | None] = {}
 
     def receive(payload: bytes | None) -> PublicShare | None:
@@ -591,25 +595,24 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
         return decoded[payload]
 
     received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
-    views: dict[int, PublicShare] = {}
     transport.wait("transfer")
-    for g in guards:
-        seen = receive(_publish_share(publisher, payload, g, transport, rng))
+    views = [receive(_publish_share(publisher, payload, g, transport, rng))
+             for g in guards]
+    for g, seen in zip(guards, views):
         if seen is not None:
             received[g.id.x][seen.x] = seen
-            views[g.id.x] = seen
-    for g in guards:
+    for g, sent in zip(guards, payloads):
         transport.wait("round")
         for h in guards:
             if h.id.x != g.id.x:
-                seen = receive(_publish_share(g, payloads[g.id.x], h, transport, rng))
+                seen = receive(_publish_share(g, sent, h, transport, rng))
                 if seen is not None:
                     received[h.id.x][seen.x] = seen
     transport.wait("verdict")
     unanimous = True
     verdicts: dict[tuple[PublicShare, ...], bool] = {}
-    for g in guards:
-        shares = tuple(sorted([*received[g.id.x].values(), own[g.id.x]],
+    for g, pair in zip(guards, pairs):
+        shares = tuple(sorted([*received[g.id.x].values(), pair],
                               key=lambda s: s.x))
         ok = verdicts.get(shares)
         if ok is None:
@@ -618,7 +621,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
                 and verify_group(shares, swarm.commitment, group, t))
         heard = _send_verdict(g, ok, publisher, transport, rng)
         unanimous = unanimous and ok and heard
-    return unanimous, views, own
+    return unanimous, views[0], pairs[0]
 
 
 def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
@@ -631,18 +634,16 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     and the candidate joins the swarm as a member.
     """
     guards = _quorum(swarm)
-    if candidate.id.x in swarm.drones:
+    if candidate.id.x in swarm:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, views, own = _guard_check(swarm, guards, candidate, candidate.private_share,
-                                  transport, rng)
+    ok, view, own = _guard_check(swarm, guards, candidate, candidate.private_share,
+                                 transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
     transport.wait("hop")
-    deliverer = guards[0]
-    recovered = _send_group_key(group, deliverer, own[deliverer.id.x], candidate,
-                                views[deliverer.id.x], transport, rng)
+    recovered = _send_group_key(group, guards[0], own, candidate, view, transport, rng)
     if recovered is None:
         return Outcome(False, "key-delivery-failed")
     candidate.group_key = recovered
@@ -706,26 +707,26 @@ class CoreNetwork:
     def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int) -> Swarm:
         """Create a swarm from a fresh polynomial and hand out shares.
 
-        Drones get identifiers 1..n_drones, all registered with the dealer
-        at once; the t-1 lowest become the guards, whose shares and a
-        newcomer's make the t points of every check. The core keeps one
-        share of its own, n_drones + 1, for key agreement with members. The
-        commitment Q = f(0)*P and the core's public pair come from one
-        batched generator mul; Q is held by the swarm, whose guards check
-        every share against it. The drones themselves, with their shares,
-        are built when the swarm first reads them (see :class:`Swarm`).
+        The dealer hands the drones identifiers 1..n_drones as one range;
+        the t-1 lowest become the guards, whose shares and a newcomer's
+        make the t points of every check. The core keeps the next share,
+        n_drones + 1, for key agreement with members. The commitment
+        Q = f(0)*P and the core's public pair come from one batched
+        generator mul; Q is held by the swarm, whose guards check every
+        share against it. The drones themselves, with their shares, are
+        built when the swarm first reads them (see :class:`Swarm`).
         """
         if swarm_id in self._dealers:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
         group = self.group
         poly = gen_polynomial(group.field, threshold, self.rng)
         dealer = Dealer(poly)
-        xs = dealer.register_range(n_drones)
-        core_share = dealer.issue_at(n_drones + 1)
+        unbuilt = dealer.register_range(n_drones)
+        core_share = dealer.issue_next()
         q_point, core_point = group.mul_generator([poly.group_key, core_share.y])
         swarm = Swarm(swarm_id, group, threshold, GroupCommitment(q_point),
                       PublicShare(core_share.x, core_point))
-        swarm._dealer, swarm._unbuilt = dealer, xs
+        swarm._dealer, swarm._unbuilt = dealer, unbuilt
 
         self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share
@@ -780,8 +781,8 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
                 away_guards: list[Drone], transport: Transport, rng):
     """One direction of a unification: the designated guard of ``home``
     obtains a share under ``away``'s polynomial and ``away``'s guards check
-    it. Returns (failure reason or None, cross share, guard views of the
-    cross public pair, the guards' own pairs)."""
+    it. Returns (failure reason or None, cross share, the cross public
+    pair as the first guard received it, that guard's own pair)."""
     group = home.group
     transport.wait("core")
     request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
@@ -796,10 +797,10 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
         cross = _open_cross_share(group, home, designated, delivered)
     except (DecryptionFailed, DecodeError):
         return "cross-share-unusable", None, None, None
-    ok, views, own = _guard_check(away, away_guards, designated, cross, transport, rng)
+    ok, view, own = _guard_check(away, away_guards, designated, cross, transport, rng)
     if not ok:
         return "verification-failed", None, None, None
-    return None, cross, views, own
+    return None, cross, view, own
 
 
 def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
@@ -827,8 +828,8 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     b_guards = _quorum(swarm_b)
     a_quorum = _quorum(swarm_a) if mutual else None
 
-    failure, cross, views, own = _cross_pass(core, d_a, swarm_a, swarm_b, b_guards,
-                                             transport, rng)
+    failure, cross, view, own = _cross_pass(core, d_a, swarm_a, swarm_b, b_guards,
+                                            transport, rng)
     if failure:
         return Outcome(False, failure)
     if mutual:
@@ -840,11 +841,10 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # a swarm-B guard returns swarm B's key to the designated guard,
     # encrypted under the pairwise key of the cross share
     transport.wait("hop")
-    deliverer = b_guards[0]
     # d_a's nonce cache was built by the cross-issue response's delivery
     cross_holder = Drone(d_a.id, cross, nonce_cache=d_a.nonce_cache)
-    unified_key = _send_group_key(group, deliverer, own[deliverer.id.x], cross_holder,
-                                  views[deliverer.id.x], transport, rng)
+    unified_key = _send_group_key(group, b_guards[0], own, cross_holder, view,
+                                  transport, rng)
     if unified_key is None:
         return Outcome(False, "key-return-failed")
 

@@ -12,7 +12,6 @@ multi-scalar multiplication of t + 1 points with short integer weights
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse, islice
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -52,7 +51,7 @@ class InvalidIdentifier(ValueError):
 
 
 class DuplicateIdentifier(ValueError):
-    """Identifiers in a share set (or registry) must be distinct."""
+    """Identifiers in a share set (or a swarm) must be distinct."""
 
 
 class WrongShareCount(ValueError):
@@ -288,20 +287,18 @@ def recover_group_key(shares: Sequence[PrivateShare], field: ScalarField,
 
 
 class Dealer:
-    """Issues shares from one polynomial with a sequential identifier registry.
+    """Issues shares from one polynomial under identifiers 1, 2, 3, ...
 
-    Identifiers are handed out as 1, 2, 3, ... and uniqueness is enforced,
+    The dealer is a counter: it hands out each identifier once, in order,
     so transcripts are reproducible and the distinctness precondition of
-    verification holds by construction. :meth:`register_range` is the one
-    path that hands out free identifiers and :meth:`shares_at` computes
-    their shares; :meth:`issue_range` does both, and :meth:`issue_next` is
-    its one-share case. :meth:`issue_at` issues a chosen identifier.
-    Callers must serialize access.
+    verification holds by construction. :meth:`register_range` hands out
+    the next identifiers and :meth:`shares_at` computes their shares;
+    :meth:`issue_range` does both, and :meth:`issue_next` is its one-share
+    case. The dealer draws no randomness. Callers must serialize access.
     """
 
     def __init__(self, poly: GroupPolynomial):
         self.poly = poly
-        self._issued: set[int] = set()
         self._next_x = 1
 
     @property
@@ -312,23 +309,19 @@ class Dealer:
         return self.issue_range(1)[0]
 
     def issue_range(self, n: int) -> list:
-        """The shares of the next n free identifiers, lowest first, all
-        registered: what n calls of :meth:`issue_next` return. Raises
-        InvalidIdentifier once every identifier below q is taken, keeping
-        the identifiers found before it registered."""
+        """The shares of the next n identifiers, lowest first: what n calls
+        of :meth:`issue_next` return. Raises as :meth:`register_range` does."""
         return self.shares_at(self.register_range(n))
 
-    def register_range(self, n: int) -> list:
-        """Register the next n free identifiers and return them, lowest
-        first, without evaluating their shares (see :meth:`shares_at`).
-        Raises as :meth:`issue_range` does."""
+    def register_range(self, n: int) -> range:
+        """Hand out the next n identifiers without evaluating their shares
+        (see :meth:`shares_at`). Raises InvalidIdentifier once every
+        identifier below q is handed out, keeping the ones before it."""
+        if n < 0:
+            raise ValueError(f"cannot register {n} identifiers")
         q = self.poly.field.order
-        issued = self._issued
-        # registered identifiers are reduced and nonzero, so the scan stops at q
-        xs = list(islice(filterfalse(issued.__contains__, range(self._next_x, q)), n))
-        issued.update(xs)
-        if xs:
-            self._next_x = xs[-1] + 1
+        xs = range(self._next_x, min(self._next_x + n, q))
+        self._next_x = xs.stop
         if len(xs) < n:
             raise InvalidIdentifier(f"every identifier below {q} is issued")
         return xs
@@ -344,16 +337,8 @@ class Dealer:
             accs = [acc * x + c for acc, x in zip(accs, xs)]
         return [PrivateShare(x, acc % q) for x, acc in zip(xs, accs)]
 
-    def issue_at(self, x: int) -> PrivateShare:
-        x = self.poly.field.reduce(x)
-        if x in self._issued:
-            raise DuplicateIdentifier(f"identifier {x} already issued")
-        share = issue_share(self.poly, x)
-        self._issued.add(x)
-        return share
-
-    def issued_identifiers(self) -> frozenset:
-        return frozenset(self._issued)
+    def issued_identifiers(self) -> range:
+        return range(1, self._next_x)
 
 
 # Wire form: each field preceded by a 2-byte big-endian length, concatenated.

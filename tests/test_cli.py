@@ -218,3 +218,21 @@ class TestAttack:
         err = capsys.readouterr().err
         assert "config error: adversary" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--variable", "threshold", "--from", "2", "--to", "3"],
+    ["attack", "--mode", "replay"],
+])
+def test_config_not_utf8_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(b"scenario = inclusion\n\xff = 1\n")
+    out_csv = tmp_path / "x.csv"
+    argv = [*command, "--config", str(path)]
+    if command[0] == "sweep":
+        argv += ["--out", str(out_csv)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out_csv.exists()

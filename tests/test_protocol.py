@@ -726,7 +726,7 @@ class TestProvisioning:
         poly = gen_polynomial(group.field, t, rng)
         dealer = Dealer(poly)
         drone_shares = [dealer.issue_next() for _ in range(n)]
-        core_share = dealer.issue_at(n + 1)
+        core_share = dealer.issue_next()
         swarm = Swarm("A", group, t, group_commitment(poly, group),
                       public_share(core_share, group))
         for sh in drone_shares:
@@ -768,10 +768,9 @@ class TestProvisioning:
     def test_guards_read_first_equal_share_by_share(self, group, n):
         self.check_against_reference(group, n, read_guards_first=True)
 
-    def test_merge_builds_only_the_drones_it_reads(self, toy61, monkeypatch):
-        # swarm A is rebroadcast to, so all of it is built; of swarm B only
-        # the t - 1 guards are read; the designated guard's cross share
-        # makes one more drone
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ids of the drones that protocol code constructs."""
         built = []
 
         def counting_drone(*args, **kwargs):
@@ -780,6 +779,12 @@ class TestProvisioning:
             return drone
 
         monkeypatch.setattr(protocol, "Drone", counting_drone)
+        return built
+
+    def test_merge_builds_only_the_drones_it_reads(self, toy61, built):
+        # swarm A is rebroadcast to, so all of it is built; of swarm B only
+        # the t - 1 guards are read; the designated guard's cross share
+        # makes one more drone
         rng = random.Random(23)
         core = CoreNetwork(toy61, rng)
         swarm_a = core.provision_swarm("A", 4, 50)
@@ -789,6 +794,21 @@ class TestProvisioning:
         assert outcome.accepted
         assert len(built) == 50 + 3 + 1
         assert sorted(d.label for d in built if d.swarm == "B") == ["B/1", "B/2", "B/3"]
+
+    def test_inclusion_builds_only_the_guards(self, toy61, built):
+        # the collision check and the admission ask the swarm for the
+        # candidate's identifier without building its table
+        rng = random.Random(23)
+        core = CoreNetwork(toy61, rng)
+        swarm = core.provision_swarm("A", 4, 50)
+        candidate = core.issue_candidate("A")
+        built.clear()
+        outcome, _ = run_inclusion(swarm, candidate, rng)
+        assert outcome.accepted
+        assert sorted(d.label for d in built) == ["A/1", "A/2", "A/3"]
+        assert candidate.id.x == 52 and 52 in swarm and 50 in swarm
+        assert 51 not in swarm and 53 not in swarm
+        assert swarm.drones[52] is candidate and len(swarm.drones) == 51
 
     def test_swarm_provisioned_once(self, toy61):
         core = CoreNetwork(toy61, random.Random(3))

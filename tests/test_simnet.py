@@ -738,6 +738,31 @@ class TestAdversaries:
         assert not outcome.thwarted
         assert outcome.detail == "captured material decrypted a key-transport message"
 
+    def test_eavesdrop_control_cross_share_in_a_verdict(self, monkeypatch):
+        # one captured verdict is replaced, after the run, by the encoding
+        # of swarm B's cross-issued share: the judge must scan the scalars
+        # the core dealt after provisioning too
+        run = simnet._run
+
+        def run_and_leak(config):
+            result = run(config)
+            # swarm B's dealer issued n drones' shares, the core's own
+            # share, then the cross-issued share
+            poly = result.core.dealer("B").poly
+            leaked = result.core.group.field.encode(poly.evaluate(config.n_drones + 2))
+            captured = result.adversary.captured
+            i = next(i for i, (msg, _) in enumerate(captured)
+                     if msg.kind is MessageKind.AUTH_VERDICT)
+            msg, receiver = captured[i]
+            captured[i] = (replace(msg, payload=leaked), receiver)
+            return result
+
+        monkeypatch.setattr(simnet, "_run", run_and_leak)
+        config = ScenarioConfig(scenario="unification", adversary="eavesdrop", seed=2)
+        outcome = inject_adversary(config)
+        assert not outcome.thwarted
+        assert outcome.detail == "private material visible in captured traffic"
+
     def test_eavesdrop_judge_opens_linearly(self, monkeypatch):
         # every UNIFIED_KEY_BROADCAST copy is sealed under one relay key and
         # every other sealed message under a key of its own: the judge opens

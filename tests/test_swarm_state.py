@@ -1,15 +1,16 @@
 """A stateful test of swarm membership on the toy group.
 
 Rules provision swarms, run inclusions, one-way and mutual merges and bulk
-runs, and read a swarm's table through ``guards()``, ``members()`` or
-``drones``. An inclusion or a merge may run over a transport that drops,
-replays or tampers with the k-th delivery of one kind of message; a bulk
-run delivers nothing, so it runs unfaulted. A shadow of every swarm is
-built eagerly, share by share, at provisioning and changes only as an
-accepted run says it must; after every rule each swarm's table must equal
-its shadow. So a rejected run changes no member's key and no swarm's
-drones, and whatever a swarm has read so far, its drones are the ones
-eager provisioning builds.
+runs, admit a drone straight through ``add_drone``, and read a swarm's
+table through ``guards()``, ``members()`` or ``drones``. An inclusion or
+a merge may run over a transport that drops, replays or tampers with the
+k-th delivery of one kind of message; a bulk run delivers nothing, so it
+runs unfaulted. A shadow of every swarm is built eagerly, share by share,
+at provisioning and changes only as an accepted run says it must; after
+every rule each swarm's table must equal its shadow, identifier by
+identifier. So a rejected run changes no
+member's key and no swarm's drones, and whatever a swarm has read or
+admitted so far, its drones are the ones eager provisioning builds.
 """
 
 import random
@@ -77,7 +78,7 @@ class SwarmMachine(RuleBasedStateMachine):
     def start(self, seed, thresholds):
         self.rng = random.Random(seed)
         self.core = CoreNetwork(GROUP, self.rng)
-        # swarm id -> {x: row of the drone}, in table order
+        # swarm id -> {x: row of the drone}
         self.shadow = {}
         # two swarms to merge from the first step on
         return multiple(*(self.provision(t, 3) for t in thresholds))
@@ -124,6 +125,15 @@ class SwarmMachine(RuleBasedStateMachine):
             assert all(m.group_key == key_b for m in swarm_a.members())
             self.shadow[a] = {x: (*r[:3], key_b) for x, r in self.shadow[a].items()}
 
+    @rule(swarm_id=swarms)
+    def admit(self, swarm_id):
+        # a fresh drone that holds the swarm's key, taken in without a
+        # check, maybe before the swarm has built any drone
+        drone = self.core.issue_candidate(swarm_id)
+        drone.group_key = self.key_of(swarm_id)
+        self.core.swarms[swarm_id].add_drone(drone)
+        self.shadow[swarm_id][drone.id.x] = row(drone)
+
     @rule(swarm_id=swarms, arrivals=st.integers(0, 4))
     def bulk(self, swarm_id, arrivals):
         # today a bulk run admits nobody, so the shadow does not change
@@ -141,7 +151,7 @@ class SwarmMachine(RuleBasedStateMachine):
         elif how == "members":
             got, want = swarm.members(), sorted(shadow)
         else:
-            got, want = list(swarm.drones.values()), list(shadow)
+            got, want = [d for _, d in sorted(swarm.drones.items())], sorted(shadow)
         assert [row(d) for d in got] == [shadow[x] for x in want]
 
     @invariant()
@@ -151,7 +161,7 @@ class SwarmMachine(RuleBasedStateMachine):
         for swarm_id, shadow in self.shadow.items():
             swarm = self.core.swarms[swarm_id]
             built, unbuilt = swarm._table, swarm._unbuilt
-            assert list(built) + unbuilt == list(shadow)
+            assert sorted([*built, *unbuilt]) == sorted(shadow)
             assert all(row(d) == shadow[x] for x, d in built.items())
             # every member holds one key, and while a drone is unbuilt no
             # key has moved from the one it would be built with
