@@ -1,14 +1,16 @@
 """Deterministic simulation of the authentication scenarios.
 
-Each scenario (5G NR, inclusion, unification, bulk admission) runs its
-flow, a plain function from ``baseline5g`` or ``protocol``, with real
+A scenario (5G NR, inclusion, unification, bulk admission) is its
+function in ``SCENARIOS``: it provisions the scenario, runs its flow, a
+plain function from ``baseline5g`` or ``protocol``, with real
 cryptography on a transport whose clock assigns modeled timestamps from a
-configurable latency model. The group-authentication critical
-path is serialized per share (one drone-to-drone transfer followed by one
-curve multiplication per participant), so an inclusion at threshold t
-costs t * (drone_to_drone + ec_point_mul) and a bulk admission of n
-drones n * drone_to_drone plus one such check; the 5G NR baseline costs
-2 * round_trip + asym_encrypt + asym_decrypt + 2 * hash_op.
+configurable latency model, and returns the closed-form phases its report
+charges. The group-authentication critical path is serialized per share
+(one drone-to-drone transfer followed by one curve multiplication per
+participant), so an inclusion at threshold t costs t * (drone_to_drone +
+ec_point_mul) and a bulk admission of n drones n * drone_to_drone plus
+one such check; the 5G NR baseline costs 2 * round_trip + asym_encrypt +
+asym_decrypt + 2 * hash_op.
 
 Every flow step waits its cost on an exact clock: the transport sums the
 costs as fractions, so a timestamp is the float nearest the exact sum of
@@ -72,7 +74,6 @@ __all__ = [
     "inject_adversary",
 ]
 
-SCENARIOS = ("inclusion", "unification", "nr5g", "bulk")
 ADVERSARY_MODES = ("none", "replay", "eavesdrop", "mitm")
 ATTACK_MODES = ADVERSARY_MODES[1:]
 
@@ -135,7 +136,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
+            raise ConfigError(f"scenario: must be one of {tuple(SCENARIOS)}, "
+                              f"got {self.scenario!r}")
         if self.threshold < 2:
             raise ConfigError(f"threshold: must be >= 2, got {self.threshold}")
         if self.adversary not in ADVERSARY_MODES:
@@ -162,6 +164,13 @@ class ScenarioConfig:
             raise ConfigError(f"n_drones: a threshold-{self.threshold} check needs "
                               f"{self.threshold - 1} guards, got a swarm of "
                               f"{self.n_drones}")
+        # Every modeled time a run computes (a step cost, a clock stamp, a
+        # phase, the total) sums at most n + 2t + 3 latency values; below
+        # half the float range no rounding of such a sum reaches infinity.
+        name, us = max(vars(self.latency).items(), key=lambda item: item[1])
+        if ((self.n_drones or 0) + 2 * self.threshold + 3) * Fraction(us) >= 2 ** 1023:
+            raise ConfigError(f"latency field {name}: (n_drones + 2 * threshold + 3) * "
+                              f"{us}us reaches 2**1023us: modeled times may overflow")
 
 
 _INT_KEYS = ("threshold", "n_drones", "seed")
@@ -405,43 +414,14 @@ def run_scenario(config: ScenarioConfig):
 
 
 def _run(config: ScenarioConfig) -> _ScenarioResult:
-    """Provision the configured scenario, run its flow on the modeled clock
-    and report the closed-form phases with the flow's outcome."""
-    rng = random.Random(config.seed)
-    group = make_group(config.group)
-    setup = {
-        "nr5g": _setup_nr5g,
-        "inclusion": _setup_inclusion,
-        "unification": _setup_unification,
-        "bulk": _setup_bulk,
-    }[config.scenario]
-    outcome, transport, adversary, core = setup(config, group, rng)
+    """Run the configured scenario's function and report the closed-form
+    phases it charges with the flow's outcome."""
+    outcome, transport, adversary, core, n_drones, phases = SCENARIOS[config.scenario](
+        config, make_group(config.group), random.Random(config.seed))
     transport.transcript.set_outcome(outcome)
-    n_drones = config.n_drones if config.scenario == "bulk" else (
-        2 * config.n_drones if config.scenario == "unification" else 1)
-    report = TimingReport(config.scenario, config.threshold, n_drones, _phases(config),
+    report = TimingReport(config.scenario, config.threshold, n_drones, phases,
                           str(outcome))
     return _ScenarioResult(report, transport.transcript, core, adversary)
-
-
-def _phases(config: ScenarioConfig) -> dict:
-    """The closed-form phases a scenario's report charges. A unification
-    is charged its full modeled path (cross issue, guard check, key
-    return, rebroadcast) whatever the outcome."""
-    model, t = config.latency, config.threshold
-    if config.scenario == "nr5g":
-        return baseline_phases(model)
-    if config.scenario == "inclusion":
-        return group_auth_phases(t, model, config.parallel_guards)
-    if config.scenario == "unification":
-        return {"cross_issue": model.ue_core_round_trip,
-                **group_auth_phases(t, model, config.parallel_guards),
-                "key_return": model.drone_to_drone,
-                "unified_broadcast": model.drone_to_drone}
-    if config.n_drones == 0:
-        return {}
-    return {"broadcast": config.n_drones * model.drone_to_drone,
-            **group_auth_phases(t, model)}
 
 
 def _transport_for(config: ScenarioConfig, group, rng, target: Drone | None = None):
@@ -471,49 +451,65 @@ def _costs(config: ScenarioConfig) -> dict:
     return {step: Fraction(cost) for step, cost in costs.items()}
 
 
-def _nr5g(group, supi, keys, rng, transport: Transport) -> Outcome:
-    """The UE authentication flow with its verdict as an Outcome."""
+# Each returns (outcome, transport, adversary, core, reported drone count,
+# phases).
+
+def _run_nr5g(config: ScenarioConfig, group, rng):
+    """One UE authenticates through the core (the 5G NR baseline)."""
+    keys = gen_bs_keys(group, rng)
+    supi = random_supi(rng)
+    transport, _ = _transport_for(config, group, rng)
     try:
         recovered = ue_authentication_flow(group, supi, keys, rng, OpCounter(),
                                            transport.record, transport.wait)
     except AuthenticationFailure:
         recovered = None
-    return Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")
+    outcome = Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")
+    return outcome, transport, None, None, 1, baseline_phases(config.latency)
 
 
-def _setup_nr5g(config: ScenarioConfig, group, rng):
-    keys = gen_bs_keys(group, rng)
-    supi = random_supi(rng)
-    transport, _ = _transport_for(config, group, rng)
-    return _nr5g(group, supi, keys, rng, transport), transport, None, None
-
-
-def _setup_inclusion(config: ScenarioConfig, group, rng):
+def _run_inclusion(config: ScenarioConfig, group, rng):
+    """One candidate is checked by the guards of a provisioned swarm."""
     core = CoreNetwork(group, rng)
     swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     candidate = core.issue_candidate("A")
     transport, adversary = _transport_for(config, group, rng, candidate)
-    return (protocol.inclusion_flow(swarm, candidate, rng, transport), transport,
-            adversary, core)
+    outcome = protocol.inclusion_flow(swarm, candidate, rng, transport)
+    return outcome, transport, adversary, core, 1, group_auth_phases(
+        config.threshold, config.latency, config.parallel_guards)
 
 
-def _setup_unification(config: ScenarioConfig, group, rng):
+def _run_unification(config: ScenarioConfig, group, rng):
+    """Two swarms of n drones merge. The report charges the full modeled
+    path (cross issue, guard check, key return, rebroadcast) whatever the
+    outcome."""
+    model = config.latency
     core = CoreNetwork(group, rng)
     swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones)
     transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
-    return (protocol.unification_flow(swarm_a, swarm_b, core, rng, transport),
-            transport, adversary, core)
+    outcome = protocol.unification_flow(swarm_a, swarm_b, core, rng, transport)
+    phases = {"cross_issue": model.ue_core_round_trip,
+              **group_auth_phases(config.threshold, model, config.parallel_guards),
+              "key_return": model.drone_to_drone,
+              "unified_broadcast": model.drone_to_drone}
+    return outcome, transport, adversary, core, 2 * config.n_drones, phases
 
 
-def _setup_bulk(config: ScenarioConfig, group, rng):
+def _run_bulk(config: ScenarioConfig, group, rng):
     """Admit n drones as one batch: n broadcast slots, one group check."""
+    n, model = config.n_drones, config.latency
     core = CoreNetwork(group, rng)
-    swarm = core.provision_swarm("A", config.threshold,
-                                 n_drones=config.threshold - 1)
-    arrivals = [core.issue_candidate("A") for _ in range(config.n_drones)]
+    swarm = core.provision_swarm("A", config.threshold, n_drones=config.threshold - 1)
+    arrivals = [core.issue_candidate("A") for _ in range(n)]
     transport, _ = _transport_for(config, group, rng)
-    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core
+    phases = {"broadcast": n * model.drone_to_drone,
+              **group_auth_phases(config.threshold, model)} if n else {}
+    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core, n, phases
+
+
+SCENARIOS = {"inclusion": _run_inclusion, "unification": _run_unification,
+             "nr5g": _run_nr5g, "bulk": _run_bulk}
 
 
 def inject_adversary(config: ScenarioConfig):

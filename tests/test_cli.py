@@ -236,3 +236,23 @@ def test_config_not_utf8_exits_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("text, field, value", [
+    ("scenario = inclusion\nec_point_mul = 1e305ms\n", "ec_point_mul", "1e+308"),
+    ("scenario = unification\nec_point_mul = 1e305ms\n", "ec_point_mul", "1e+308"),
+    ("scenario = nr5g\nue_core_round_trip = 1.5e305ms\n", "ue_core_round_trip",
+     "1.4999999999999998e+308"),
+    ("scenario = bulk\nn_drones = 3\ndrone_to_drone = 1e305ms\n", "drone_to_drone",
+     "1e+308"),
+], ids=["inclusion", "unification", "nr5g", "bulk"])
+@pytest.mark.parametrize("command", [["run"], ["attack", "--mode", "replay"]],
+                         ids=["run", "attack"])
+def test_modeled_time_overflow_exits_1(tmp_path, capsys, text, field, value, command):
+    config = write(tmp_path, "a.cfg", text + "group = toy\n")
+    assert main([*command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: latency field {field}: (n_drones + 2 * "
+                            f"threshold + 3) * {value}us reaches 2**1023us: "
+                            f"modeled times may overflow\n")

@@ -3,6 +3,7 @@ adversaries."""
 
 import collections
 import hashlib
+import math
 import os
 import random
 import re
@@ -182,6 +183,83 @@ class TestParseConfig:
     def test_nr5g_object_rejects_n_drones(self, n_drones):
         with pytest.raises(ConfigError, match="n_drones"):
             ScenarioConfig(scenario="nr5g", n_drones=n_drones)
+
+    @pytest.mark.parametrize("fields, text", [
+        ({"scenario": "warp"}, "scenario: must be one of ('inclusion', "
+         "'unification', 'nr5g', 'bulk'), got 'warp'"),
+        ({"scenario": "bulk", "adversary": "replay"}, "adversary: mode 'replay' "
+         "requires an inclusion or unification scenario"),
+        ({"scenario": "nr5g", "adversary": "mitm"}, "adversary: mode 'mitm' "
+         "requires an inclusion or unification scenario"),
+        ({"scenario": "nr5g", "n_drones": 3}, "n_drones: does not apply to nr5g, "
+         "which authenticates one UE"),
+        ({"scenario": "bulk", "parallel_guards": True}, "parallel_guards: applies "
+         "to inclusion and unification only, not bulk"),
+        ({"scenario": "nr5g", "parallel_guards": True}, "parallel_guards: applies "
+         "to inclusion and unification only, not nr5g"),
+        ({"scenario": "inclusion", "threshold": 4, "n_drones": 2}, "n_drones: a "
+         "threshold-4 check needs 3 guards, got a swarm of 2"),
+        ({"scenario": "unification", "threshold": 6, "n_drones": 0}, "n_drones: a "
+         "threshold-6 check needs 5 guards, got a swarm of 0"),
+        ({"scenario": "inclusion", "latency": LatencyModel(ec_point_mul=1e308)},
+         "latency field ec_point_mul: (n_drones + 2 * threshold + 3) * 1e+308us "
+         "reaches 2**1023us: modeled times may overflow"),
+    ], ids=["unknown-scenario", "adversary-on-bulk", "adversary-on-nr5g",
+            "n_drones-on-nr5g", "parallel-on-bulk", "parallel-on-nr5g",
+            "few-guards-inclusion", "few-guards-unification", "latency-overflow"])
+    def test_scenario_dependent_errors_exact_text(self, fields, text):
+        with pytest.raises(ConfigError) as raised:
+            ScenarioConfig(**fields)
+        assert str(raised.value) == text
+
+    def test_unknown_scenario_lists_the_names_in_scenarios(self):
+        with pytest.raises(ConfigError) as raised:
+            ScenarioConfig(scenario="warp")
+        assert str(tuple(simnet.SCENARIOS)) in str(raised.value)
+
+    @pytest.mark.parametrize("scenario, t, n_drones", [
+        ("bulk", 2, 100), ("bulk", 7, 100), ("inclusion", 2, 1),
+        ("inclusion", 7, 6), ("unification", 3, 2), ("unification", 6, 5),
+        ("nr5g", 5, None)])
+    def test_default_n_drones(self, scenario, t, n_drones):
+        assert ScenarioConfig(scenario=scenario, threshold=t).n_drones == n_drones
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=st.sampled_from(["inclusion", "unification", "nr5g", "bulk"]),
+           t=st.integers(2, 6), n_drones=st.none() | st.integers(0, 8),
+           parallel=st.booleans(),
+           durations=st.fixed_dictionaries(
+               {}, optional={name: st.floats(0, 1e306) | st.floats(1e300, 1e304)
+                         for name in LATENCY_FIELDS}))
+    def test_modeled_times_are_finite_or_config_error(self, scenario, t, n_drones,
+                                                      parallel, durations):
+        lines = [f"scenario = {scenario}", f"threshold = {t}", "group = toy",
+                 f"parallel_guards = {str(parallel).lower()}",
+                 *(f"{name} = {ms!r}ms" for name, ms in durations.items())]
+        if n_drones is not None:
+            lines.append(f"n_drones = {n_drones}")
+        try:
+            config = parse_config("\n".join(lines))
+        except ConfigError:
+            return
+        report, transcript = run_scenario(config)
+        assert math.isfinite(report.total_us)
+        assert all(math.isfinite(entry.time_us) for entry in transcript.entries)
+
+    def test_overflow_bound_is_n_plus_2t_plus_3_latency_values(self):
+        # n = 1, t = 2: the bound is 8 times the largest value; a unification's
+        # clock sums ue_core_round_trip + 4 drone_to_drone + 2 ec_point_mul
+        fields = ("ue_core_round_trip", "drone_to_drone", "ec_point_mul")
+        at_bound = 2.0 ** 1023 / 8
+        with pytest.raises(ConfigError, match="^latency field ue_core_round_trip: "):
+            toy_config(scenario="unification", threshold=2, n_drones=1,
+                       latency=LatencyModel(**dict.fromkeys(fields, at_bound)))
+        below = LatencyModel(**dict.fromkeys(fields, math.nextafter(at_bound, 0)))
+        report, transcript = run_scenario(toy_config(
+            scenario="unification", threshold=2, n_drones=1, latency=below))
+        assert report.outcome == "accepted"
+        assert math.isfinite(report.total_us)
+        assert math.isfinite(transcript.entries[-1].time_us)
 
 
 class TestEventLoop:
