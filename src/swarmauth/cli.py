@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 
@@ -112,7 +113,13 @@ def cmd_sweep(args) -> int:
         return _fail("config error: parallel_guards: a bulk admission's guard "
                      "check is serialized, so an n_drones sweep cannot use it")
 
-    rows = _sweep_rows(args.variable, points, config)
+    try:
+        rows = _sweep_rows(args.variable, points, config)
+        finite = all(math.isfinite(row[-1]) for row in rows)
+    except OverflowError:  # a point too large to convert to a float
+        finite = False
+    if not finite:
+        return _fail(f"{args.variable} sweep: a modeled time overflows a float")
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -567,26 +567,27 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     published pair as the first guard received it (None if it got none),
     and own is that guard's own pair.
 
-    Each distinct delivered payload is decoded once and each distinct
-    view is verified once. Decoding is a pure function of the bytes, and a
-    guard's verdict is a pure function of the t pairs it holds, because
-    the commitment, group and threshold are fixed for the check; a payload
-    that fails to decode gives its receiver no pair. In an honest check
-    the t payloads are decoded once each, all views agree and one
-    ``verify_group`` runs; under a man-in-the-middle every substituted
-    payload differs, so each is decoded, on-curve checked and verified on
-    its own.
+    Each guard's view is one list: its own pair, then every pair as it
+    received it, the publisher's first, with None for a replay or a
+    payload that does not decode. Its verdict is taken on the view's
+    pairs sorted by x, and holds only for t pairs of distinct x that pass
+    ``verify_group``. Each distinct delivered payload is decoded once and
+    each distinct sorted view is verified once: decoding is a pure
+    function of the bytes, and a verdict a pure function of the pairs,
+    since the commitment, group and threshold are fixed for the check. In
+    an honest check the t payloads are decoded once each, all views agree
+    and one ``verify_group`` runs; under a man-in-the-middle every
+    substituted payload differs, so each is decoded, on-curve checked and
+    verified on its own.
     """
     group = swarm.group
     t = swarm.threshold
     share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
     payload = encode_public_share(group, share)
     payloads = [encode_public_share(group, pair) for pair in pairs]
-    decoded: dict[bytes, PublicShare | None] = {}
+    decoded: dict[bytes | None, PublicShare | None] = {None: None}
 
     def receive(payload: bytes | None) -> PublicShare | None:
-        if payload is None:
-            return None
         if payload not in decoded:
             try:
                 decoded[payload] = decode_public_share(group, payload)
@@ -594,26 +595,19 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
                 decoded[payload] = None
         return decoded[payload]
 
-    received: dict[int, dict[int, PublicShare]] = {g.id.x: {} for g in guards}
     transport.wait("transfer")
-    views = [receive(_publish_share(publisher, payload, g, transport, rng))
-             for g in guards]
-    for g, seen in zip(guards, views):
-        if seen is not None:
-            received[g.id.x][seen.x] = seen
+    views = [[pair, receive(_publish_share(publisher, payload, g, transport, rng))]
+             for g, pair in zip(guards, pairs)]
     for g, sent in zip(guards, payloads):
         transport.wait("round")
-        for h in guards:
-            if h.id.x != g.id.x:
-                seen = receive(_publish_share(g, sent, h, transport, rng))
-                if seen is not None:
-                    received[h.id.x][seen.x] = seen
+        for h, view in zip(guards, views):
+            if h is not g:
+                view.append(receive(_publish_share(g, sent, h, transport, rng)))
     transport.wait("verdict")
     unanimous = True
     verdicts: dict[tuple[PublicShare, ...], bool] = {}
-    for g, pair in zip(guards, pairs):
-        shares = tuple(sorted([*received[g.id.x].values(), pair],
-                              key=lambda s: s.x))
+    for g, view in zip(guards, views):
+        shares = tuple(sorted([s for s in view if s is not None], key=lambda s: s.x))
         ok = verdicts.get(shares)
         if ok is None:
             ok = verdicts[shares] = (
@@ -621,7 +615,7 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
                 and verify_group(shares, swarm.commitment, group, t))
         heard = _send_verdict(g, ok, publisher, transport, rng)
         unanimous = unanimous and ok and heard
-    return unanimous, views[0], pairs[0]
+    return unanimous, views[0][1], pairs[0]
 
 
 def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
@@ -670,7 +664,7 @@ def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
         transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,
                          f"{swarm.id}/*", encode_public_share(group, pub))
     transport.wait("check")
-    shares = sorted([pubs[0], *pubs[len(arrivals):]], key=lambda s: s.x)
+    shares = [pubs[0], *pubs[len(arrivals):]]
     if not verify_group(shares, swarm.commitment, group, swarm.threshold):
         return Outcome(False, "verification-failed")
     return Outcome(True)

@@ -293,8 +293,8 @@ class Dealer:
     so transcripts are reproducible and the distinctness precondition of
     verification holds by construction. :meth:`register_range` hands out
     the next identifiers and :meth:`shares_at` computes their shares;
-    :meth:`issue_range` does both, and :meth:`issue_next` is its one-share
-    case. The dealer draws no randomness. Callers must serialize access.
+    :meth:`issue_next` does both for one share. The dealer draws no
+    randomness. Callers must serialize access.
     """
 
     def __init__(self, poly: GroupPolynomial):
@@ -306,25 +306,22 @@ class Dealer:
         return self.poly.group_key
 
     def issue_next(self) -> PrivateShare:
-        return self.issue_range(1)[0]
-
-    def issue_range(self, n: int) -> list:
-        """The shares of the next n identifiers, lowest first: what n calls
-        of :meth:`issue_next` return. Raises as :meth:`register_range` does."""
-        return self.shares_at(self.register_range(n))
+        return self.shares_at(self.register_range(1))[0]
 
     def register_range(self, n: int) -> range:
         """Hand out the next n identifiers without evaluating their shares
         (see :meth:`shares_at`). Raises InvalidIdentifier once every
-        identifier below q is handed out, keeping the ones before it."""
+        identifier below q is handed out, keeping the ones before it. The
+        range is counted by its ends: ``len`` of a range longer than
+        sys.maxsize raises OverflowError."""
         if n < 0:
             raise ValueError(f"cannot register {n} identifiers")
         q = self.poly.field.order
-        xs = range(self._next_x, min(self._next_x + n, q))
-        self._next_x = xs.stop
-        if len(xs) < n:
+        start = self._next_x
+        self._next_x = min(start + n, q)
+        if self._next_x - start < n:
             raise InvalidIdentifier(f"every identifier below {q} is issued")
-        return xs
+        return range(start, self._next_x)
 
     def shares_at(self, xs: Sequence[int]) -> list:
         """The shares of identifiers from :meth:`register_range`, in order.

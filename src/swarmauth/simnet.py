@@ -44,7 +44,6 @@ from .baseline5g import (
 from .protocol import (
     AuthTranscript,
     CoreNetwork,
-    Drone,
     MessageKind,
     Outcome,
     Transport,
@@ -80,6 +79,9 @@ ATTACK_MODES = ADVERSARY_MODES[1:]
 # Threshold bound below which the scheme is advertised as preferable to
 # the 5G NR baseline; the crossover report checks it against the model.
 ADVERTISED_PREFERABLE_BOUND = 10
+
+# The order q of each group kind: share identifiers lie in 1..q-1.
+_GROUP_ORDERS = {kind: make_group(kind).order for kind in ("production", "toy")}
 
 
 class ConfigError(ValueError):
@@ -146,7 +148,7 @@ class ScenarioConfig:
         if self.adversary != "none" and self.scenario not in ("inclusion", "unification"):
             raise ConfigError(f"adversary: mode {self.adversary!r} requires an "
                               f"inclusion or unification scenario")
-        if self.group not in ("production", "toy"):
+        if self.group not in _GROUP_ORDERS:
             raise ConfigError(f"group: must be production or toy, got {self.group!r}")
         if self.scenario == "nr5g":
             if self.n_drones is not None:
@@ -171,6 +173,23 @@ class ScenarioConfig:
         if ((self.n_drones or 0) + 2 * self.threshold + 3) * Fraction(us) >= 2 ** 1023:
             raise ConfigError(f"latency field {name}: (n_drones + 2 * threshold + 3) * "
                               f"{us}us reaches 2**1023us: modeled times may overflow")
+        # the dealer issues identifiers 1, 2, 3, ... below q: the swarm's
+        # drones, the core's share, then the candidate or the cross share
+        # (bulk: the t - 1 guards, the core's share, then the arrivals)
+        issued = (self.n_drones or 0) + (self.threshold if self.scenario == "bulk" else 2)
+        q = _GROUP_ORDERS[self.group]
+        if issued >= q:
+            raise ConfigError(f"n_drones: {self.scenario} with {self.n_drones} drones "
+                              f"issues {issued} identifiers, but only {q - 1} lie "
+                              f"below the {self.group} group's order")
+        # a bulk report is compared with n_drones nr-5g runs, a time the
+        # bound above does not cover
+        if self.scenario == "bulk" and not math.isfinite(
+                self.n_drones * baseline_total_us(self.latency)):
+            name = max(("ue_core_round_trip", "asym_encrypt", "asym_decrypt", "hash_op"),
+                       key=lambda key: getattr(self.latency, key))
+            raise ConfigError(f"latency field {name}: n_drones * the nr-5g baseline "
+                              f"overflows a float in the bulk comparison")
 
 
 _INT_KEYS = ("threshold", "n_drones", "seed")
@@ -367,15 +386,17 @@ def crossover_report(model: LatencyModel, parallel: bool = False) -> CrossoverRe
 class Adversary:
     """In-path attacker: reads every delivery, may reinject or substitute.
 
-    Holds no private share; mitm substitution targets the share publishes
-    of one sender (the joining entity on the attacked link).
+    Holds no private share. In mitm mode it substitutes the share
+    publishes of the first drone it sees publish a share: in both flows
+    that is the drone the guards check, the joining candidate or swarm
+    A's designated guard.
     """
 
     mode: str = "none"
     group: object = None
     rng: random.Random | None = None
-    mitm_target: str | None = None
     captured: list = dc_field(init=False, default_factory=list)
+    _target: str | None = dc_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.mode not in ADVERSARY_MODES:
@@ -383,13 +404,14 @@ class Adversary:
 
     def intercept(self, msg, receiver):
         self.captured.append((msg, receiver))
-        if (self.mode == "mitm" and msg.kind is MessageKind.SHARE_PUBLISH
-                and msg.sender.label == self.mitm_target):
-            share = decode_public_share(self.group, msg.payload)
-            fake_point = self.group.mul(self.group.field.rand_nonzero(self.rng),
-                                        self.group.generator)
-            fake = PublicShare(share.x, fake_point)
-            return replace(msg, payload=encode_public_share(self.group, fake))
+        if self.mode == "mitm" and msg.kind is MessageKind.SHARE_PUBLISH:
+            self._target = self._target or msg.sender.label
+            if msg.sender.label == self._target:
+                share = decode_public_share(self.group, msg.payload)
+                fake_point = self.group.mul(self.group.field.rand_nonzero(self.rng),
+                                            self.group.generator)
+                fake = PublicShare(share.x, fake_point)
+                return replace(msg, payload=encode_public_share(self.group, fake))
         return msg
 
 
@@ -424,15 +446,13 @@ def _run(config: ScenarioConfig) -> _ScenarioResult:
     return _ScenarioResult(report, transport.transcript, core, adversary)
 
 
-def _transport_for(config: ScenarioConfig, group, rng, target: Drone | None = None):
-    """(transport, adversary): a transport on the config's modeled clock.
-    The configured in-path adversary, if any, aims its substitutions at
-    ``target``'s share publishes."""
+def _transport_for(config: ScenarioConfig, group, rng):
+    """(transport, adversary): a transport on the config's modeled clock,
+    through the configured in-path adversary, if any."""
     costs = _costs(config)
     if config.adversary == "none":
         return Transport(costs=costs), None
-    adversary = Adversary(mode=config.adversary, group=group, rng=rng,
-                          mitm_target=target.id.label)
+    adversary = Adversary(mode=config.adversary, group=group, rng=rng)
     return Transport(intercept=adversary.intercept, costs=costs), adversary
 
 
@@ -473,7 +493,7 @@ def _run_inclusion(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
     swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     candidate = core.issue_candidate("A")
-    transport, adversary = _transport_for(config, group, rng, candidate)
+    transport, adversary = _transport_for(config, group, rng)
     outcome = protocol.inclusion_flow(swarm, candidate, rng, transport)
     return outcome, transport, adversary, core, 1, group_auth_phases(
         config.threshold, config.latency, config.parallel_guards)
@@ -487,7 +507,7 @@ def _run_unification(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
     swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones)
-    transport, adversary = _transport_for(config, group, rng, swarm_a.guards()[0])
+    transport, adversary = _transport_for(config, group, rng)
     outcome = protocol.unification_flow(swarm_a, swarm_b, core, rng, transport)
     phases = {"cross_issue": model.ue_core_round_trip,
               **group_auth_phases(config.threshold, model, config.parallel_guards),

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, report lines, CSV stability."""
 
+import re
+
 import pytest
 
 from swarmauth import protocol
@@ -256,3 +258,66 @@ def test_modeled_time_overflow_exits_1(tmp_path, capsys, text, field, value, com
     assert captured.err == (f"config error: latency field {field}: (n_drones + 2 * "
                             f"threshold + 3) * {value}us reaches 2**1023us: "
                             f"modeled times may overflow\n")
+
+
+BULK_7E305 = ("scenario = bulk\ngroup = toy\nue_core_round_trip = 7e305us\n"
+              "asym_encrypt = 7e305us\nasym_decrypt = 7e305us\nhash_op = 7e305us\n")
+BULK_OVERFLOW = ("config error: latency field ue_core_round_trip: n_drones * the "
+                 "nr-5g baseline overflows a float in the bulk comparison\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--variable", "n_drones", "--from", "100", "--to", "100"],
+], ids=["run", "sweep"])
+def test_bulk_comparison_overflow_exits_1(tmp_path, capsys, command):
+    # 100 nr-5g runs of 4.2e306 us each: the run's own times are finite,
+    # its comparison line and the sweep's nr-5g row are not
+    out_csv = tmp_path / "x.csv"
+    argv = [*command, "--config", write(tmp_path, "a.cfg", BULK_7E305)]
+    if command[0] == "sweep":
+        argv += ["--out", str(out_csv)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", BULK_OVERFLOW)
+    assert not out_csv.exists()
+
+
+def test_bulk_comparison_finite_below_the_overflow(tmp_path, capsys):
+    # 42 runs of 4.2e306 us stay below the float maximum; 43 do not
+    text = BULK_7E305 + "n_drones = 42\n"
+    assert main(["run", "--config", write(tmp_path, "a.cfg", text)]) == 0
+    comparison = capsys.readouterr().out.splitlines()[-1]
+    nr5g_ms = float(re.fullmatch(r"comparison nr5g_total_ms=(\S+) group_total_ms=\S+",
+                                 comparison).group(1))
+    assert 1.76e305 < nr5g_ms < 1.77e305  # 42 * 4.2e306 us in ms
+    text = BULK_7E305 + "n_drones = 43\n"
+    assert main(["run", "--config", write(tmp_path, "b.cfg", text)]) == 1
+    assert capsys.readouterr() == ("", BULK_OVERFLOW)
+
+
+@pytest.mark.parametrize("variable", ["threshold", "n_drones"])
+@pytest.mark.parametrize("point", [10 ** 306, 10 ** 400], ids=["1e306", "1e400"])
+def test_sweep_overflow_exits_1(tmp_path, capsys, variable, point):
+    # at 10**306 a time is inf; 10**400 does not convert to a float at all
+    out_csv = tmp_path / "x.csv"
+    assert main(["sweep", "--variable", variable, "--from", str(point),
+                 "--to", str(point), "--out", str(out_csv)]) == 1
+    assert capsys.readouterr() == (
+        "", f"{variable} sweep: a modeled time overflows a float\n")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("text, code", [
+    ("group = toy\nn_drones = 2305843009213693949\n", 1),  # q - 2
+    ("group = toy\nn_drones = 2305843009213693948\n", 0),  # q - 3
+    ("n_drones = 9223372036854775808\n", 0),               # 2**63
+], ids=["toy-q-2", "toy-q-3", "curve-2**63"])
+def test_swarm_size_limit(tmp_path, capsys, text, code):
+    config = write(tmp_path, "a.cfg", "scenario = inclusion\n" + text)
+    assert main(["run", "--config", config]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("config error: n_drones: ")
+        assert err.count("\n") == 1
+    else:
+        assert "outcome=accepted" in out and err == ""

@@ -457,6 +457,132 @@ class TestGuardCheckCodec:
         assert set(forged.values()) <= set(decoded)
 
 
+def reference_guard_check(swarm, guards, publisher, private, transport, rng):
+    """The guard check as first written, with a dict of received pairs
+    per guard keyed by sender x, a separate list of the publisher's pair
+    as each guard received it, and a None branch in ``receive``: the
+    reference that ``protocol._guard_check`` must match. The codec,
+    deliveries and ``verify_group`` are reached through ``protocol``, so a
+    spy there counts the reference's calls too."""
+    group = swarm.group
+    t = swarm.threshold
+    share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
+    payload = protocol.encode_public_share(group, share)
+    payloads = [protocol.encode_public_share(group, pair) for pair in pairs]
+    decoded = {}
+
+    def receive(payload):
+        if payload is None:
+            return None
+        if payload not in decoded:
+            try:
+                decoded[payload] = protocol.decode_public_share(group, payload)
+            except DecodeError:
+                decoded[payload] = None
+        return decoded[payload]
+
+    received = {g.id.x: {} for g in guards}
+    transport.wait("transfer")
+    views = [receive(protocol._publish_share(publisher, payload, g, transport, rng))
+             for g in guards]
+    for g, seen in zip(guards, views):
+        if seen is not None:
+            received[g.id.x][seen.x] = seen
+    for g, sent in zip(guards, payloads):
+        transport.wait("round")
+        for h in guards:
+            if h.id.x != g.id.x:
+                seen = receive(protocol._publish_share(g, sent, h, transport, rng))
+                if seen is not None:
+                    received[h.id.x][seen.x] = seen
+    transport.wait("verdict")
+    unanimous = True
+    verdicts = {}
+    for g, pair in zip(guards, pairs):
+        shares = tuple(sorted([*received[g.id.x].values(), pair],
+                              key=lambda s: s.x))
+        ok = verdicts.get(shares)
+        if ok is None:
+            ok = verdicts[shares] = (
+                len(shares) == t and len({s.x for s in shares}) == t
+                and protocol.verify_group(shares, swarm.commitment, group, t))
+        heard = protocol._send_verdict(g, ok, publisher, transport, rng)
+        unanimous = unanimous and ok and heard
+    return unanimous, views[0], pairs[0]
+
+
+# what an in-path attacker does to one SHARE_PUBLISH delivery
+SHARE_ACTIONS = st.one_of(
+    st.just(("pass",)),
+    st.tuples(st.just("flip"), st.integers(0, 99), st.integers(0, 7)),
+    st.tuples(st.just("move"), st.integers(0, 5)),
+    st.tuples(st.just("offset"), st.integers(1, ToyGroup().order - 1)),
+    st.tuples(st.just("replay"), st.integers(0, 5)),
+)
+
+
+def planned_inclusion(group, t, actions, guard_check, seed):
+    """Run one inclusion into a swarm of t - 1 guards with ``guard_check``
+    in place of ``protocol._guard_check``; the k-th SHARE_PUBLISH delivery
+    gets the k-th action. Returns (outcome, rendered transcript, number
+    of ``decode_public_share`` calls, number of ``verify_group`` calls)."""
+    rng = random.Random(seed)
+    core = CoreNetwork(group, rng)
+    swarm = core.provision_swarm("A", t, n_drones=t - 1)
+    candidate = core.issue_candidate("A")
+    participants = [candidate.id.x, *sorted(swarm.drones)]
+    plan, delivered = iter(actions), []
+
+    def intercept(msg, receiver):
+        if msg.kind is not MessageKind.SHARE_PUBLISH:
+            return msg
+        action, *args = next(plan)
+        if action == "flip":
+            payload = bytearray(msg.payload)
+            payload[args[0] % len(payload)] ^= 1 << args[1]
+            msg = replace(msg, payload=bytes(payload))
+        elif action in ("move", "offset"):
+            x, point = dataclasses.astuple(decode_public_share(group, msg.payload))
+            if action == "move":
+                others = [p for p in participants if p != x]
+                x = others[args[0] % len(others)]
+            else:
+                point = group.add(point, args[0])
+            msg = replace(msg, payload=encode_public_share(group, PublicShare(x, point)))
+        elif action == "replay":
+            # a message this receiver already holds: its nonce is cached
+            earlier = [m for m, r in delivered if r is receiver]
+            if earlier:
+                msg = earlier[args[0] % len(earlier)]
+        delivered.append((msg, receiver))
+        return msg
+
+    decoded, verified = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_guard_check", guard_check)
+        mp.setattr(protocol, "decode_public_share",
+                   lambda g, payload: decoded.append(payload)
+                   or decode_public_share(g, payload))
+        mp.setattr(protocol, "verify_group",
+                   lambda shares, *args: verified.append(shares)
+                   or verify_group(shares, *args))
+        outcome, transcript = run_inclusion(swarm, candidate, rng,
+                                            Transport(intercept=intercept))
+    return outcome, transcript.render(), len(decoded), len(verified)
+
+
+class TestGuardCheckReference:
+    @settings(max_examples=200)
+    @given(t=st.integers(2, 7), seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_matches_the_reference(self, toy61, t, seed, data):
+        # (t - 1) publishes of the candidate's pair, (t - 1)(t - 2) exchanges
+        n = (t - 1) ** 2
+        actions = data.draw(st.lists(SHARE_ACTIONS, min_size=n, max_size=n),
+                            label="actions")
+        assert (planned_inclusion(toy61, t, actions, protocol._guard_check, seed)
+                == planned_inclusion(toy61, t, actions, reference_guard_check, seed))
+
+
 def bulk(swarm, arrivals, transport):
     """Run a bulk admission; returns (the steps it waited on, outcome)."""
     steps = []

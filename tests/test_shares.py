@@ -480,6 +480,18 @@ class TestDealer:
         assert dealer.issued_identifiers() == range(1, 1)
         assert dealer.issue_next().x == 1
 
+    def test_register_range_past_ssize_t(self, curve, rng):
+        # a range longer than sys.maxsize has no len(); the dealer counts
+        # it by its ends
+        dealer = Dealer(gen_polynomial(curve.field, 3, rng))
+        assert dealer.register_range(2 ** 63) == range(1, 2 ** 63 + 1)
+        assert dealer.issue_next().x == 2 ** 63 + 1
+
+    @staticmethod
+    def _range(dealer, n):
+        """The shares of the next n identifiers, as a swarm gets them."""
+        return dealer.shares_at(dealer.register_range(n))
+
     @staticmethod
     def _outcome(issue):
         try:
@@ -493,7 +505,7 @@ class TestDealer:
         group = ToyGroup(101)
         poly = gen_polynomial(group.field, 3, random.Random(n))
         dealer, twin = Dealer(poly), Dealer(poly)
-        got = self._outcome(lambda: dealer.issue_range(n))
+        got = self._outcome(lambda: self._range(dealer, n))
         want = []
         for _ in range(n):
             share = self._outcome(twin.issue_next)
@@ -509,20 +521,20 @@ class TestDealer:
            st.integers(0, 30), st.integers(0, 2**32))
     def test_issue_range_evaluates_the_polynomial(self, toy61, curve, kind, t,
                                                   k, n, seed):
-        # issue_range runs its own Horner rule; GroupPolynomial.evaluate is
+        # shares_at runs its own Horner rule; GroupPolynomial.evaluate is
         # the reference, also for identifiers that do not start at 1
         field = (toy61 if kind == "toy" else curve).field
         poly = gen_polynomial(field, t, random.Random(seed))
         dealer = Dealer(poly)
-        dealer.issue_range(k)
-        shares = dealer.issue_range(n)
+        self._range(dealer, k)
+        shares = self._range(dealer, n)
         assert [s.x for s in shares] == list(range(k + 1, k + n + 1))
         assert [s.y for s in shares] == [poly.evaluate(s.x) for s in shares]
 
     def test_issue_range_of_zero(self, toy101, rng):
         dealer = Dealer(gen_polynomial(toy101.field, 3, rng))
-        dealer.issue_range(2)
-        assert dealer.issue_range(0) == []
+        self._range(dealer, 2)
+        assert self._range(dealer, 0) == []
         assert dealer.issued_identifiers() == range(1, 3)
         assert dealer.issue_next().x == 3
 
@@ -533,15 +545,15 @@ class TestDealer:
         poly = gen_polynomial(toy13.field, 3, rng)
         dealer, twin = Dealer(poly), Dealer(poly)
         with pytest.raises(InvalidIdentifier):
-            dealer.issue_range(13)
+            self._range(dealer, 13)
         assert [twin.issue_next().x for _ in range(12)] == list(range(1, 13))
         with pytest.raises(InvalidIdentifier):
             twin.issue_next()
         assert dealer.issued_identifiers() == twin.issued_identifiers() == range(1, 13)
         for d in (dealer, twin):
             with pytest.raises(InvalidIdentifier):
-                d.issue_range(1)
-            assert d.issue_range(0) == []
+                self._range(d, 1)
+            assert self._range(d, 0) == []
 
 
 class TestSerialization:

@@ -261,6 +261,21 @@ class TestParseConfig:
         assert math.isfinite(report.total_us)
         assert math.isfinite(transcript.entries[-1].time_us)
 
+    @pytest.mark.parametrize("group", ["toy", "production"])
+    @pytest.mark.parametrize("scenario, extra", [
+        ("inclusion", 2), ("unification", 2), ("bulk", 5)])
+    def test_identifier_limit(self, group, scenario, extra):
+        # the run issues n_drones + extra identifiers, all below q; the
+        # largest accepted swarm is only built, never run
+        q = simnet.make_group(group).order
+        n = q - extra
+        with pytest.raises(ConfigError) as raised:
+            ScenarioConfig(scenario=scenario, group=group, n_drones=n)
+        assert str(raised.value) == (
+            f"n_drones: {scenario} with {n} drones issues {q} identifiers, "
+            f"but only {q - 1} lie below the {group} group's order")
+        assert ScenarioConfig(scenario=scenario, group=group, n_drones=n - 1).n_drones == n - 1
+
 
 class TestEventLoop:
     def test_orders_by_time(self):
