@@ -149,7 +149,10 @@ class ToyGroup:
         return f"ToyGroup({self.order})"
 
     def add(self, g: int, h: int) -> int:
-        return (g + h) % self.order
+        return self.add_all([(g, h)])[0]
+
+    def add_all(self, pairs: Sequence[tuple]) -> list:
+        return [(g + h) % self.order for g, h in pairs]
 
     def neg(self, g: int) -> int:
         return -g % self.order
@@ -216,11 +219,16 @@ class CurveGroup:
         return (y * y - (x * x * x + _SECP_B)) % _SECP_P == 0
 
     def add(self, g: Point, h: Point) -> Point:
-        if g is None:
-            return h
-        if h is None:
-            return g
-        return _batch_affine_add([(g, h)])[0]
+        return self.add_all([(g, h)])[0]
+
+    def add_all(self, pairs: Sequence[tuple]) -> list:
+        """[g + h for g, h in pairs]: an identity term passes the other
+        through, and the pairs of non-identity points are summed in one
+        :func:`_batch_affine_add` with one shared inversion."""
+        sums = iter(_batch_affine_add([(g, h) for g, h in pairs
+                                       if g is not None and h is not None]))
+        return [h if g is None else g if h is None else next(sums)
+                for g, h in pairs]
 
     def neg(self, g: Point) -> Point:
         if g is None:

@@ -197,8 +197,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and kept for the process, so that
+# repeated calls in one process (tests, benchmarks) build it once.
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -9,8 +9,9 @@ Four flows are implemented as explicit message sequences:
 * group-key delivery -- AEAD under KDF(my_y * their_public_point), with
   sender, receiver, and a fresh 128-bit nonce bound as associated data.
 * unification -- a designated guard of one swarm obtains a cross-issued
-  share for the other swarm from the core network, is group-verified by
-  the other swarm's guards, and relays that swarm's key back to its own.
+  share for the other swarm from the core network, sealed under the
+  guard's pairwise key with the core, is group-verified by the other
+  swarm's guards, and relays that swarm's key back to its own.
 * bulk admission -- n arrivals broadcast their public shares, and one
   threshold check of the guards plus the first arrival admits them all.
 
@@ -64,7 +65,6 @@ from .shares import (
     encode_private_share,
     encode_public_share,
     gen_polynomial,
-    public_share,
     public_shares,
     verify_group,
 )
@@ -86,6 +86,7 @@ __all__ = [
     "Swarm",
     "CoreNetwork",
     "Transport",
+    "point_key",
     "derive_pairwise_key",
     "group_key_cipher_key",
     "seal",
@@ -445,12 +446,16 @@ def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
                      len(receiver_b).to_bytes(2, "big"), receiver_b, nonce))
 
 
+def point_key(group, point) -> bytes:
+    """The key derived from a shared point: SHA-256 of its encoding."""
+    return hashlib.sha256(group.encode(point)).digest()
+
+
 def derive_pairwise_key(group, mine: PrivateShare, theirs: PublicShare) -> bytes:
-    """Pairwise Diffie-Hellman key: SHA-256 of the encoded shared point
-    my_y * their_point. Symmetric in the two parties because both arrive
-    at (my_y * their_y) * P."""
-    shared = group.mul(mine.y, theirs.point)
-    return hashlib.sha256(group.encode(shared)).digest()
+    """Pairwise Diffie-Hellman key: the :func:`point_key` of the shared
+    point my_y * their_point. Symmetric in the two parties because both
+    arrive at (my_y * their_y) * P."""
+    return point_key(group, group.mul(mine.y, theirs.point))
 
 
 def group_key_cipher_key(field, group_key: int) -> bytes:
@@ -743,6 +748,10 @@ class CoreNetwork:
         """Issue the requester a fresh share under the target swarm's
         polynomial, AEAD-encrypted under the pairwise key formed from the
         requester's share and the core's own share of the requester's swarm.
+
+        The core dealt both shares, so it forms the shared point as one
+        generator mul of their product, (y_core * y_req) * P, where the
+        requester forms y_req * (y_core * P) (see :func:`_open_cross_share`).
         """
         home = self.swarms.get(requester.swarm)
         if home is None:
@@ -755,10 +764,8 @@ class CoreNetwork:
             raise UnknownSwarm(f"unknown target swarm {target_swarm!r}")
 
         cross = target_dealer.issue_next()
-        cipher = AESGCM(derive_pairwise_key(self.group,
-                                            self._core_shares[requester.swarm],
-                                            public_share(drone.private_share,
-                                                         self.group)))
+        product = self._core_shares[requester.swarm].y * drone.private_share.y
+        cipher = AESGCM(point_key(self.group, self.group.mul_generator([product])[0]))
         return seal(MessageKind.CROSS_ISSUE_RESPONSE, cipher,
                     self.core_identity(requester.swarm), requester.label,
                     encode_private_share(self.group.field, cross), rng)

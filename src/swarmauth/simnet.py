@@ -583,18 +583,19 @@ def inject_adversary(config: ScenarioConfig):
                    *map(dealer.poly.evaluate, dealer.issued_identifiers())]
         if any(group.field.encode(secret) in blob for secret in secrets):
             return AttackOutcome(False, "private material visible in captured traffic")
-    # the run was accepted, so every receiver decoded these payloads
-    points = [decode_public_share(group, msg.payload).point
-              for msg, _ in adv.captured
-              if msg.kind in (MessageKind.SHARE_PUBLISH, MessageKind.KEY_AGREEMENT_INIT)]
-    # everything the attacker can derive without a private scalar: hashes
-    # of captured points, of their pairwise sums, and of raw payloads; each
-    # distinct point once, since every share is published to many guards
-    points = list(dict.fromkeys(points))
-    candidate_keys = {hashlib.sha256(group.encode(p)).digest() for p in points}
-    for i, p in enumerate(points):
-        for q in points[i:]:
-            candidate_keys.add(hashlib.sha256(group.encode(group.add(p, q))).digest())
+    # the run was accepted, so every receiver decoded these payloads; every
+    # share is published to many guards, so each distinct payload is
+    # decoded once and each distinct point kept once
+    payloads = dict.fromkeys(msg.payload for msg, _ in adv.captured
+                             if msg.kind in (MessageKind.SHARE_PUBLISH,
+                                             MessageKind.KEY_AGREEMENT_INIT))
+    points = list(dict.fromkeys(decode_public_share(group, payload).point
+                                for payload in payloads))
+    # everything the attacker can derive without a private scalar: the keys
+    # of captured points and of their pairwise sums (one batch), and hashes
+    # of raw payloads
+    sums = group.add_all([(p, q) for i, p in enumerate(points) for q in points[i:]])
+    candidate_keys = {protocol.point_key(group, p) for p in points + sums}
     for msg, _ in adv.captured:
         if msg.payload:
             candidate_keys.add(hashlib.sha256(msg.payload).digest())

@@ -430,6 +430,30 @@ class TestBatchAffineAdd:
         assert _batch_affine_add([]) == []
 
 
+class TestAddAll:
+    """``add_all`` on both groups against pairwise ``add`` and against the
+    sum of discrete logs. Pairs are drawn from a few points, their
+    negations and the identity, so duplicate pairs, P + P, P + (-P) and
+    identity terms come up often."""
+
+    @settings(max_examples=40)
+    @given(logs=st.lists(discrete_logs, min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 3), st.booleans(),
+                                    st.integers(0, 3), st.booleans()),
+                          max_size=16))
+    @pytest.mark.parametrize("group", (ToyGroup(), CurveGroup()), ids=("toy", "curve"))
+    def test_matches_pairwise_add(self, group, logs, picks):
+        # index len(logs) and above picks the identity, log 0
+        def log(i, negate):
+            k = logs[i] % group.order if i < len(logs) else 0
+            return -k % group.order if negate else k
+        pairs = [(log(i, a), log(j, b)) for i, a, j, b in picks]
+        points = {k: group.mul_generator([k])[0] for pair in pairs for k in pair}
+        sums = group.add_all([(points[a], points[b]) for a, b in pairs])
+        assert sums == [group.add(points[a], points[b]) for a, b in pairs]
+        assert sums == group.mul_generator([a + b for a, b in pairs])
+
+
 def split_bound():
     """The largest |k1| or |k2| that ``_glv_split`` can return, from the
     basis alone: a half is e1*a1 + e2*a2 (k1) or e1*b1 + e2*b2 (k2), where

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from swarmauth import protocol
+from swarmauth import cli, protocol
 from swarmauth.cli import main
 from swarmauth.simnet import LatencyModel, baseline_total_us, time_group_auth
 
@@ -321,3 +321,40 @@ def test_swarm_size_limit(tmp_path, capsys, text, code):
         assert err.count("\n") == 1
     else:
         assert "outcome=accepted" in out and err == ""
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    # main() keeps the parser its first call built; every call must print
+    # and exit as a call on a freshly built parser does
+    config = write(tmp_path, "a.cfg", "scenario = inclusion\ngroup = toy\n")
+    csv = tmp_path / "t.csv"
+    argvs = [["run", "--config", config],
+             ["sweep", "--variable", "threshold", "--from", "2", "--to", "6",
+              "--out", str(csv)],
+             *(["attack", "--mode", mode, "--seed", "4"]
+               for mode in ("replay", "eavesdrop", "mitm")),
+             ["attack", "--seed", "4"]]  # no --mode: a usage error
+    argvs += argvs
+
+    def call(entry, argv):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr(), csv.exists() and csv.read_text())
+
+    def fresh(argv):  # a new parser per call
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    want = [call(fresh, argv) for argv in argvs]
+    csv.unlink()
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [call(main, argv) for argv in argvs] == want
+    assert len(builds) == 1
+    assert [w[0] for w in want] == [0, 0, 0, 0, 0, 2] * 2
+    assert want[-1][2].startswith("usage: swarmauth attack ")

@@ -7,6 +7,7 @@ import hashlib
 import pickle
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -37,6 +38,7 @@ from swarmauth.protocol import (
     fresh_nonce,
     open_group_key,
     open_sealed,
+    point_key,
     run_inclusion,
     run_unification,
     seal,
@@ -1011,6 +1013,83 @@ class TestCrossIssue:
             assert cross.x not in existing
             assert cross.x not in seen
             seen.add(cross.x)
+
+
+def cross_issue_keys(run):
+    """run() under a core that records, for each cross issue it answers,
+    (requester, the key it sealed the response under, the response)."""
+    issued = []
+    answer = CoreNetwork.core_issue_cross_share
+
+    def recording(core, requester, target_swarm, rng):
+        keys = []
+
+        def kdf(group, point):
+            keys.append(point_key(group, point))
+            return keys[-1]
+        with mock.patch.object(protocol, "point_key", kdf):
+            response = answer(core, requester, target_swarm, rng)
+        assert len(keys) == 1
+        issued.append((requester, keys[0], response))
+        return response
+    with mock.patch.object(CoreNetwork, "core_issue_cross_share", recording):
+        result = run()
+    return result, issued
+
+
+def check_core_keys(core, issued):
+    """The core's key for each cross issue is the requester's pairwise key
+    with the core, and it sealed the response."""
+    for requester, key, response in issued:
+        home = core.swarms[requester.swarm]
+        share = home.drones[requester.x].private_share
+        assert key == derive_pairwise_key(core.group, share, home.core_public_share)
+        open_sealed(AESGCM(key), response, requester.label)
+
+
+class TestCoreCrossIssueKey:
+    """The core forms its side of a cross-issue key as one generator mul of
+    the product of its share and the requester's; the requester forms
+    y_req * (y_core * P)."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.integers(2, 6),
+           extra=st.integers(0, 3), guard=st.integers(0, 4), forward=st.booleans())
+    def test_toy_product_key_is_the_pairwise_key(self, seed, threshold, extra,
+                                                 guard, forward):
+        rng = random.Random(seed)
+        core = CoreNetwork(ToyGroup(), rng)
+        home, away = (core.provision_swarm(s, threshold, threshold + extra)
+                      for s in ("AB" if forward else "BA"))
+        requester = home.guards()[guard % (threshold - 1)]
+        _, issued = cross_issue_keys(
+            lambda: core.core_issue_cross_share(requester.id, away.id, rng))
+        assert [r for r, _, _ in issued] == [requester.id]
+        check_core_keys(core, issued)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_curve_product_key_for_both_swarms(self, curve, seed):
+        rng = random.Random(seed)
+        core = CoreNetwork(curve, rng)
+        swarm_a = core.provision_swarm("A", 3, n_drones=4)
+        swarm_b = core.provision_swarm("B", 3, n_drones=4)
+        _, issued = cross_issue_keys(lambda: [
+            core.core_issue_cross_share(home.guards()[-1].id, away.id, rng)
+            for home, away in ((swarm_a, swarm_b), (swarm_b, swarm_a))])
+        assert [r.swarm for r, _, _ in issued] == ["A", "B"]
+        check_core_keys(core, issued)
+
+    @pytest.mark.parametrize("seed", (4, 5))
+    def test_curve_product_key_in_a_mutual_merge(self, curve, seed):
+        rng = random.Random(seed)
+        core = CoreNetwork(curve, rng)
+        swarm_a = core.provision_swarm("A", 4, n_drones=5)
+        swarm_b = core.provision_swarm("B", 4, n_drones=5)
+        (outcome, _), issued = cross_issue_keys(
+            lambda: run_unification(swarm_a, swarm_b, core, rng, mutual=True))
+        assert outcome == Outcome(True)
+        assert [r.swarm for r, _, _ in issued] == ["A", "B"]
+        check_core_keys(core, issued)
 
 
 class TestRunUnification:

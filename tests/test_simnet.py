@@ -536,16 +536,20 @@ class TestScenarios:
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
         # fixed-base: the commitment and the core's pair per swarm, in one
         # batch, then each drone's pair once per flow (inclusion: candidate
-        # and t-1 guards, whose first guard delivers the key; unification
-        # adds the requester's pair at the core and the cross pair; bulk:
-        # every arrival and t-1 guards). A batched generator mul counts one
-        # fixed-base mul per scalar; its batches are listed in call order:
-        # each guard check derives the publisher's pair and the quorum's in
-        # one batch of t, and bulk derives all its pairs in one. Variable-base: the pairwise
-        # keys. Each guard check verifies each distinct view once, and in an
-        # honest run the t-1 guards hold the same t pairs, so it is one msm
-        # of t + 1 points: the t public points and the commitment, folded in
-        # with weight -d.
+        # and t-1 guards, whose first guard delivers the key; unification:
+        # the cross pair and B's t-1 guards; bulk: every arrival and t-1
+        # guards). A batched generator mul counts one fixed-base mul per
+        # scalar; its batches are listed in call order: each guard check
+        # derives the publisher's pair and the quorum's in one batch of t,
+        # and bulk derives all its pairs in one. The core forms its side of
+        # the cross-issue key as one fixed-base mul of the two shares'
+        # product, a batch of 1, so unification makes 2 + 2 + 1 + t.
+        # Variable-base: the pairwise keys (inclusion: the key agreement's
+        # two sides; unification: the requester's side of the cross-issue
+        # key and the key return's two sides). Each guard check verifies
+        # each distinct view once, and in an honest run the t-1 guards hold
+        # the same t pairs, so it is one msm of t + 1 points: the t public
+        # points and the commitment, folded in with weight -d.
         counts = collections.Counter()
         batches = []
         mul, mul_generator, msm = ToyGroup.mul, ToyGroup.mul_generator, ToyGroup.msm
@@ -569,7 +573,7 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
             ("inclusion", None): ((t + 2, 2, 1, t + 1), [2, t]),
-            ("unification", None): ((t + 5, 4, 1, t + 1), [2, 2, 1, t]),
+            ("unification", None): ((t + 5, 3, 1, t + 1), [2, 2, 1, t]),
             ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [2, 1 + t - 1]),
             ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [2, 25 + t - 1]),
             ("bulk", 0): ((2, 0, 0, 0), [2]),
@@ -933,18 +937,23 @@ class TestAdversaries:
     @pytest.mark.parametrize("scenario", ["inclusion", "unification"])
     def test_eavesdrop_adds_each_distinct_pair_once(self, scenario, monkeypatch):
         # shares are published to every guard, so captures repeat points;
-        # the judge sums each unordered pair of distinct points once
+        # the judge sums each unordered pair of distinct points once, all
+        # in one batch
         config = ScenarioConfig(scenario=scenario, adversary="eavesdrop", seed=3)
         group = algebra.CurveGroup()
         captured = [decode_public_share(group, msg.payload).point
                     for msg, _ in simnet._run(config).adversary.captured
                     if msg.kind in (MessageKind.SHARE_PUBLISH,
                                     MessageKind.KEY_AGREEMENT_INIT)]
-        adds = []
-        add = algebra.CurveGroup.add
-        monkeypatch.setattr(algebra.CurveGroup, "add",
-                            lambda group, g, h: adds.append(1) or add(group, g, h))
+        batches = []
+        add_all = algebra.CurveGroup.add_all
+        monkeypatch.setattr(algebra.CurveGroup, "add_all",
+                            lambda group, pairs: batches.append(list(pairs))
+                            or add_all(group, pairs))
         assert inject_adversary(config).thwarted
         d = len(set(captured))
         assert d < len(captured)
-        assert len(adds) == d * (d + 1) // 2
+        assert len(batches) == 1
+        assert len(batches[0]) == d * (d + 1) // 2
+        assert {frozenset(pair) for pair in batches[0]} == {
+            frozenset((p, q)) for p in set(captured) for q in set(captured)}
