@@ -162,8 +162,18 @@ def cmd_attack(args) -> int:
     return 0 if all_thwarted else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its usage errors exiting 1: argparse exits 2,
+    the code of a failed run or attack. Subparsers are built as this class
+    too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swarmauth",
         description="Threshold group authentication scenarios and timing sweeps")
     sub = parser.add_subparsers(dest="command", required=True)

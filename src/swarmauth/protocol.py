@@ -294,7 +294,8 @@ class Drone:
     from its swarm: see :meth:`Swarm.guards`.
 
     ``nonce_cache`` is built by the first delivery to the drone, so the
-    members that never receive a message build none.
+    members that never receive a message build none; a drone built after
+    a delivery to its identifier takes that receiver's (see :class:`Swarm`).
     """
 
     id: DroneId
@@ -307,6 +308,21 @@ class Drone:
         return self.id.label
 
 
+class _Receiver:
+    """An unbuilt member as a delivery reaches it: its label, its nonce
+    cache and the group key its last accepted rebroadcast gave it. Its
+    drone, when built, takes over the key and the cache (see
+    :meth:`Swarm._build`); the cache is made with the receiver, so the
+    two objects always share one."""
+
+    __slots__ = ("label", "nonce_cache", "group_key")
+
+    def __init__(self, label: str, group_key: int):
+        self.label = label
+        self.nonce_cache = NonceCache()
+        self.group_key = group_key
+
+
 class Swarm:
     """Provisioned swarm state: members, guards, and the public commitment.
 
@@ -317,10 +333,16 @@ class Swarm:
     :meth:`guards` builds only the guards among the unbuilt; reading
     ``drones`` or :meth:`members` builds every drone not yet built, in one
     pass of the dealer. ``drones`` maps identifier to drone in order of
-    building and admission; :meth:`members` lists them by identifier. A
-    drone built late holds its share, the provisioning group key and no
-    nonce cache, as an untouched drone would, since keys change and
-    messages arrive only through drones that have been built.
+    building and admission; :meth:`members` lists them by identifier.
+
+    A rebroadcast reaches the members through :meth:`receivers` and
+    builds no drone: an unbuilt identifier is delivered to as a
+    :class:`_Receiver`, which holds its label, nonce cache and key. A
+    drone built late holds its share and, if a delivery reached its
+    identifier, that receiver's key and nonce cache; otherwise the
+    provisioning group key and no nonce cache, as an untouched drone
+    would. So it equals the drone that eager provisioning and the same
+    runs would have built.
     """
 
     def __init__(self, swarm_id: str, group, threshold: int,
@@ -334,6 +356,8 @@ class Swarm:
         # set by CoreNetwork.provision_swarm
         self._dealer: Dealer | None = None
         self._unbuilt = range(0)
+        # empty, or one receiver per unbuilt identifier, in order
+        self._receivers: dict[int, _Receiver] = {}
 
     def __contains__(self, x: int) -> bool:
         return x in self._table or x in self._unbuilt
@@ -342,15 +366,18 @@ class Swarm:
     def drones(self) -> dict[int, Drone]:
         """The drone table, identifier to drone, with every drone built."""
         if self._unbuilt:
-            self._build(len(self._unbuilt))
+            self._build(self._unbuilt)
         return self._table
 
-    def _build(self, k: int):
-        """Build the drones of the k lowest unbuilt identifiers."""
-        xs, self._unbuilt = self._unbuilt[:k], self._unbuilt[k:]
-        swarm_id, group_key = self.id, self._dealer.group_key
-        self._table.update({sh.x: Drone(DroneId(swarm_id, sh.x), sh, group_key)
-                            for sh in self._dealer.shares_at(xs)})
+    def _build(self, xs: range):
+        """Build the drones of ``xs``, a prefix of the unbuilt identifiers."""
+        self._unbuilt = range(xs.stop, self._unbuilt.stop)
+        swarm_id, table, receivers = self.id, self._table, self._receivers
+        untouched = self._dealer.group_key, None
+        for sh in self._dealer.shares_at(xs):
+            r = receivers.pop(sh.x, None)
+            key, cache = untouched if r is None else (r.group_key, r.nonce_cache)
+            table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, key, cache)
 
     def add_drone(self, drone: Drone):
         if drone.id.x in self:
@@ -365,12 +392,26 @@ class Swarm:
         # the unbuilt identifiers among them are a prefix of the range
         unbuilt = sum(x not in table for x in xs)
         if unbuilt:
-            self._build(unbuilt)
+            self._build(self._unbuilt[:unbuilt])
         return [table[x] for x in xs]
 
     def members(self) -> list[Drone]:
         table = self.drones
         return [table[x] for x in sorted(table)]
+
+    def receivers(self) -> list:
+        """Every member as a delivery reaches it, by identifier, building
+        no drone: a built drone as itself and an unbuilt identifier as its
+        receiver, made by the first call."""
+        table, unbuilt, receivers = self._table, self._unbuilt, self._receivers
+        if unbuilt and not receivers:
+            swarm_id, group_key = self.id, self._dealer.group_key
+            receivers.update((x, _Receiver(f"{swarm_id}/{x}", group_key)) for x in unbuilt)
+        built = sorted(table)
+        # no built identifier lies inside the unbuilt range
+        return [*(table[x] for x in built if x < unbuilt.start),
+                *receivers.values(),
+                *(table[x] for x in built if x >= unbuilt.stop)]
 
 
 class Transport:
@@ -851,16 +892,17 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
 
     # rebroadcast under swarm A's current group key: one AES-GCM context
     # seals and opens every member's copy, and each opened key is staged
-    # until the last copy has opened
+    # until the last copy has opened. The members are reached as they are
+    # delivered to, so no unbuilt drone is built (see Swarm.receivers)
     transport.wait("hop")
     relay = AESGCM(group_key_cipher_key(group.field, d_a.group_key))
     unified_plain = group.field.encode(unified_key)
     kind, sender, deliver, decode = (MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
                                      transport.deliver, group.field.decode)
-    members = [m for m in swarm_a.members() if m is not d_a]
+    members = [m for m in swarm_a.receivers() if m is not d_a]
     staged = []
     for member in members:
-        label = member.id.label
+        label = member.label
         delivered = deliver(seal(kind, relay, sender, label, unified_plain, rng), member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")

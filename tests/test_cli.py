@@ -202,6 +202,22 @@ class TestAttack:
         assert main(["attack", "--mode", "jam"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["attack", "--seed", "4"], "swarmauth attack"),  # no --mode
+        (["attack", "--mode", "replay", "--seed", "x"], "swarmauth attack"),
+        (["sweep", "--variable", "threshold", "--from", "2"], "swarmauth sweep"),
+        ([], "swarmauth"),
+        (["jam"], "swarmauth"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, prog):
+        # argparse's own exit code, 2, would read as "NOT THWARTED"
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} ")
+        assert f"\n{prog}: error: " in err
+
     def test_with_config(self, tmp_path, capsys):
         config = write(tmp_path, "a.cfg",
                        "scenario = inclusion\ngroup = toy\nseed = 4\n")
@@ -356,5 +372,5 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
     assert [call(main, argv) for argv in argvs] == want
     assert len(builds) == 1
-    assert [w[0] for w in want] == [0, 0, 0, 0, 0, 2] * 2
+    assert [w[0] for w in want] == [0, 0, 0, 0, 0, 1] * 2
     assert want[-1][2].startswith("usage: swarmauth attack ")

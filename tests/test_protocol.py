@@ -910,9 +910,9 @@ class TestProvisioning:
         return built
 
     def test_merge_builds_only_the_drones_it_reads(self, toy61, built):
-        # swarm A is rebroadcast to, so all of it is built; of swarm B only
-        # the t - 1 guards are read; the designated guard's cross share
-        # makes one more drone
+        # of each swarm only the t - 1 guards are read: the rebroadcast
+        # reaches swarm A's other members without building them; the
+        # designated guard's cross share makes one more drone
         rng = random.Random(23)
         core = CoreNetwork(toy61, rng)
         swarm_a = core.provision_swarm("A", 4, 50)
@@ -920,7 +920,8 @@ class TestProvisioning:
         assert built == []
         outcome, _ = run_unification(swarm_a, swarm_b, core, rng)
         assert outcome.accepted
-        assert len(built) == 50 + 3 + 1
+        assert len(built) == 3 + 3 + 1
+        assert sorted(d.label for d in built if d.swarm == "A") == ["A/1", "A/1", "A/2", "A/3"]
         assert sorted(d.label for d in built if d.swarm == "B") == ["B/1", "B/2", "B/3"]
 
     def test_inclusion_builds_only_the_guards(self, toy61, built):
@@ -959,6 +960,30 @@ class TestProvisioning:
         finally:
             gc.enable()
         assert tracked <= 4 * n
+
+
+    def test_at_most_four_tracked_objects_per_rekeyed_member(self, toy61):
+        # a merge reaches each member of swarm A as a receiver with a nonce
+        # cache, which holds one (sender, nonce) pair, and records one
+        # transcript row for it; the slope between two sizes leaves out
+        # what a merge allocates once
+        def tracked(n):
+            rng = random.Random(3)
+            core = CoreNetwork(toy61, rng)
+            swarm_a = core.provision_swarm("A", 5, n)
+            swarm_b = core.provision_swarm("B", 5, 4)
+            gc.collect()
+            gc.disable()
+            try:
+                before = gc.get_objects()  # kept alive, so no id is reused
+                seen = {id(o) for o in before}
+                outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
+                assert outcome.accepted and len(transcript.entries) > n
+                return sum(id(o) not in seen for o in gc.get_objects())
+            finally:
+                gc.enable()
+
+        assert tracked(2000) - tracked(1000) <= 4 * 1000
 
 
 class TestCrossIssue:
@@ -1371,6 +1396,73 @@ class TestTargetedIntercepts:
                                      Transport(intercept=intercept), mutual=mutual)
         assert intercept.hit
         assert outcome == Outcome(False, reason)
+        # the rebroadcast built no member: all but the guards are built
+        # only now, by members()
+        assert sorted(swarm_a._table) == list(range(1, t))
         key_a, key_b = core.dealer("A").group_key, core.dealer("B").group_key
         assert key_a != key_b
         assert [d.group_key for d in swarm_a.members()] == [key_a] * sizes[0]
+
+
+class TestRekeyOfUnbuiltMembers:
+    """A merge reaches swarm A's unbuilt members without building their
+    drones. A drone built after the merge equals the one built before it
+    and rekeyed: it holds swarm B's key, and the copy of the key it was
+    sent is a replay to it."""
+
+    @staticmethod
+    def merge(group, read_first):
+        rng = random.Random(51)
+        core = CoreNetwork(group, rng)
+        swarm_a = core.provision_swarm("A", 3, n_drones=8)
+        swarm_b = core.provision_swarm("B", 3, n_drones=4)
+        if read_first:
+            swarm_a.members()
+        captured = {}
+
+        def intercept(msg, receiver):
+            if msg.kind is MessageKind.UNIFIED_KEY_BROADCAST:
+                captured[receiver.label] = msg, receiver
+            return msg
+
+        outcome, transcript = run_unification(swarm_a, swarm_b, core, rng,
+                                              Transport(intercept=intercept))
+        assert outcome == Outcome(True)
+        return core, swarm_a, captured, transcript.render()
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_late_built_drone_equals_rekeyed_drone(self, group):
+        core, swarm_a, captured, rendered = self.merge(group, read_first=False)
+        # the guards are A/1 and A/2; A/1 rebroadcasts
+        assert sorted(swarm_a._table) == [1, 2]
+        assert [label for label, (_, r) in captured.items()
+                if not isinstance(r, Drone)] == [f"A/{x}" for x in range(3, 9)]
+        _, eager, eager_captured, eager_rendered = self.merge(group, read_first=True)
+        assert rendered == eager_rendered
+        key_b = core.dealer("B").group_key
+        for x in range(2, 9):
+            late, built = swarm_a.drones[x], eager.drones[x]
+            assert (late.id, late.label, late.private_share, late.group_key) == (
+                built.id, built.label, built.private_share, key_b)
+            for drone, (msg, receiver) in ((late, captured[late.label]),
+                                           (built, eager_captured[built.label])):
+                transport = Transport()
+                assert transport.deliver(msg, drone) is None
+                assert transport.deliver(msg, receiver) is None
+                assert [e.note for e in transport.transcript.entries] == [
+                    "replay-rejected"] * 2
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_second_merge_reaches_the_same_receivers(self, group):
+        # a second merge onto a third swarm rekeys the unbuilt members
+        # again, through the receivers the first one made
+        core, swarm_a, captured, _ = self.merge(group, read_first=False)
+        swarm_c = core.provision_swarm("C", 3, n_drones=3)
+        receivers = swarm_a.receivers()
+        outcome, _ = run_unification(swarm_a, swarm_c, core, random.Random(52))
+        assert outcome == Outcome(True)
+        assert swarm_a.receivers() == receivers
+        key_c = core.dealer("C").group_key
+        assert [d.group_key for d in swarm_a.members()] == [key_c] * 8
+        msg, _ = captured["A/5"]
+        assert Transport().deliver(msg, swarm_a.drones[5]) is None

@@ -765,6 +765,30 @@ class TestAdversaries:
         assert outcome.thwarted, outcome.detail
         assert "leak no private share" in outcome.detail
 
+    @pytest.mark.parametrize("group", ["toy", "production"])
+    def test_attacks_on_a_rekey_of_unbuilt_members(self, group):
+        # at t = 5 swarm A's guards are A/1-A/4, and the rebroadcast reaches
+        # A/5-A/12 without building their drones; a replay to each is
+        # rejected by its receiver's nonce cache
+        config = ScenarioConfig(scenario="unification", n_drones=12, seed=4,
+                                group=group, adversary="replay")
+        captured = simnet._run(config).adversary.captured
+        receivers = [receiver.label for msg, receiver in captured
+                     if msg.kind is MessageKind.UNIFIED_KEY_BROADCAST
+                     and not isinstance(receiver, protocol.Drone)]
+        assert receivers == [f"A/{x}" for x in range(5, 13)]
+        outcome = inject_adversary(config)
+        assert outcome.thwarted, outcome.detail
+        assert outcome.detail == (f"all {len(captured)} replayed messages "
+                                  f"rejected by nonce caches")
+        outcome = inject_adversary(replace(config, adversary="eavesdrop"))
+        if group == "production":
+            assert outcome.thwarted, outcome.detail
+            assert "leak no private share" in outcome.detail
+        else:
+            # the toy group's public shares reveal their scalars
+            assert outcome.detail == "private material visible in captured traffic"
+
     def test_eavesdrop_on_toy_group_correctly_reports_leak(self):
         # negative control: readable discrete logs means captured public
         # shares literally contain the private material

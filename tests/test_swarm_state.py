@@ -7,10 +7,11 @@ a merge may run over a transport that drops, replays or tampers with the
 k-th delivery of one kind of message; a bulk run delivers nothing, so it
 runs unfaulted. A shadow of every swarm is built eagerly, share by share,
 at provisioning and changes only as an accepted run says it must; after
-every rule each swarm's table must equal its shadow, identifier by
-identifier. So a rejected run changes no
-member's key and no swarm's drones, and whatever a swarm has read or
-admitted so far, its drones are the ones eager provisioning builds.
+every rule each swarm's built drones must equal their shadow rows, and
+each unbuilt identifier must be one whose drone a build would give its
+shadow's key. So a rejected run changes no member's key and no swarm's
+drones, and whatever a swarm has read, admitted or been merged onto so
+far, its drones are the ones eager provisioning and the same runs build.
 """
 
 import random
@@ -70,6 +71,13 @@ def row(drone):
     return drone.id, drone.label, drone.private_share, drone.group_key
 
 
+def late_key(swarm, x):
+    """The key that building the unbuilt identifier x would give its drone:
+    that of the receiver a rebroadcast reached it as, else the dealer's."""
+    receiver = swarm._receivers.get(x)
+    return swarm._dealer.group_key if receiver is None else receiver.group_key
+
+
 class SwarmMachine(RuleBasedStateMachine):
     swarms = Bundle("swarms")
 
@@ -122,7 +130,10 @@ class SwarmMachine(RuleBasedStateMachine):
                                      FaultyTransport(fault), mutual=mutual)
         event(f"{'mutual ' * mutual}merge {outcome}")
         if outcome.accepted:
-            assert all(m.group_key == key_b for m in swarm_a.members())
+            # read as the rebroadcast reached them, so swarm A stays unbuilt
+            assert all(m.group_key == key_b for m in swarm_a.receivers())
+            if swarm_a._unbuilt:
+                event("merged with members unbuilt")
             self.shadow[a] = {x: (*r[:3], key_b) for x, r in self.shadow[a].items()}
 
     @rule(swarm_id=swarms)
@@ -163,12 +174,11 @@ class SwarmMachine(RuleBasedStateMachine):
             built, unbuilt = swarm._table, swarm._unbuilt
             assert sorted([*built, *unbuilt]) == sorted(shadow)
             assert all(row(d) == shadow[x] for x, d in built.items())
-            # every member holds one key, and while a drone is unbuilt no
-            # key has moved from the one it would be built with
+            # every member holds one key, and a drone built now would be
+            # built with it
             keys = {r[3] for r in shadow.values()}
             assert len(keys) == 1
-            if unbuilt:
-                assert keys == {self.core.dealer(swarm_id).group_key}
+            assert all(late_key(swarm, x) == shadow[x][3] for x in unbuilt)
 
 
 SwarmMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25)
