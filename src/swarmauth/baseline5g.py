@@ -7,9 +7,9 @@ byte comparison. Responses are modeled as the challenge concatenated
 with the SUCI bytes, which keeps the flow's operation counts (one
 asymmetric encryption, one decryption, two hashes, two round trips)
 exactly those the latency model charges for. The exchange is written once,
-as ``ue_authentication_flow``, which names each modeled wait through a
-callback: ``run_ue_authentication`` passes one that does nothing, and
-``simnet`` passes its transport's clock.
+as ``ue_authentication_flow``, a plain function on a ``protocol.Transport``
+like the group flows: ``run_ue_authentication`` passes one with no clock,
+and ``simnet`` passes one on the modeled clock.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .algebra import DecodeError, Point
+from .protocol import Transport
 
 __all__ = [
     "DecryptError",
@@ -44,7 +45,7 @@ __all__ = [
     "run_ue_authentication",
 ]
 
-# Deployment default: IMSI-like identifier width in bytes.
+# IMSI-like identifier width in bytes.
 SUPI_LENGTH = 15
 
 RAND_BYTES = 16
@@ -110,8 +111,8 @@ def gen_bs_keys(group, rng) -> BaseStationKeys:
     return BaseStationKeys(private=d, public=group.mul(d, group.generator))
 
 
-def random_supi(rng, length: int = SUPI_LENGTH) -> Supi:
-    return Supi(rng.getrandbits(8 * length).to_bytes(length, "big"))
+def random_supi(rng) -> Supi:
+    return Supi(rng.getrandbits(8 * SUPI_LENGTH).to_bytes(SUPI_LENGTH, "big"))
 
 
 def compute_suci(group, supi: Supi, bs_public: Point, rng) -> Suci:
@@ -172,40 +173,39 @@ def ausf_confirm(res: bytes, state: ChallengeState) -> Supi:
 
 
 def ue_authentication_flow(group, supi: Supi, keys: BaseStationKeys, rng,
-                           counter: OpCounter, record, wait):
+                           counter: OpCounter, transport: Transport):
     """One UE authentication; returns the SUPI as recovered by the serving
-    network and raises AuthenticationFailure on a mismatch. Before each
-    modeled wait it calls ``wait`` with "encrypt", "core" (each half of a
-    round trip), "decrypt" (UDM) or "hash" (AUSF, then SEAF), and it logs
-    SUCI, CHALLENGE, RES and CONFIRM on arrival through
-    ``record(kind, sender, receiver, payload)``.
+    network and raises AuthenticationFailure on a mismatch. It waits on
+    ``transport`` for "encrypt", "core" (each half of a round trip),
+    "decrypt" (UDM) and "hash" (AUSF, then SEAF), and records SUCI,
+    CHALLENGE, RES and CONFIRM on arrival.
     """
-    wait("encrypt")
+    transport.wait("encrypt")
     suci = compute_suci(group, supi, keys.public, rng)
     counter.asym_encrypt += 1
-    wait("core")
-    record("SUCI", "ue", "core", suci.ciphertext)
-    wait("decrypt")
+    transport.wait("core")
+    transport.record("SUCI", "ue", "core", suci.ciphertext)
+    transport.wait("decrypt")
     # counted before the attempt: a failed decryption still costs the core
     # its work
     counter.asym_decrypt += 1
     state = udm_challenge(group, suci, keys, rng)
-    wait("hash")
+    transport.wait("hash")
     hxres = ausf_hxres(state)
     counter.hash_ops += 1
-    wait("core")
-    record("CHALLENGE", "core", "ue", state.rand)
+    transport.wait("core")
+    transport.record("CHALLENGE", "core", "ue", state.rand)
     counter.round_trips += 1  # SUCI up, challenge down
     res = ue_response(suci, state.rand)
-    wait("core")
-    record("RES", "ue", "core", res)
-    wait("hash")
+    transport.wait("core")
+    transport.record("RES", "ue", "core", res)
+    transport.wait("hash")
     ok = seaf_check(res, hxres)
     counter.hash_ops += 1
-    wait("core")
+    transport.wait("core")
     counter.round_trips += 1  # RES up, confirmation down
     recovered = ausf_confirm(res, state) if ok else None
-    record("CONFIRM", "core", "ue", b"ok" if ok else b"fail")
+    transport.record("CONFIRM", "core", "ue", b"ok" if ok else b"fail")
     if not ok:
         raise AuthenticationFailure("HXRES mismatch at SEAF")
     return recovered
@@ -219,4 +219,4 @@ def run_ue_authentication(group, supi: Supi, keys: BaseStationKeys, rng,
     """
     return ue_authentication_flow(group, supi, keys, rng,
                                   counter if counter is not None else OpCounter(),
-                                  lambda *message: None, lambda step: None)
+                                  Transport())

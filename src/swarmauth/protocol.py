@@ -149,12 +149,8 @@ class DroneId:
     x: int
     label: str = dc_field(init=False, repr=False, compare=False)
 
-    # written out in place of the generated __init__ and a __post_init__,
-    # since provisioning builds one id per drone (see PrivateShare)
-    def __init__(self, swarm: str, x: int):
-        _set_id_swarm(self, swarm)
-        _set_id_x(self, x)
-        _set_id_label(self, f"{swarm}/{x}")
+    def __post_init__(self):
+        object.__setattr__(self, "label", f"{self.swarm}/{self.x}")
 
     def __str__(self):
         return self.label
@@ -163,12 +159,6 @@ class DroneId:
         swarm_b = self.swarm.encode()
         x_b = self.x.to_bytes((self.x.bit_length() + 7) // 8 or 1, "big")
         return _lp(swarm_b) + _lp(x_b)
-
-
-# the slot descriptors of the class that @dataclass(slots=True) returned;
-# setting through them skips the frozen __setattr__
-_set_id_swarm, _set_id_x, _set_id_label = (
-    DroneId.swarm.__set__, DroneId.x.__set__, DroneId.label.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +172,9 @@ class ProtocolMessage:
     payload: bytes
 
     # written out in place of the generated __init__ and a __post_init__,
-    # since a merge seals one message per rebroadcast receiver (see DroneId)
+    # since a merge seals one message per rebroadcast receiver; the
+    # generated method would call object.__setattr__ per field and then
+    # __post_init__
     def __init__(self, kind: MessageKind, sender: DroneId, nonce: bytes, payload: bytes):
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
@@ -220,6 +212,8 @@ class ProtocolMessage:
         return cls(kind, sender, nonce, payload)
 
 
+# the slot descriptors of the class that @dataclass(slots=True) returned;
+# setting through them skips the frozen __setattr__
 _set_msg_kind, _set_msg_sender, _set_msg_nonce, _set_msg_payload = (
     ProtocolMessage.kind.__set__, ProtocolMessage.sender.__set__,
     ProtocolMessage.nonce.__set__, ProtocolMessage.payload.__set__)
@@ -740,7 +734,6 @@ class CoreNetwork:
         self.group = group
         self.rng = rng
         self.nonce_cache = NonceCache()
-        self._dealers: dict[str, Dealer] = {}
         self._core_shares: dict[str, PrivateShare] = {}
         self.swarms: dict[str, Swarm] = {}
 
@@ -756,7 +749,7 @@ class CoreNetwork:
         share against it. The drones themselves, with their shares, are
         built when the swarm first reads them (see :class:`Swarm`).
         """
-        if swarm_id in self._dealers:
+        if swarm_id in self.swarms:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
         group = self.group
         poly = gen_polynomial(group.field, threshold, self.rng)
@@ -768,20 +761,19 @@ class CoreNetwork:
                       PublicShare(core_share.x, core_point))
         swarm._dealer, swarm._unbuilt = dealer, unbuilt
 
-        self._dealers[swarm_id] = dealer
         self._core_shares[swarm_id] = core_share
         self.swarms[swarm_id] = swarm
         return swarm
 
     def dealer(self, swarm_id: str) -> Dealer:
-        return self._dealers[swarm_id]
+        return self.swarms[swarm_id]._dealer
 
     def core_identity(self, swarm_id: str) -> DroneId:
         return DroneId(swarm_id, self._core_shares[swarm_id].x)
 
     def issue_candidate(self, swarm_id: str) -> Drone:
         """Provision a legitimate new arrival (a fresh share, no key)."""
-        sh = self._dealers[swarm_id].issue_next()
+        sh = self.dealer(swarm_id).issue_next()
         return Drone(DroneId(swarm_id, sh.x), sh)
 
     def core_issue_cross_share(self, requester: DroneId, target_swarm: str,
@@ -800,11 +792,11 @@ class CoreNetwork:
         drone = next((g for g in home.guards() if g.id.x == requester.x), None)
         if drone is None:
             raise UnknownRequester(f"{requester} is not a provisioned guard")
-        target_dealer = self._dealers.get(target_swarm)
-        if target_dealer is None:
+        target = self.swarms.get(target_swarm)
+        if target is None:
             raise UnknownSwarm(f"unknown target swarm {target_swarm!r}")
 
-        cross = target_dealer.issue_next()
+        cross = target._dealer.issue_next()
         product = self._core_shares[requester.swarm].y * drone.private_share.y
         cipher = AESGCM(point_key(self.group, self.group.mul_generator([product])[0]))
         return seal(MessageKind.CROSS_ISSUE_RESPONSE, cipher,

@@ -93,19 +93,9 @@ class PrivateShare:
     x: int
     y: int
 
-    # written out in place of the generated __init__ and a __post_init__,
-    # since the dealer builds one share per drone; the generated method
-    # would call object.__setattr__ per field and then __post_init__
-    def __init__(self, x: int, y: int):
-        if x == 0:
+    def __post_init__(self):
+        if self.x == 0:
             raise InvalidIdentifier("share identifier must be nonzero")
-        _set_share_x(self, x)
-        _set_share_y(self, y)
-
-
-# the slot descriptors of the class that @dataclass(slots=True) returned;
-# setting through them skips the frozen __setattr__
-_set_share_x, _set_share_y = PrivateShare.x.__set__, PrivateShare.y.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,15 +314,8 @@ class Dealer:
         return range(start, self._next_x)
 
     def shares_at(self, xs: Sequence[int]) -> list:
-        """The shares of identifiers from :meth:`register_range`, in order.
-        GroupPolynomial.evaluate's Horner rule, one coefficient at a time
-        across every x, with one reduction per share at the end."""
-        q = self.poly.field.order
-        top, *rest = reversed(self.poly.coeffs)
-        accs = [top] * len(xs)
-        for c in rest:
-            accs = [acc * x + c for acc, x in zip(accs, xs)]
-        return [PrivateShare(x, acc % q) for x, acc in zip(xs, accs)]
+        """The shares of identifiers from :meth:`register_range`, in order."""
+        return [PrivateShare(x, self.poly.evaluate(x)) for x in xs]
 
     def issued_identifiers(self) -> range:
         return range(1, self._next_x)

@@ -480,8 +480,7 @@ def _run_nr5g(config: ScenarioConfig, group, rng):
     supi = random_supi(rng)
     transport, _ = _transport_for(config, group, rng)
     try:
-        recovered = ue_authentication_flow(group, supi, keys, rng, OpCounter(),
-                                           transport.record, transport.wait)
+        recovered = ue_authentication_flow(group, supi, keys, rng, OpCounter(), transport)
     except AuthenticationFailure:
         recovered = None
     outcome = Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")

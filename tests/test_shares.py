@@ -521,8 +521,8 @@ class TestDealer:
            st.integers(0, 30), st.integers(0, 2**32))
     def test_issue_range_evaluates_the_polynomial(self, toy61, curve, kind, t,
                                                   k, n, seed):
-        # shares_at runs its own Horner rule; GroupPolynomial.evaluate is
-        # the reference, also for identifiers that do not start at 1
+        # GroupPolynomial.evaluate is the reference: each share holds the
+        # evaluation at its own identifier, also when they do not start at 1
         field = (toy61 if kind == "toy" else curve).field
         poly = gen_polynomial(field, t, random.Random(seed))
         dealer = Dealer(poly)

@@ -532,6 +532,32 @@ class TestScenarios:
                 assert [e.time_us for e in transcript.entries] == [
                     k * bulk_model.drone_to_drone for k in range(1, 9)], trial
 
+    def test_nr5g_flow_on_a_transport_stamps_every_message(self):
+        # the 5G NR flow driven directly on a transport with the scenario's
+        # costs and RNG draws is the nr5g scenario, and each message lands
+        # at the modeled time of the steps before it
+        rng = random.Random(406)
+        for trial in range(10):
+            model = LatencyModel(**{name: float(rng.randrange(0, 20_000))
+                                    for name in LATENCY_FIELDS})
+            config = toy_config(scenario="nr5g", seed=trial, latency=model)
+            group, flow_rng = algebra.make_group(config.group), random.Random(config.seed)
+            keys = baseline5g.gen_bs_keys(group, flow_rng)
+            supi = baseline5g.random_supi(flow_rng)
+            transport = Transport(costs=simnet._costs(config))
+            assert baseline5g.ue_authentication_flow(
+                group, supi, keys, flow_rng, baseline5g.OpCounter(), transport) == supi
+            transport.transcript.set_outcome(Outcome(True))
+            _, transcript = run_scenario(config)
+            assert transport.transcript.render() == transcript.render(), trial
+            rt, enc, dec, h = (model.ue_core_round_trip, model.asym_encrypt,
+                               model.asym_decrypt, model.hash_op)
+            assert [(e.kind, e.time_us) for e in transport.transcript.entries] == [
+                ("SUCI", enc + rt / 2),
+                ("CHALLENGE", enc + rt + dec + h),
+                ("RES", enc + 1.5 * rt + dec + h),
+                ("CONFIRM", baseline_total_us(model))], trial
+
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
         # fixed-base: the commitment and the core's pair per swarm, in one
