@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from .simnet import (
     ATTACK_MODES,
+    ATTACK_SCENARIOS,
     ConfigError,
     LatencyModel,
     ScenarioConfig,
@@ -146,9 +147,9 @@ def cmd_attack(args) -> int:
         if configs[0] is None:
             return 1
     else:
-        # default harness: hit both protocol scenarios
-        configs = [ScenarioConfig(scenario="inclusion", adversary=args.mode),
-                   ScenarioConfig(scenario="unification", adversary=args.mode)]
+        # default harness: hit every scenario an adversary may attack
+        configs = [ScenarioConfig(scenario=scenario, adversary=args.mode)
+                   for scenario in ATTACK_SCENARIOS]
     if args.seed is not None:
         for config in configs:
             config.seed = args.seed
@@ -198,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack_p = sub.add_parser("attack", help="run an adversary scenario")
     attack_p.add_argument("--mode", required=True,
-                          help="replay, eavesdrop, or mitm")
+                          help=f"{', '.join(ATTACK_MODES[:-1])}, or {ATTACK_MODES[-1]}")
     attack_p.add_argument("--config", default=None,
-                          help="optional scenario config (default: inclusion "
-                               "and unification)")
+                          help=f"optional scenario config (default: "
+                               f"{' and '.join(ATTACK_SCENARIOS)})")
     attack_p.add_argument("--seed", type=int, default=None)
     attack_p.set_defaults(func=cmd_attack)
     return parser

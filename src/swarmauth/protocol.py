@@ -357,6 +357,11 @@ class Swarm:
         return x in self._table or x in self._unbuilt
 
     @property
+    def unbuilt(self) -> range:
+        """The identifiers whose drones, and so whose shares, are not built."""
+        return self._unbuilt
+
+    @property
     def drones(self) -> dict[int, Drone]:
         """The drone table, identifier to drone, with every drone built."""
         if self._unbuilt:

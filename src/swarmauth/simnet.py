@@ -58,7 +58,7 @@ __all__ = [
     "ScenarioConfig",
     "Adversary",
     "AttackOutcome",
-    "ATTACK_MODES",
+    "ATTACK_MODES", "ATTACK_SCENARIOS",
     "ADVERTISED_PREFERABLE_BOUND",
     "CrossoverReport",
     "parse_duration",
@@ -73,8 +73,9 @@ __all__ = [
     "inject_adversary",
 ]
 
-ADVERSARY_MODES = ("none", "replay", "eavesdrop", "mitm")
-ATTACK_MODES = ADVERSARY_MODES[1:]
+# The scenarios an adversary may attack; the attack modes and their judges
+# are ``ATTACKS``, at the end of the module.
+ATTACK_SCENARIOS = ("inclusion", "unification")
 
 # Threshold bound below which the scheme is advertised as preferable to
 # the 5G NR baseline; the crossover report checks it against the model.
@@ -145,9 +146,9 @@ class ScenarioConfig:
         if self.adversary not in ADVERSARY_MODES:
             raise ConfigError(f"adversary: must be one of {ADVERSARY_MODES}, "
                               f"got {self.adversary!r}")
-        if self.adversary != "none" and self.scenario not in ("inclusion", "unification"):
+        if self.adversary != "none" and self.scenario not in ATTACK_SCENARIOS:
             raise ConfigError(f"adversary: mode {self.adversary!r} requires an "
-                              f"inclusion or unification scenario")
+                              f"{' or '.join(ATTACK_SCENARIOS)} scenario")
         if self.group not in _GROUP_ORDERS:
             raise ConfigError(f"group: must be production or toy, got {self.group!r}")
         if self.scenario == "nr5g":
@@ -436,24 +437,18 @@ def run_scenario(config: ScenarioConfig):
 
 
 def _run(config: ScenarioConfig) -> _ScenarioResult:
-    """Run the configured scenario's function and report the closed-form
-    phases it charges with the flow's outcome."""
-    outcome, transport, adversary, core, n_drones, phases = SCENARIOS[config.scenario](
-        config, make_group(config.group), random.Random(config.seed))
+    """Run the configured scenario's function on a transport on the
+    config's modeled clock, through the configured in-path adversary if
+    any, and report the closed-form phases it charges with the flow's
+    outcome."""
+    group, rng = make_group(config.group), random.Random(config.seed)
+    adversary = None if config.adversary == "none" else Adversary(config.adversary, group, rng)
+    transport = Transport(intercept=adversary and adversary.intercept, costs=_costs(config))
+    outcome, core, n_drones, phases = SCENARIOS[config.scenario](config, group, rng, transport)
     transport.transcript.set_outcome(outcome)
     report = TimingReport(config.scenario, config.threshold, n_drones, phases,
                           str(outcome))
     return _ScenarioResult(report, transport.transcript, core, adversary)
-
-
-def _transport_for(config: ScenarioConfig, group, rng):
-    """(transport, adversary): a transport on the config's modeled clock,
-    through the configured in-path adversary, if any."""
-    costs = _costs(config)
-    if config.adversary == "none":
-        return Transport(costs=costs), None
-    adversary = Adversary(mode=config.adversary, group=group, rng=rng)
-    return Transport(intercept=adversary.intercept, costs=costs), adversary
 
 
 def _costs(config: ScenarioConfig) -> dict:
@@ -471,34 +466,32 @@ def _costs(config: ScenarioConfig) -> dict:
     return {step: Fraction(cost) for step, cost in costs.items()}
 
 
-# Each returns (outcome, transport, adversary, core, reported drone count,
-# phases).
+# Each runs its flow on the transport it is given and returns (outcome,
+# core, reported drone count, phases).
 
-def _run_nr5g(config: ScenarioConfig, group, rng):
+def _run_nr5g(config: ScenarioConfig, group, rng, transport):
     """One UE authenticates through the core (the 5G NR baseline)."""
     keys = gen_bs_keys(group, rng)
     supi = random_supi(rng)
-    transport, _ = _transport_for(config, group, rng)
     try:
         recovered = ue_authentication_flow(group, supi, keys, rng, OpCounter(), transport)
     except AuthenticationFailure:
         recovered = None
     outcome = Outcome(True) if recovered == supi else Outcome(False, "confirmation-failed")
-    return outcome, transport, None, None, 1, baseline_phases(config.latency)
+    return outcome, None, 1, baseline_phases(config.latency)
 
 
-def _run_inclusion(config: ScenarioConfig, group, rng):
+def _run_inclusion(config: ScenarioConfig, group, rng, transport):
     """One candidate is checked by the guards of a provisioned swarm."""
     core = CoreNetwork(group, rng)
     swarm = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     candidate = core.issue_candidate("A")
-    transport, adversary = _transport_for(config, group, rng)
     outcome = protocol.inclusion_flow(swarm, candidate, rng, transport)
-    return outcome, transport, adversary, core, 1, group_auth_phases(
+    return outcome, core, 1, group_auth_phases(
         config.threshold, config.latency, config.parallel_guards)
 
 
-def _run_unification(config: ScenarioConfig, group, rng):
+def _run_unification(config: ScenarioConfig, group, rng, transport):
     """Two swarms of n drones merge. The report charges the full modeled
     path (cross issue, guard check, key return, rebroadcast) whatever the
     outcome."""
@@ -506,86 +499,84 @@ def _run_unification(config: ScenarioConfig, group, rng):
     core = CoreNetwork(group, rng)
     swarm_a = core.provision_swarm("A", config.threshold, n_drones=config.n_drones)
     swarm_b = core.provision_swarm("B", config.threshold, n_drones=config.n_drones)
-    transport, adversary = _transport_for(config, group, rng)
     outcome = protocol.unification_flow(swarm_a, swarm_b, core, rng, transport)
     phases = {"cross_issue": model.ue_core_round_trip,
               **group_auth_phases(config.threshold, model, config.parallel_guards),
               "key_return": model.drone_to_drone,
               "unified_broadcast": model.drone_to_drone}
-    return outcome, transport, adversary, core, 2 * config.n_drones, phases
+    return outcome, core, 2 * config.n_drones, phases
 
 
-def _run_bulk(config: ScenarioConfig, group, rng):
+def _run_bulk(config: ScenarioConfig, group, rng, transport):
     """Admit n drones as one batch: n broadcast slots, one group check."""
     n, model = config.n_drones, config.latency
     core = CoreNetwork(group, rng)
     swarm = core.provision_swarm("A", config.threshold, n_drones=config.threshold - 1)
     arrivals = [core.issue_candidate("A") for _ in range(n)]
-    transport, _ = _transport_for(config, group, rng)
     phases = {"broadcast": n * model.drone_to_drone,
               **group_auth_phases(config.threshold, model)} if n else {}
-    return protocol.bulk_flow(swarm, arrivals, transport), transport, None, core, n, phases
+    return protocol.bulk_flow(swarm, arrivals, transport), core, n, phases
 
 
 SCENARIOS = {"inclusion": _run_inclusion, "unification": _run_unification,
              "nr5g": _run_nr5g, "bulk": _run_bulk}
 
 
-def inject_adversary(config: ScenarioConfig):
-    """Run the configured attack scenario and judge the prevention.
+# The attack judges: each judges the prevention of its attack on the
+# result of a run under it.
 
-    replay: every captured message is re-delivered once and must be
-    rejected by the receivers' nonce caches. mitm: the guard check must
-    reject the substituted share, ending the run
-    ``rejected(verification-failed)``. eavesdrop: the run must succeed
-    while the attacker's captures contain no private scalar and decrypt no
-    key-transport ciphertext with any key derivable from captured points.
-    """
-    mode = config.adversary
-    if mode not in ATTACK_MODES:
-        raise ValueError(f"not an attack mode: {mode!r}")
-
-    result = _run(config)
-    adv = result.adversary
+def _judge_mitm(result: _ScenarioResult) -> AttackOutcome:
+    """The guard check must reject the substituted share, ending the run
+    ``rejected(verification-failed)``."""
     outcome = result.transcript.outcome
+    # only the guard check may stop a substituted share: a later
+    # rejection means the guards accepted it
+    if outcome != Outcome(False, "verification-failed"):
+        return AttackOutcome(False, f"guard check did not reject the "
+                                    f"substituted share: {outcome}")
+    return AttackOutcome(True, f"protocol rejected the substituted share: {outcome}")
 
-    if mode == "mitm":
-        # only the guard check may stop a substituted share: a later
-        # rejection means the guards accepted it
-        if outcome != Outcome(False, "verification-failed"):
-            return AttackOutcome(False, f"guard check did not reject the "
-                                        f"substituted share: {outcome}")
-        return AttackOutcome(True, f"protocol rejected the substituted share: "
-                                   f"{outcome}")
 
+def _judge_replay(result: _ScenarioResult) -> AttackOutcome:
+    """Every captured message is re-delivered once and must be rejected by
+    the receivers' nonce caches."""
+    outcome, captured = result.transcript.outcome, result.adversary.captured
     if not outcome.accepted:
         return AttackOutcome(False, f"honest run failed under observation: {outcome}")
+    replay_transport = Transport()
+    accepted = sum(1 for msg, receiver in captured
+                   if replay_transport.deliver(msg, receiver) is not None)
+    if accepted:
+        return AttackOutcome(False, f"{accepted} replayed messages accepted")
+    return AttackOutcome(True, f"all {len(captured)} replayed messages "
+                               f"rejected by nonce caches")
 
-    if mode == "replay":
-        replay_transport = Transport()
-        accepted = sum(
-            1 for msg, receiver in adv.captured
-            if replay_transport.deliver(msg, receiver) is not None)
-        if accepted:
-            return AttackOutcome(False, f"{accepted} replayed messages accepted")
-        return AttackOutcome(True, f"all {len(adv.captured)} replayed messages "
-                                   f"rejected by nonce caches")
 
-    # eavesdrop
-    blob = b"".join(msg.payload for msg, _ in adv.captured)
-    group = result.core.group
-    # every scalar the core dealt: each group key and every issued share,
-    # the core's own and the cross-issued shares included
-    for swarm_id in result.core.swarms:
-        dealer = result.core.dealer(swarm_id)
-        secrets = [dealer.group_key,
-                   *map(dealer.poly.evaluate, dealer.issued_identifiers())]
+def _judge_eavesdrop(result: _ScenarioResult) -> AttackOutcome:
+    """The run must succeed while the attacker's captures contain no
+    private scalar and decrypt no key-transport ciphertext with any key
+    derivable from captured points."""
+    outcome, captured = result.transcript.outcome, result.adversary.captured
+    if not outcome.accepted:
+        return AttackOutcome(False, f"honest run failed under observation: {outcome}")
+    blob = b"".join(msg.payload for msg, _ in captured)
+    core, group = result.core, result.core.group
+    # every scalar the core dealt: each group key and every evaluated
+    # share, the core's own and the cross-issued shares included. The core
+    # evaluates shares only in Dealer.shares_at and a _Receiver holds none,
+    # so the share of a member still in its swarm's unbuilt range was never
+    # computed and cannot be on the wire: the scan skips that range.
+    for swarm_id, swarm in core.swarms.items():
+        dealer, unbuilt = core.dealer(swarm_id), swarm.unbuilt
+        xs = [*range(1, unbuilt.start),
+              *range(unbuilt.stop, dealer.issued_identifiers().stop)]
+        secrets = [dealer.group_key, *map(dealer.poly.evaluate, xs)]
         if any(group.field.encode(secret) in blob for secret in secrets):
             return AttackOutcome(False, "private material visible in captured traffic")
     # the run was accepted, so every receiver decoded these payloads; every
     # share is published to many guards, so each distinct payload is
     # decoded once and each distinct point kept once
-    payloads = dict.fromkeys(msg.payload for msg, _ in adv.captured
+    payloads = dict.fromkeys(msg.payload for msg, _ in captured
                              if msg.kind in (MessageKind.SHARE_PUBLISH,
                                              MessageKind.KEY_AGREEMENT_INIT))
     points = list(dict.fromkeys(decode_public_share(group, payload).point
@@ -595,10 +586,10 @@ def inject_adversary(config: ScenarioConfig):
     # of raw payloads
     sums = group.add_all([(p, q) for i, p in enumerate(points) for q in points[i:]])
     candidate_keys = {protocol.point_key(group, p) for p in points + sums}
-    for msg, _ in adv.captured:
+    for msg, _ in captured:
         if msg.payload:
             candidate_keys.add(hashlib.sha256(msg.payload).digest())
-    sealed = [(msg, receiver.label) for msg, receiver in adv.captured
+    sealed = [(msg, receiver.label) for msg, receiver in captured
               if msg.kind in (MessageKind.ENCRYPTED_GROUP_KEY,
                               MessageKind.CROSS_ISSUE_RESPONSE,
                               MessageKind.UNIFIED_KEY_BROADCAST)]
@@ -613,8 +604,8 @@ def inject_adversary(config: ScenarioConfig):
     # group only by a 128-bit tag forgery, no likelier on one copy than on
     # another.
     relays = {swarm_id: AESGCM(protocol.group_key_cipher_key(
-                  group.field, result.core.dealer(swarm_id).group_key))
-              for swarm_id in result.core.swarms}
+                  group.field, core.dealer(swarm_id).group_key))
+              for swarm_id in core.swarms}
     groups = {}
     for i, (msg, receiver) in enumerate(sealed):
         tag = i
@@ -636,6 +627,19 @@ def inject_adversary(config: ScenarioConfig):
             except protocol.DecryptionFailed:
                 continue
     return AttackOutcome(True,
-                         f"{len(adv.captured)} captured messages leak no private "
+                         f"{len(captured)} captured messages leak no private "
                          f"share; {len(candidate_keys)} derivable keys open none "
                          f"of {len(sealed)} sealed messages")
+
+
+ATTACKS = {"replay": _judge_replay, "eavesdrop": _judge_eavesdrop, "mitm": _judge_mitm}
+ATTACK_MODES = tuple(ATTACKS)
+ADVERSARY_MODES = ("none", *ATTACK_MODES)
+
+
+def inject_adversary(config: ScenarioConfig) -> AttackOutcome:
+    """Run the configured attack scenario and judge the prevention with
+    the judge of its mode in ``ATTACKS``."""
+    if config.adversary not in ATTACKS:
+        raise ValueError(f"not an attack mode: {config.adversary!r}")
+    return ATTACKS[config.adversary](_run(config))

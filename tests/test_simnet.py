@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from swarmauth import algebra, baseline5g, protocol, simnet
 from swarmauth.algebra import ToyGroup
 from swarmauth.protocol import MessageKind, Outcome, Transport
-from swarmauth.shares import decode_public_share
+from swarmauth.shares import GroupPolynomial, decode_public_share
 from swarmauth.simnet import (
     ADVERTISED_PREFERABLE_BOUND,
     Adversary,
@@ -909,6 +909,29 @@ class TestAdversaries:
         outcome = inject_adversary(config)
         assert not outcome.thwarted
         assert outcome.detail == "private material visible in captured traffic"
+
+    def test_eavesdrop_scans_only_the_shares_the_run_computed(self, monkeypatch):
+        # a toy inclusion of a million drones builds its t - 1 guards only:
+        # the judge evaluates f at theirs, the core's and the candidate's
+        # identifiers, never in the unbuilt range
+        run, evaluate = simnet._run, GroupPolynomial.evaluate
+        evaluated, unbuilt = [], []
+
+        def run_then_count(config):
+            result = run(config)
+            unbuilt.append(result.core.swarms["A"].unbuilt)
+            monkeypatch.setattr(GroupPolynomial, "evaluate",
+                                lambda poly, x: evaluated.append(x) or evaluate(poly, x))
+            return result
+
+        monkeypatch.setattr(simnet, "_run", run_then_count)
+        n, t = 10 ** 6, 5
+        inject_adversary(toy_config(scenario="inclusion", adversary="eavesdrop",
+                                    n_drones=n, threshold=t, seed=2))
+        assert unbuilt == [range(t, n + 1)]
+        assert not [x for x in evaluated if x in unbuilt[0]]
+        assert len(evaluated) <= t + 1
+        assert sorted(evaluated) == [*range(1, t), n + 1, n + 2]
 
     def test_eavesdrop_judge_opens_linearly(self, monkeypatch):
         # every UNIFIED_KEY_BROADCAST copy is sealed under one relay key and
