@@ -141,16 +141,21 @@ class MessageKind(enum.Enum):
 class DroneId:
     """Protocol identity: the share identifier x scoped by a swarm id.
 
-    ``label`` is the text form "swarm/x", built once with the id; it takes
-    no part in equality, hashing or repr.
+    ``label`` is the text form "swarm/x", and ``aad_label`` its UTF-8
+    bytes length-prefixed as :func:`_aad` frames a sender. Both are built
+    once with the id and take no part in equality, hashing or repr. A
+    label too long for the 65535-byte prefix raises ValueError.
     """
 
     swarm: str
     x: int
     label: str = dc_field(init=False, repr=False, compare=False)
+    aad_label: bytes = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "label", f"{self.swarm}/{self.x}")
+        label = f"{self.swarm}/{self.x}"
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "aad_label", _lp(label.encode()))
 
     def __str__(self):
         return self.label
@@ -208,7 +213,12 @@ class ProtocolMessage:
             swarm = swarm_b.decode()
         except UnicodeDecodeError:
             raise DecodeError("sender swarm id is not UTF-8") from None
-        sender = DroneId(swarm, int.from_bytes(x_b, "big"))
+        try:
+            sender = DroneId(swarm, int.from_bytes(x_b, "big"))
+        except ValueError:
+            # x has too many digits for int-to-str, or the label is too
+            # long for its associated-data frame
+            raise DecodeError("sender identifier has no label") from None
         return cls(kind, sender, nonce, payload)
 
 
@@ -226,6 +236,10 @@ class Outcome:
 
     def __str__(self):
         return "accepted" if self.accepted else f"rejected({self.reason})"
+
+
+# bound once: every delivery hashes its payload for the transcript
+_sha256 = hashlib.sha256
 
 
 class TranscriptEntry(NamedTuple):
@@ -246,7 +260,7 @@ class AuthTranscript:
 
     def record(self, time_us: float, kind: str, sender: str, receiver: str,
                payload: bytes, note: str = ""):
-        digest = hashlib.sha256(payload).hexdigest()[:16]
+        digest = _sha256(payload).hexdigest()[:16]
         # tuple.__new__ skips the NamedTuple's generated __new__, which
         # costs more than the tuple it builds; the row is the same
         self.entries.append(tuple.__new__(TranscriptEntry,
@@ -407,10 +421,11 @@ class Swarm:
             swarm_id, group_key = self.id, self._dealer.group_key
             receivers.update((x, _Receiver(f"{swarm_id}/{x}", group_key)) for x in unbuilt)
         built = sorted(table)
+        start, stop = unbuilt.start, unbuilt.stop
         # no built identifier lies inside the unbuilt range
-        return [*(table[x] for x in built if x < unbuilt.start),
+        return [*(table[x] for x in built if x < start),
                 *receivers.values(),
-                *(table[x] for x in built if x >= unbuilt.stop)]
+                *(table[x] for x in built if x >= stop)]
 
 
 class Transport:
@@ -454,7 +469,13 @@ class Transport:
     def deliver(self, msg: ProtocolMessage, receiver) -> ProtocolMessage | None:
         """Deliver to anything with ``label`` and ``nonce_cache``, building
         the receiver's cache if it has none yet; returns the (possibly
-        intercepted) message, or None when rejected as a replay."""
+        intercepted) message, or None when rejected as a replay.
+
+        Every delivery passes the intercept hook, one
+        :meth:`NonceCache.check_and_store` and one transcript row. A
+        rebroadcast makes one delivery per member, so the clock's stamp is
+        read here rather than through :meth:`_stamp` when costs are set.
+        """
         if self.intercept is not None:
             msg = self.intercept(msg, receiver)
         sender = msg.sender.label
@@ -462,11 +483,13 @@ class Transport:
         if cache is None:
             cache = receiver.nonce_cache = NonceCache()
         fresh = cache.check_and_store(sender, msg.nonce)
+        now = self._now
+        if now is None:
+            now = self._stamp()
         # an enum's ``name`` is a property over the stored ``_name_``, and
         # hashing a member for a lookup runs Enum.__hash__ in Python
-        self.transcript.record(self._stamp(), msg.kind._name_, sender,
-                               receiver.label, msg.payload,
-                               note="" if fresh else "replay-rejected")
+        self.transcript.record(now, msg.kind._name_, sender, receiver.label,
+                               msg.payload, "" if fresh else "replay-rejected")
         return msg if fresh else None
 
 
@@ -476,14 +499,17 @@ def fresh_nonce(rng) -> bytes:
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
     """The associated data (sender label, receiver label, nonce), each
-    label length-prefixed as :func:`shares._lp` does. The prefixes are
-    built inline: every rebroadcast receiver costs one seal and one open."""
-    sender_b, receiver_b = sender.label.encode(), receiver.encode()
-    if len(sender_b) > 0xFFFF or len(receiver_b) > 0xFFFF:
-        raise ValueError(f"label of {max(len(sender_b), len(receiver_b))} bytes "
-                         f"exceeds the 65535-byte length prefix")
-    return b"".join((len(sender_b).to_bytes(2, "big"), sender_b,
-                     len(receiver_b).to_bytes(2, "big"), receiver_b, nonce))
+    label length-prefixed as :func:`shares._lp` does. The sender's frame
+    is the one its id built (``DroneId.aad_label``), so a rebroadcast,
+    which seals and opens one copy per member under one sender, frames
+    the sender's label once. The receiver's prefix is built inline, as
+    ``_lp`` builds it; a receiver label over 65535 bytes raises
+    ValueError."""
+    receiver_b = receiver.encode()
+    if len(receiver_b) > 0xFFFF:
+        raise ValueError(f"receiver label of {len(receiver_b)} bytes exceeds the "
+                         f"65535-byte length prefix")
+    return sender.aad_label + len(receiver_b).to_bytes(2, "big") + receiver_b + nonce
 
 
 def point_key(group, point) -> bytes:
@@ -854,6 +880,13 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     copy opens. The verification is one-directional by default;
     ``mutual=True`` adds the mirrored pass (a swarm-B guard verified by
     swarm A) before any key moves.
+
+    Each member of swarm A but the designated guard gets its own copy: one
+    :func:`seal`, one :meth:`Transport.deliver` and one
+    :func:`open_sealed`, whose associated data the member frames from the
+    delivered message. The sender's label is framed once, with its id
+    (``DroneId.aad_label``), and the loop's invariant lookups are bound
+    before it.
     """
     if swarm_a.group is not swarm_b.group:
         raise ValueError("swarms must share one group configuration")
@@ -896,15 +929,17 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     unified_plain = group.field.encode(unified_key)
     kind, sender, deliver, decode = (MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
                                      transport.deliver, group.field.decode)
+    seal_copy, open_copy = seal, open_sealed
     members = [m for m in swarm_a.receivers() if m is not d_a]
     staged = []
+    stage = staged.append
     for member in members:
         label = member.label
-        delivered = deliver(seal(kind, relay, sender, label, unified_plain, rng), member)
+        delivered = deliver(seal_copy(kind, relay, sender, label, unified_plain, rng), member)
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
-            staged.append(decode(open_sealed(relay, delivered, label)))
+            stage(decode(open_copy(relay, delivered, label)))
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     for member, key in zip(members, staged):

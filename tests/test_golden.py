@@ -147,6 +147,9 @@ def _cases() -> dict:
         scenario="inclusion", threshold=4, n_drones=8, seed=3)
     cases["unification-extra-members"] = lambda: _scenario(
         scenario="unification", threshold=4, n_drones=9, seed=3)
+    # a merge whose rebroadcast reaches 299 members of swarm A
+    cases["unification-n300"] = lambda: _scenario(
+        scenario="unification", threshold=5, n_drones=300, seed=300)
     cases["nr5g-default"] = lambda: _scenario(scenario="nr5g", seed=5)
     for n in (0, 1, 25):
         cases[f"bulk-n{n}"] = lambda n=n: _scenario(scenario="bulk", n_drones=n,
@@ -237,6 +240,7 @@ GOLDEN = {
     'unification-fractional': '1f2aea9a47fc217d6a3f8b97137ee07a',
     'unification-fractional-parallel': 'be849de3ed15c2f40a7b7a9b0db7079e',
     'unification-mitm': 'f5f1b54a574009afe1615a2d75049001',
+    'unification-n300': '07eee2f6d548854cc214b165d474f13f',
     'unification-production': 'd5eb6441c426499c2e2a8c772dd17d3a',
     'unification-replay': '8c5923787f29f5a67b4d08e7b4e8a9d8',
     'unification-t2': '619a7f5219ef46bd713506014bd0f052',

@@ -191,6 +191,26 @@ class TestGroupKeyDelivery:
             open_group_key(toy101, recipient,
                            public_share(guard.private_share, toy101), substituted)
 
+    def test_aad_frames_sender_receiver_and_nonce(self, rng):
+        nonce = fresh_nonce(rng)
+        sender = DroneId("A", 1)
+        assert protocol._aad(sender, "A/2", nonce) == b"\x00\x03A/1\x00\x03A/2" + nonce
+        assert sender.aad_label == _lp(b"A/1")
+        wide = DroneId("swarm-\u00e9", 2**70)
+        assert protocol._aad(wide, "", nonce) == (
+            _lp(wide.label.encode()) + b"\x00\x00" + nonce)
+
+    def test_over_long_receiver_label_names_the_limit(self, rng):
+        nonce = fresh_nonce(rng)
+        assert protocol._aad(DroneId("A", 1), "r" * 65_535, nonce).endswith(nonce)
+        with pytest.raises(ValueError, match="65535"):
+            protocol._aad(DroneId("A", 1), "r" * 65_536, nonce)
+
+    def test_over_long_sender_label_names_the_limit(self):
+        DroneId("s" * 65_533, 1)
+        with pytest.raises(ValueError, match="65535"):
+            DroneId("s" * 65_534, 1)
+
 
 class TestTransportFreshness:
     def test_replayed_message_rejected(self, toy101, rng):
@@ -656,7 +676,7 @@ class TestHotPathTypes:
     # every field stays frozen, and copies and pickles bypass __init__ yet
     # keep each field
     @pytest.mark.parametrize("obj, names", [
-        (DroneId("A", 3), ("swarm", "x", "label")),
+        (DroneId("A", 3), ("swarm", "x", "label", "aad_label")),
         (PrivateShare(3, 9), ("x", "y")),
         (ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1), b"n" * 16, b"p"),
          ("kind", "sender", "nonce", "payload")),
@@ -682,6 +702,8 @@ class TestHotPathTypes:
             twin = copier(obj)
             assert type(twin) is type(obj) and twin == obj
         assert hash(copier(drone_id)) == hash(drone_id)
+        twin_id = copier(drone_id)
+        assert (twin_id.label, twin_id.aad_label) == ("A/3", b"\x00\x03A/3")
         assert hash(copier(share)) == hash(share)
         assert hash(copier(msg)) == hash(msg)
         twin = copier(drone)
@@ -810,6 +832,22 @@ class TestMessageWire:
         with pytest.raises(DecodeError):
             ProtocolMessage.from_bytes(data)
 
+    @pytest.mark.parametrize("swarm_b, x_b", [
+        (b"A", b"\xff" * 1786),        # 4301 decimal digits
+        (b"A" * 65_535, b"\x01"),      # a 65537-byte label
+    ], ids=["x-digits", "label-frame"])
+    def test_sender_without_a_label_is_a_decode_error(self, swarm_b, x_b):
+        data = bytes([1]) + _lp(swarm_b) + _lp(x_b) + bytes(16) + _lp(b"")
+        with pytest.raises(DecodeError, match="sender identifier"):
+            ProtocolMessage.from_bytes(data)
+
+    def test_longest_labels_decode(self):
+        for swarm_b, x_b in ((b"A", b"\xff" * 1785), (b"A" * 65_533, b"\x01")):
+            data = bytes([1]) + _lp(swarm_b) + _lp(x_b) + bytes(16) + _lp(b"")
+            sender = ProtocolMessage.from_bytes(data).sender
+            assert sender.x == int.from_bytes(x_b, "big")
+            assert sender.aad_label == _lp(sender.label.encode())
+
     def test_over_long_field_names_the_limit(self, rng):
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
                               fresh_nonce(rng), bytes(65_536))
@@ -819,15 +857,25 @@ class TestMessageWire:
         assert ProtocolMessage.from_bytes(limit.to_bytes()) == limit
 
     # Valid length prefixes around arbitrary bytes (some of them exactly
-    # as wide as a toy or curve scalar or point), mixed with raw runs
-    # (nonce-sized and short), reach the decoders' inner checks; raw random
-    # bytes mostly stop at the first length prefix.
+    # as wide as a toy or curve scalar or point, some long), mixed with raw
+    # runs (nonce-sized and short), reach the decoders' inner checks; raw
+    # random bytes mostly stop at the first length prefix. Half the cases
+    # are shaped as a message (sender swarm id and x, nonce, payload), so
+    # that the sender fields reach the label.
     _widths = st.sampled_from((8, 32, 65)).flatmap(
         lambda n: st.binary(min_size=n, max_size=n))
-    _pieces = st.lists(st.one_of(st.binary(max_size=70).map(_lp),
-                                 _widths.map(_lp),
-                                 st.binary(min_size=16, max_size=16),
-                                 st.binary(max_size=2)), max_size=6)
+    # Long fields repeat one byte: an x of 1786 bytes or more has more
+    # decimal digits than int-to-str allows, and a swarm id of 65534 bytes
+    # or more leaves no room for the rest of a label in its 65535-byte frame.
+    _long = st.tuples(st.sampled_from((1785, 1786, 4000, 65_534, 65_535)),
+                      st.integers(0, 255)).map(lambda nb: bytes([nb[1]]) * nb[0])
+    _field = st.one_of(st.binary(max_size=70), _widths, _long).map(_lp)
+    _sender_field = st.one_of(st.text(max_size=8).map(str.encode), _long).map(_lp)
+    _pieces = st.one_of(
+        st.lists(st.one_of(_field, st.binary(min_size=16, max_size=16),
+                           st.binary(max_size=2)), max_size=6),
+        st.tuples(_sender_field, _sender_field, st.binary(min_size=16, max_size=16),
+                  _field).map(list))
 
     @settings(max_examples=400)
     @given(kind=st.integers(0, 8), pieces=_pieces)
