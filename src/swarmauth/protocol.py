@@ -101,6 +101,8 @@ __all__ = [
 ]
 
 NONCE_BYTES = 16
+# every identifier lies below a group order of at most 256 bits
+_X_BYTES_MAX = 32
 
 
 class NotEnoughGuards(RuntimeError):
@@ -203,6 +205,9 @@ class ProtocolMessage:
             raise DecodeError(f"unknown message kind tag {data[0]}") from None
         swarm_b, off = _read_lp(data, 1)
         x_b, off = _read_lp(data, off)
+        if len(x_b) > _X_BYTES_MAX:
+            raise DecodeError(f"sender identifier x of {len(x_b)} bytes exceeds "
+                              f"{_X_BYTES_MAX} bytes")
         if off + NONCE_BYTES > len(data):
             raise DecodeError("truncated nonce")
         nonce = data[off:off + NONCE_BYTES]
@@ -216,8 +221,7 @@ class ProtocolMessage:
         try:
             sender = DroneId(swarm, int.from_bytes(x_b, "big"))
         except ValueError:
-            # x has too many digits for int-to-str, or the label is too
-            # long for its associated-data frame
+            # the label is too long for its associated-data frame
             raise DecodeError("sender identifier has no label") from None
         return cls(kind, sender, nonce, payload)
 
@@ -437,7 +441,8 @@ class Transport:
     Fraction. With costs, :meth:`wait` adds the step's cost to an exact
     clock, and every later record or delivery is stamped with the float
     nearest the exact sum, however many steps there are. Without costs,
-    waits do nothing and the transcript uses a logical step counter.
+    waits do nothing and each entry is stamped with its index in the
+    transcript.
     """
 
     def __init__(self, intercept=None, costs: dict[str, Fraction] | None = None):
@@ -447,7 +452,6 @@ class Transport:
         self._elapsed = Fraction(0)
         # the stamp of the current clock time, None without costs
         self._now = None if costs is None else 0.0
-        self._step = 0
 
     def wait(self, step: str):
         """Let the modeled clock pass the cost of ``step``."""
@@ -456,11 +460,10 @@ class Transport:
             self._now = float(self._elapsed)
 
     def _stamp(self) -> float:
+        """The clock's stamp, or without costs the index of the next entry."""
         if self._now is not None:
             return self._now
-        t = float(self._step)
-        self._step += 1
-        return t
+        return float(len(self.transcript.entries))
 
     def record(self, kind: str, sender: str, receiver: str, payload: bytes):
         """Log a message that no receiver checks, stamped like a delivery."""

@@ -124,6 +124,10 @@ class TestScalarField:
             ScalarField(100)
         with pytest.raises(ValueError):
             ScalarField(1)
+        # 41 * 43 has no factor among the small primes, so Miller-Rabin
+        # itself rejects it
+        with pytest.raises(ValueError):
+            ScalarField(1763)
         ScalarField(2)
         ScalarField(101)
 
@@ -215,6 +219,12 @@ class TestCurveGroup:
         assert curve.add(curve.identity, g) == g
         assert curve.add(g, curve.identity) == g
         assert curve.add(g, curve.neg(g)) is None
+
+    def test_contains_the_identity_and_no_non_point(self, curve):
+        assert curve.contains(curve.identity)
+        assert curve.contains(curve.generator)
+        for value in (1, list(curve.generator), (*curve.generator, 1)):
+            assert not curve.contains(value)
 
     def test_double_matches_affine_textbook_formula(self, curve):
         # independent oracle: affine tangent-slope doubling

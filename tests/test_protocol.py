@@ -6,6 +6,7 @@ import gc
 import hashlib
 import pickle
 import random
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -842,11 +843,28 @@ class TestMessageWire:
             ProtocolMessage.from_bytes(data)
 
     def test_longest_labels_decode(self):
-        for swarm_b, x_b in ((b"A", b"\xff" * 1785), (b"A" * 65_533, b"\x01")):
+        for swarm_b, x_b in ((b"A", b"\xff" * 32), (b"A" * 65_533, b"\x01")):
             data = bytes([1]) + _lp(swarm_b) + _lp(x_b) + bytes(16) + _lp(b"")
             sender = ProtocolMessage.from_bytes(data).sender
             assert sender.x == int.from_bytes(x_b, "big")
             assert sender.aad_label == _lp(sender.label.encode())
+
+    def test_sender_x_is_bounded_by_the_wire_not_the_interpreter(self):
+        # with no int-to-str limit a 1786-byte x would have a label; the
+        # wire rule rejects any x wider than a 256-bit group order
+        def decode(x_b):
+            data = bytes([1]) + _lp(b"A") + _lp(x_b) + bytes(16) + _lp(b"")
+            return ProtocolMessage.from_bytes(data)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(DecodeError, match="1786 bytes exceeds 32"):
+                decode(b"\xff" * 1786)
+            with pytest.raises(DecodeError, match="33 bytes exceeds 32"):
+                decode(b"\x01" * 33)
+            assert decode(b"\xff" * 32).sender.x == 2**256 - 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_over_long_field_names_the_limit(self, rng):
         msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
@@ -864,9 +882,9 @@ class TestMessageWire:
     # that the sender fields reach the label.
     _widths = st.sampled_from((8, 32, 65)).flatmap(
         lambda n: st.binary(min_size=n, max_size=n))
-    # Long fields repeat one byte: an x of 1786 bytes or more has more
-    # decimal digits than int-to-str allows, and a swarm id of 65534 bytes
-    # or more leaves no room for the rest of a label in its 65535-byte frame.
+    # Long fields repeat one byte: an x of more than 32 bytes is wider than
+    # any group order, and a swarm id of 65534 bytes or more leaves no room
+    # for the rest of a label in its 65535-byte frame.
     _long = st.tuples(st.sampled_from((1785, 1786, 4000, 65_534, 65_535)),
                       st.integers(0, 255)).map(lambda nb: bytes([nb[1]]) * nb[0])
     _field = st.one_of(st.binary(max_size=70), _widths, _long).map(_lp)

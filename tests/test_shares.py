@@ -60,6 +60,13 @@ class TestGenPolynomial:
         with pytest.raises(ThresholdTooSmall):
             GroupPolynomial(toy101.field, (5,))
 
+    def test_polynomials_over_separately_built_fields_are_equal(self):
+        p1 = GroupPolynomial(ScalarField(101), (5, 7))
+        p2 = GroupPolynomial(ScalarField(101), (5, 7))
+        assert p1 == p2 and hash(p1) == hash(p2)
+        assert p1 != GroupPolynomial(ScalarField(103), (5, 7))
+        assert ScalarField(101) != 101
+
     def test_group_key_distribution_uniform(self, toy101):
         # 1000 draws of coeffs[0] over q=101, chi-square at p=0.999
         rng = random.Random(2024)
