@@ -237,18 +237,22 @@ class CurveGroup:
         return (x, -y % _SECP_P)
 
     def mul(self, s: int, g: Point) -> Point:
-        """s*g: the one-scalar case of :meth:`mul_generator` for the
-        generator, else a one-term :meth:`msm`."""
+        """s*g: for the generator the one-scalar case of
+        :meth:`mul_generator`, one Jacobian chain over the generator table
+        normalised with one inversion; else a one-term :meth:`msm`."""
         if g == self.generator:
             return _mul_generator([s])[0]
         return self.msm([s], [g])
 
     def mul_generator(self, scalars: Sequence[int]) -> list:
-        """[s*G for s in scalars]: each scalar split into GLV halves, table
-        entries picked by the signed width-9 digits of each half, summed
-        pairwise in affine form, and the halves added as k1*G +
-        lambda*(k2*G), with one inversion per level of pairwise sums shared
-        by the scalars of a chunk of 128 (see :func:`_mul_generator`)."""
+        """[s*G for s in scalars]: each scalar split into GLV halves, and
+        table entries picked by the signed width-9 digits of each half
+        summed as k1*G + lambda*(k2*G). A call of one scalar sums them in
+        one Jacobian chain with one inversion; a batch is cut into chunks
+        of up to 128 scalars, each summed pairwise in affine form with one
+        inversion per level of sums shared by the chunk, and a last chunk
+        of one scalar takes the chain (see :func:`_mul_generator`). Every
+        point is derived when called; nothing but the table is kept."""
         return _mul_generator(scalars)
 
     def msm(self, scalars: Sequence[int], points: Sequence[Point]) -> Point:
@@ -590,12 +594,45 @@ def _build_generator_table() -> list:
     return [([x for x, _ in row], [y for _, y in row]) for row in rows]
 
 
+# The mask of one digit of the generator table, and the least digit that
+# is recoded as negative
+_DIGIT_MASK, _DIGIT_HALF = (1 << _GENERATOR_WIDTH) - 1, 1 << (_GENERATOR_WIDTH - 1)
 # Scalars per chunk of a batched generator mul. One level of a chunk's
 # sums holds at most 14 new points per scalar (7 per half), so chunks
 # bound the memory of a large batch; with 128 scalars an inversion is
 # already shared by thousands of additions, so bigger chunks would save
 # no time.
 _GENERATOR_CHUNK = 128
+# A chunk of one scalar takes a Jacobian chain instead. The chain pays
+# one inversion (about 21-29 us, some 45 field multiplications) where the
+# affine levels pay five, but each of its mixed additions costs about
+# twice an affine one, so the levels win as soon as two scalars share
+# their inversions. Median us per scalar over 300 interleaved rounds of
+# random scalars, unscaled, 2-core VM, Python 3.11.7:
+#   scalars in the chunk        1      2      3
+#   affine levels             249    186    164
+#   one chain per scalar      218    213    211
+
+
+def _generator_terms(k: int, table: list) -> list:
+    """The table entries that sum to k*G for a half 0 <= k: one per
+    nonzero signed width-9 digit of k, lowest row first, with y negated
+    for a negative digit."""
+    terms = []
+    for xs, ys in table:
+        if not k:
+            break
+        d = k & _DIGIT_MASK
+        k >>= _GENERATOR_WIDTH
+        if d < _DIGIT_HALF:
+            if d:
+                terms.append((xs[d - 1], ys[d - 1]))
+        else:
+            # digit d - 512: entry 512 - d negated, and a carry
+            d = _DIGIT_MASK - d
+            terms.append((xs[d], _SECP_P - ys[d]))
+            k += 1
+    return terms
 
 
 def _mul_generator(scalars: Sequence[int]) -> list:
@@ -605,49 +642,48 @@ def _mul_generator(scalars: Sequence[int]) -> list:
     k1 + k2*lambda = s (mod n). Each |k| is recoded into 15 signed digits,
     in [-256, 256) for the 14 full rows and in [0, 3] for the top row; a
     nonzero digit d of row i selects the table entry |d| * 2^(9i) * G,
-    with y negated when d < 0. The entries of every half of a chunk of
-    scalars are summed pairwise, level by level, in affine form, and each
-    level is one :func:`_batch_affine_add` with one shared inversion. A
-    last batch adds k1*G to lambda*(k2*G) = (beta*x, y), with y negated for
-    a negative half; a zero half adds nothing. A scalar costs at most 29
-    additions, and a chunk at most 5 inversions however many scalars it
-    holds.
+    with y negated when d < 0 (:func:`_generator_terms`). k1*G and
+    lambda*(k2*G) = (beta*x, y) are then summed, with y negated for a
+    negative half; a zero half adds nothing. A scalar costs at most 29
+    additions.
+
+    A chunk of one scalar adds its entries, those of the second half
+    mapped by beta, in one mixed Jacobian-affine chain
+    (:func:`_jac_add_affine`) and normalises the sum with one inversion.
+    In a chunk of two or more, the entries of every half are summed
+    pairwise, level by level, in affine form, and each level is one
+    :func:`_batch_affine_add` with one shared inversion; a last batch adds
+    k1*G to lambda*(k2*G). Such a chunk pays at most 5 inversions however
+    many scalars it holds.
 
     Within a half, two sibling sums never meet equal x: each is c*G for a
     signed-digit sum c over its own rows with |c| < 2^128, far below n,
     so equal x would make a signed-digit sum over disjoint rows vanish,
-    which its lowest nonzero digit forbids. The last batch has no such
-    argument, so the adder handles it: equal points make a doubling.
-    k1*G + lambda*(k2*G) = s*G is never the identity for s != 0 (mod n).
+    which its lowest nonzero digit forbids. The last batch and the chain
+    have no such argument, so the adders handle it: equal points make a
+    doubling. k1*G + lambda*(k2*G) = s*G is never the identity for
+    s != 0 (mod n).
     """
     global _generator_table
     if _generator_table is None:
         _generator_table = _build_generator_table()
     table = _generator_table
-    w = _GENERATOR_WIDTH
-    mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []
     for start in range(0, len(scalars), _GENERATOR_CHUNK):
+        chunk = scalars[start:start + _GENERATOR_CHUNK]
+        if len(chunk) == 1:
+            x, y, z = 0, 1, 0
+            for j, k in enumerate(_glv_split(chunk[0] % _SECP_N)):
+                for ex, ey in _generator_terms(abs(k), table):
+                    x, y, z = _jac_add_affine(x, y, z, _GLV_BETA * ex % _SECP_P if j else ex,
+                                              _SECP_P - ey if k < 0 else ey)
+            out.append(_to_affine(x, y, z))
+            continue
         sums, negative = [], []
-        for s in scalars[start:start + _GENERATOR_CHUNK]:
+        for s in chunk:
             for k in _glv_split(s % _SECP_N):
                 negative.append(k < 0)
-                k = abs(k)
-                terms = []
-                for xs, ys in table:
-                    if not k:
-                        break
-                    d = k & mask
-                    k >>= w
-                    if d < half:
-                        if d:
-                            terms.append((xs[d - 1], ys[d - 1]))
-                    else:
-                        # digit d - 512: entry 512 - d negated, and a carry
-                        d = mask - d
-                        terms.append((xs[d], _SECP_P - ys[d]))
-                        k += 1
-                sums.append(terms)
+                sums.append(_generator_terms(abs(k), table))
         while pairs := [(terms[i], terms[i + 1]) for terms in sums
                         for i in range(0, len(terms) - 1, 2)]:
             added = _batch_affine_add(pairs)

@@ -46,6 +46,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -65,6 +66,7 @@ from .shares import (
     encode_private_share,
     encode_public_share,
     gen_polynomial,
+    public_share,
     public_shares,
     verify_group,
 )
@@ -256,19 +258,27 @@ class TranscriptEntry(NamedTuple):
 
 
 class AuthTranscript:
-    """Append-only record of deliveries; the outcome is set exactly once."""
+    """Append-only record of deliveries; the outcome is set exactly once.
+
+    Each row is stored as a plain tuple of the :class:`TranscriptEntry`
+    fields: the cyclic garbage collector untracks a tuple of floats and
+    strings at its first pass, but never a tuple subclass, so a large run
+    would leave thousands of rows for every later pass to walk.
+    """
 
     def __init__(self):
-        self.entries: list[TranscriptEntry] = []
+        self._rows: list[tuple] = []
         self.outcome: Outcome | None = None
+
+    @property
+    def entries(self) -> list[TranscriptEntry]:
+        """The rows recorded so far, in order, each built anew."""
+        return [TranscriptEntry._make(row) for row in self._rows]
 
     def record(self, time_us: float, kind: str, sender: str, receiver: str,
                payload: bytes, note: str = ""):
         digest = _sha256(payload).hexdigest()[:16]
-        # tuple.__new__ skips the NamedTuple's generated __new__, which
-        # costs more than the tuple it builds; the row is the same
-        self.entries.append(tuple.__new__(TranscriptEntry,
-                                          (time_us, kind, sender, receiver, digest, note)))
+        self._rows.append((time_us, kind, sender, receiver, digest, note))
 
     def set_outcome(self, outcome: Outcome):
         if self.outcome is not None:
@@ -277,10 +287,10 @@ class AuthTranscript:
 
     def render(self) -> str:
         lines = []
-        for e in self.entries:
-            line = f"{e.time_us / 1000.0:.3f} {e.kind} {e.sender} -> {e.receiver} {e.digest}"
-            if e.note:
-                line += f" !{e.note}"
+        for time_us, kind, sender, receiver, digest, note in self._rows:
+            line = f"{time_us / 1000.0:.3f} {kind} {sender} -> {receiver} {digest}"
+            if note:
+                line += f" !{note}"
             lines.append(line)
         lines.append(f"outcome {self.outcome}" if self.outcome else "outcome pending")
         return "\n".join(lines) + "\n"
@@ -355,21 +365,34 @@ class Swarm:
     provisioning group key and no nonce cache, as an untouched drone
     would. So it equals the drone that eager provisioning and the same
     runs would have built.
+
+    The two public points are derived on first read, each by a one-scalar
+    generator mul, so a run pays only for the one it reads:
+    ``commitment`` is Q = f(0)*P from the dealer's polynomial, which every
+    guard check reads, and ``core_public_share`` is the core's pair from
+    the core's share, which only a unification reads. A swarm built by
+    hand, with no dealer, is given both by assignment after construction.
     """
 
-    def __init__(self, swarm_id: str, group, threshold: int,
-                 commitment: GroupCommitment, core_public_share: PublicShare):
+    def __init__(self, swarm_id: str, group, threshold: int):
         self.id = swarm_id
         self.group = group
         self.threshold = threshold
-        self.commitment = commitment
-        self.core_public_share = core_public_share
         self._table: dict[int, Drone] = {}
         # set by CoreNetwork.provision_swarm
         self._dealer: Dealer | None = None
+        self._core_share: PrivateShare | None = None
         self._unbuilt = range(0)
         # empty, or one receiver per unbuilt identifier, in order
         self._receivers: dict[int, _Receiver] = {}
+
+    @cached_property
+    def commitment(self) -> GroupCommitment:
+        return GroupCommitment(self.group.mul_generator([self._dealer.group_key])[0])
+
+    @cached_property
+    def core_public_share(self) -> PublicShare:
+        return public_share(self._core_share, self.group)
 
     def __contains__(self, x: int) -> bool:
         return x in self._table or x in self._unbuilt
@@ -463,7 +486,7 @@ class Transport:
         """The clock's stamp, or without costs the index of the next entry."""
         if self._now is not None:
             return self._now
-        return float(len(self.transcript.entries))
+        return float(len(self.transcript._rows))
 
     def record(self, kind: str, sender: str, receiver: str, payload: bytes):
         """Log a message that no receiver checks, stamped like a delivery."""
@@ -768,7 +791,6 @@ class CoreNetwork:
         self.group = group
         self.rng = rng
         self.nonce_cache = NonceCache()
-        self._core_shares: dict[str, PrivateShare] = {}
         self.swarms: dict[str, Swarm] = {}
 
     def provision_swarm(self, swarm_id: str, threshold: int, n_drones: int) -> Swarm:
@@ -777,25 +799,19 @@ class CoreNetwork:
         The dealer hands the drones identifiers 1..n_drones as one range;
         the t-1 lowest become the guards, whose shares and a newcomer's
         make the t points of every check. The core keeps the next share,
-        n_drones + 1, for key agreement with members. The commitment
-        Q = f(0)*P and the core's public pair come from one batched
-        generator mul; Q is held by the swarm, whose guards check every
-        share against it. The drones themselves, with their shares, are
-        built when the swarm first reads them (see :class:`Swarm`).
+        n_drones + 1, for key agreement with members. No curve work is
+        done here: the commitment Q = f(0)*P, against which the guards
+        check every share, and the core's public pair are derived when the
+        swarm first reads them, and the drones, with their shares, when
+        it first reads those (see :class:`Swarm`).
         """
         if swarm_id in self.swarms:
             raise DuplicateIdentifier(f"swarm {swarm_id} already provisioned")
-        group = self.group
-        poly = gen_polynomial(group.field, threshold, self.rng)
-        dealer = Dealer(poly)
+        dealer = Dealer(gen_polynomial(self.group.field, threshold, self.rng))
         unbuilt = dealer.register_range(n_drones)
-        core_share = dealer.issue_next()
-        q_point, core_point = group.mul_generator([poly.group_key, core_share.y])
-        swarm = Swarm(swarm_id, group, threshold, GroupCommitment(q_point),
-                      PublicShare(core_share.x, core_point))
+        swarm = Swarm(swarm_id, self.group, threshold)
         swarm._dealer, swarm._unbuilt = dealer, unbuilt
-
-        self._core_shares[swarm_id] = core_share
+        swarm._core_share = dealer.issue_next()
         self.swarms[swarm_id] = swarm
         return swarm
 
@@ -803,7 +819,7 @@ class CoreNetwork:
         return self.swarms[swarm_id]._dealer
 
     def core_identity(self, swarm_id: str) -> DroneId:
-        return DroneId(swarm_id, self._core_shares[swarm_id].x)
+        return DroneId(swarm_id, self.swarms[swarm_id]._core_share.x)
 
     def issue_candidate(self, swarm_id: str) -> Drone:
         """Provision a legitimate new arrival (a fresh share, no key)."""
@@ -831,7 +847,7 @@ class CoreNetwork:
             raise UnknownSwarm(f"unknown target swarm {target_swarm!r}")
 
         cross = target._dealer.issue_next()
-        product = self._core_shares[requester.swarm].y * drone.private_share.y
+        product = home._core_share.y * drone.private_share.y
         cipher = AESGCM(point_key(self.group, self.group.mul_generator([product])[0]))
         return seal(MessageKind.CROSS_ISSUE_RESPONSE, cipher,
                     self.core_identity(requester.swarm), requester.label,

@@ -297,7 +297,9 @@ class TestBatchedGeneratorMul:
     """``mul_generator`` splits each scalar into GLV halves, recodes each
     half into signed width-9 digits, sums their table entries pairwise over
     a chunk of scalars, one ``_batch_affine_add`` per level of sums, and
-    adds k1*G to lambda*(k2*G) in one last batch."""
+    adds k1*G to lambda*(k2*G) in one last batch. A chunk of one scalar
+    adds the same entries in one Jacobian chain instead; the one-scalar
+    calls below take that path."""
 
     def test_edge_scalars_match_reference(self, curve):
         edge = [0, 1, 15, 16, 2**252, 15 * 2**252, _SECP_N - 2, _SECP_N - 1,
@@ -393,6 +395,38 @@ class TestBatchedGeneratorMul:
         want = [reference_mul(curve, s, curve.generator) for s in pool]
         picks = [(i * i + i // 7) % len(pool) for i in range(2 * _GENERATOR_CHUNK + 9)]
         assert curve.mul_generator([pool[i] for i in picks]) == [want[i] for i in picks]
+
+    def test_full_chunk_and_chunk_of_one_match_one_scalar_calls(self, curve):
+        # 129 scalars: a chunk of 128 summed in affine levels, then a chunk
+        # of one summed in a chain
+        rng = random.Random(129)
+        batch = [rng.randrange(_SECP_N) for _ in range(_GENERATOR_CHUNK + 1)]
+        assert curve.mul_generator(batch) == [curve.mul_generator([s])[0] for s in batch]
+        assert curve.mul_generator(batch[-1:]) == [
+            reference_mul(curve, batch[-1], curve.generator)]
+
+    def test_one_scalar_calls_of_zero_and_n_return_the_identity(self, curve):
+        for s in (0, _SECP_N, 2 * _SECP_N):
+            assert curve.mul_generator([s]) == [None]
+            assert curve.mul(s, curve.generator) is None
+
+    def test_one_inversion_per_chunk_of_one(self, curve, monkeypatch):
+        # a count, not a timing: a chain normalises once, where the affine
+        # levels of one scalar would invert five times
+        curve.mul_generator([1])  # the table is built, with its own inversions
+        calls = []
+        inverses = algebra._inverses
+        monkeypatch.setattr(algebra, "_inverses",
+                            lambda values, m: calls.append(len(values)) or inverses(values, m))
+        rng = random.Random(1)
+        for s in [1, _SECP_N - 1, _GLV_LAMBDA] + [rng.randrange(1, _SECP_N) for _ in range(5)]:
+            calls.clear()
+            curve.mul_generator([s])
+            curve.mul(s, curve.generator)
+            assert calls == [1, 1], s
+        calls.clear()
+        curve.mul_generator([rng.randrange(1, _SECP_N) for _ in range(_GENERATOR_CHUNK + 1)])
+        assert len(calls) <= 5 + 1 and calls[-1] == 1
 
     @given(batch=st.lists(st.integers(-2**70, 2**70), max_size=30))
     def test_toy_agrees_with_mul(self, toy61, batch):

@@ -62,6 +62,13 @@ class TestAgainstCryptography:
         points = curve.mul_generator(EDGE_SCALARS)
         assert [curve.encode(p) for p in points] == [oracle_encoding(k) for k in EDGE_SCALARS]
 
+    def test_edge_scalars_one_at_a_time(self, curve):
+        # a call of one scalar takes the Jacobian chain, not the affine levels
+        for k in EDGE_SCALARS:
+            want = oracle_encoding(k)
+            assert curve.encode(curve.mul_generator([k])[0]) == want, k
+            assert curve.encode(curve.mul(k, curve.generator)) == want, k
+
     @settings(max_examples=30)
     @given(ks=st.lists(scalars, min_size=1, max_size=8))
     def test_generator_batches_match_derived_keys(self, curve, ks):

@@ -71,9 +71,10 @@ GROUPS = (ToyGroup(), CurveGroup())
 def manual_swarm(toy101):
     """f(x) = 5 + 7x over q=101, threshold 2, one guard at x=1."""
     poly = GroupPolynomial(toy101.field, (5, 7))
-    commitment = group_commitment(poly, toy101)
-    core_pub = public_share(issue_share(poly, 50), toy101)
-    swarm = Swarm("A", toy101, 2, commitment, core_pub)
+    swarm = Swarm("A", toy101, 2)
+    # no dealer: the hand-built swarm is given its public points
+    swarm.commitment = group_commitment(poly, toy101)
+    swarm.core_public_share = public_share(issue_share(poly, 50), toy101)
     guard = Drone(DroneId("A", 1), issue_share(poly, 1), group_key=poly.group_key)
     swarm.add_drone(guard)
     return poly, swarm
@@ -253,9 +254,9 @@ class TestRunInclusion:
 
     def test_not_enough_guards(self, toy101, rng):
         poly = GroupPolynomial(toy101.field, (5, 7, 3))  # t = 3 needs 2 guards
-        commitment = group_commitment(poly, toy101)
-        swarm = Swarm("A", toy101, 3, commitment,
-                      public_share(issue_share(poly, 50), toy101))
+        swarm = Swarm("A", toy101, 3)
+        swarm.commitment = group_commitment(poly, toy101)
+        swarm.core_public_share = public_share(issue_share(poly, 50), toy101)
         swarm.add_drone(Drone(DroneId("A", 1), issue_share(poly, 1), poly.group_key))
         candidate = Drone(DroneId("A", 2), issue_share(poly, 2))
         with pytest.raises(NotEnoughGuards):
@@ -921,8 +922,9 @@ class TestProvisioning:
         dealer = Dealer(poly)
         drone_shares = [dealer.issue_next() for _ in range(n)]
         core_share = dealer.issue_next()
-        swarm = Swarm("A", group, t, group_commitment(poly, group),
-                      public_share(core_share, group))
+        swarm = Swarm("A", group, t)
+        swarm.commitment = group_commitment(poly, group)
+        swarm.core_public_share = public_share(core_share, group)
         for sh in drone_shares:
             swarm.add_drone(Drone(DroneId("A", sh.x), sh, group_key=poly.group_key))
         return swarm, dealer, core_share
@@ -1050,6 +1052,44 @@ class TestProvisioning:
                 gc.enable()
 
         assert tracked(2000) - tracked(1000) <= 4 * 1000
+
+    def test_no_stored_transcript_row_stays_tracked(self, toy61):
+        # a row of floats and strings is a plain tuple, which the cyclic GC
+        # untracks at its first pass; a tuple subclass it never untracks
+        rng = random.Random(3)
+        core = CoreNetwork(toy61, rng)
+        swarm_a = core.provision_swarm("A", 5, 300)
+        swarm_b = core.provision_swarm("B", 5, 4)
+        outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
+        assert outcome.accepted and len(transcript._rows) > 300
+        gc.collect()
+        assert not any(gc.is_tracked(row) for row in transcript._rows)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_public_points_derived_on_first_read(self, group, monkeypatch):
+        # provisioning does no curve work; each point is one one-scalar
+        # generator mul at its first read, and none after
+        batches = []
+        mul_generator = type(group).mul_generator
+
+        def counting(self, scalars):
+            batches.append(len(scalars))
+            return mul_generator(self, scalars)
+
+        monkeypatch.setattr(type(group), "mul_generator", counting)
+        core = CoreNetwork(group, random.Random(7))
+        swarm = core.provision_swarm("A", 4, 10)
+        assert batches == []
+        commitment = swarm.commitment
+        assert batches == [1]
+        assert swarm.commitment is commitment and batches == [1]
+        core_pair = swarm.core_public_share
+        assert batches == [1, 1]
+        assert swarm.core_public_share is core_pair and batches == [1, 1]
+        poly = core.dealer("A").poly
+        assert commitment == group_commitment(poly, group)
+        assert core.core_identity("A") == DroneId("A", 11)
+        assert core_pair == public_share(issue_share(poly, 11), group)
 
 
 class TestCrossIssue:

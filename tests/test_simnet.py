@@ -560,16 +560,21 @@ class TestScenarios:
 
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_mul_counts_meet_analytic_forms(self, t, monkeypatch):
-        # fixed-base: the commitment and the core's pair per swarm, in one
-        # batch, then each drone's pair once per flow (inclusion: candidate
-        # and t-1 guards, whose first guard delivers the key; unification:
-        # the cross pair and B's t-1 guards; bulk: every arrival and t-1
-        # guards). A batched generator mul counts one fixed-base mul per
-        # scalar; its batches are listed in call order: each guard check
-        # derives the publisher's pair and the quorum's in one batch of t,
-        # and bulk derives all its pairs in one. The core forms its side of
-        # the cross-issue key as one fixed-base mul of the two shares'
-        # product, a batch of 1, so unification makes 2 + 2 + 1 + t.
+        # fixed-base: each swarm's commitment and the core's pair are
+        # one-scalar batches, each made when the run first reads it
+        # (inclusion and bulk read only the commitment, in the first guard
+        # check; unification reads A's core pair to open the cross share,
+        # then B's commitment), and each drone's pair once per flow
+        # (inclusion: candidate and t-1 guards, whose first guard delivers
+        # the key; unification: the cross pair and B's t-1 guards; bulk:
+        # every arrival and t-1 guards). A batched generator mul counts one
+        # fixed-base mul per scalar; its batches are listed in call order:
+        # each guard check derives the publisher's pair and the quorum's in
+        # one batch of t, then reads the commitment, and bulk derives all
+        # its pairs in one. The core forms its side of the cross-issue key
+        # as one fixed-base mul of the two shares' product, a batch of 1,
+        # so unification makes 1 + 1 + t + 1. An empty bulk checks nothing,
+        # so it reads no commitment and makes no fixed-base mul.
         # Variable-base: the pairwise keys (inclusion: the key agreement's
         # two sides; unification: the requester's side of the cross-issue
         # key and the key return's two sides). Each guard check verifies
@@ -598,11 +603,11 @@ class TestScenarios:
         monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
         expected = {
-            ("inclusion", None): ((t + 2, 2, 1, t + 1), [2, t]),
-            ("unification", None): ((t + 5, 3, 1, t + 1), [2, 2, 1, t]),
-            ("bulk", 1): ((1 + t + 1, 0, 1, t + 1), [2, 1 + t - 1]),
-            ("bulk", 25): ((25 + t + 1, 0, 1, t + 1), [2, 25 + t - 1]),
-            ("bulk", 0): ((2, 0, 0, 0), [2]),
+            ("inclusion", None): ((t + 1, 2, 1, t + 1), [t, 1]),
+            ("unification", None): ((t + 3, 3, 1, t + 1), [1, 1, t, 1]),
+            ("bulk", 1): ((1 + t, 0, 1, t + 1), [1 + t - 1, 1]),
+            ("bulk", 25): ((25 + t, 0, 1, t + 1), [25 + t - 1, 1]),
+            ("bulk", 0): ((0, 0, 0, 0), []),
         }
         for (scenario, n), (want, want_batches) in expected.items():
             counts.clear()
