@@ -12,7 +12,6 @@ model.
 from .algebra import CurveGroup, ScalarField, ToyGroup, make_group
 from .shares import (
     Dealer,
-    GroupCommitment,
     GroupPolynomial,
     PrivateShare,
     PublicShare,
@@ -51,11 +50,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurveGroup", "ScalarField", "ToyGroup", "make_group",
-    "Dealer", "GroupCommitment", "GroupPolynomial", "PrivateShare",
-    "PublicShare", "gen_polynomial", "group_commitment", "issue_share",
+    "Dealer", "GroupPolynomial", "PrivateShare", "PublicShare",
+    "gen_polynomial", "group_commitment", "issue_share",
     "lagrange_coeff_at_zero", "public_share", "public_shares",
-    "recover_group_key",
-    "verify_group",
+    "recover_group_key", "verify_group",
     "CoreNetwork", "Drone", "DroneId", "Swarm",
     "derive_pairwise_key", "run_inclusion", "run_unification",
     "Adversary", "LatencyModel", "ScenarioConfig", "TimingReport",

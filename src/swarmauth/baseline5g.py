@@ -21,7 +21,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .algebra import DecodeError, Point
-from .protocol import Transport
+from .protocol import Transport, point_key
 
 __all__ = [
     "DecryptError",
@@ -121,7 +121,7 @@ def compute_suci(group, supi: Supi, bs_public: Point, rng) -> Suci:
     e = group.field.rand_nonzero(rng)
     eph = group.mul(e, group.generator)
     eph_bytes = group.encode(eph)
-    key = hashlib.sha256(group.encode(group.mul(e, bs_public))).digest()
+    key = point_key(group, group.mul(e, bs_public))
     ct = AESGCM(key).encrypt(_ECIES_NONCE, supi.value, eph_bytes)
     return Suci(eph_bytes + ct)
 
@@ -135,7 +135,7 @@ def udm_decrypt(group, suci: Suci, keys: BaseStationKeys) -> Supi:
         eph = group.decode(data[:group.point_width])
     except DecodeError as exc:
         raise DecryptError(f"bad ephemeral point: {exc}") from None
-    key = hashlib.sha256(group.encode(group.mul(keys.private, eph))).digest()
+    key = point_key(group, group.mul(keys.private, eph))
     try:
         supi_bytes = AESGCM(key).decrypt(_ECIES_NONCE, data[group.point_width:],
                                          data[:group.point_width])

@@ -22,10 +22,10 @@ cross-issue round trip), "transfer" (the first share round of a guard
 check), "round" (each later share round), "verdict" (before the guards'
 verdicts), "hop" (key delivery, key return, rebroadcast), "broadcast"
 (each bulk arrival) or "check" (the bulk check). A :class:`Transport`
-built without costs ignores the waits and stamps its transcript with a
-step counter, as ``run_inclusion`` and ``run_unification`` do; ``simnet``
-gives the transport a cost per step, and its exact clock stamps the
-modeled time.
+built without costs ignores the waits and stamps each transcript entry
+with its index, as ``run_inclusion`` and ``run_unification`` do;
+``simnet`` gives the transport a cost per step, and its exact clock stamps
+the modeled time.
 
 A drone stores no role. A swarm's guards are its threshold - 1 lowest
 identifiers, and a drone is a member once it is in the swarm's drone
@@ -52,11 +52,10 @@ from typing import NamedTuple
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .algebra import DecodeError
+from .algebra import DecodeError, Point
 from .shares import (
     Dealer,
     DuplicateIdentifier,
-    GroupCommitment,
     PrivateShare,
     PublicShare,
     _lp,
@@ -387,8 +386,8 @@ class Swarm:
         self._receivers: dict[int, _Receiver] = {}
 
     @cached_property
-    def commitment(self) -> GroupCommitment:
-        return GroupCommitment(self.group.mul_generator([self._dealer.group_key])[0])
+    def commitment(self) -> Point:
+        return self.group.mul_generator([self._dealer.group_key])[0]
 
     @cached_property
     def core_public_share(self) -> PublicShare:
@@ -525,17 +524,11 @@ def fresh_nonce(rng) -> bytes:
 
 def _aad(sender: DroneId, receiver: str, nonce: bytes) -> bytes:
     """The associated data (sender label, receiver label, nonce), each
-    label length-prefixed as :func:`shares._lp` does. The sender's frame
-    is the one its id built (``DroneId.aad_label``), so a rebroadcast,
-    which seals and opens one copy per member under one sender, frames
-    the sender's label once. The receiver's prefix is built inline, as
-    ``_lp`` builds it; a receiver label over 65535 bytes raises
-    ValueError."""
-    receiver_b = receiver.encode()
-    if len(receiver_b) > 0xFFFF:
-        raise ValueError(f"receiver label of {len(receiver_b)} bytes exceeds the "
-                         f"65535-byte length prefix")
-    return sender.aad_label + len(receiver_b).to_bytes(2, "big") + receiver_b + nonce
+    label length-prefixed by :func:`shares._lp`. The sender's frame is the
+    one its id built (``DroneId.aad_label``), so a rebroadcast, which seals
+    and opens one copy per member under one sender, frames the sender's
+    label once."""
+    return sender.aad_label + _lp(receiver.encode()) + nonce
 
 
 def point_key(group, point) -> bytes:
@@ -651,8 +644,8 @@ def _quorum(swarm: Swarm) -> list[Drone]:
 
 
 def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
-                 private: PrivateShare, transport: Transport, rng):
-    """One guard-quorum check of the publisher's share.
+                 transport: Transport, rng):
+    """One guard-quorum check of the share the publisher holds.
 
     The publisher's public pair and the guards' own pairs come from one
     batched generator mul, and each sender's pair is encoded once. The
@@ -679,7 +672,8 @@ def _guard_check(swarm: Swarm, guards: list[Drone], publisher: Drone,
     """
     group = swarm.group
     t = swarm.threshold
-    share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
+    share, *pairs = public_shares([publisher.private_share,
+                                   *(g.private_share for g in guards)], group)
     payload = encode_public_share(group, share)
     payloads = [encode_public_share(group, pair) for pair in pairs]
     decoded: dict[bytes | None, PublicShare | None] = {None: None}
@@ -728,8 +722,7 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
     if candidate.id.x in swarm:
         raise DuplicateIdentifier(f"candidate identifier {candidate.id.x} collides")
     group = swarm.group
-    ok, view, own = _guard_check(swarm, guards, candidate, candidate.private_share,
-                                 transport, rng)
+    ok, view, own = _guard_check(swarm, guards, candidate, transport, rng)
     if not ok:
         return Outcome(False, "verification-failed")
 
@@ -770,8 +763,8 @@ def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
 def run_inclusion(swarm: Swarm, candidate: Drone, rng,
                   transport: Transport | None = None):
     """Authenticate a new arrival against the swarm's guards (see
-    :func:`inclusion_flow`). The transport's step counter stamps the
-    transcript.
+    :func:`inclusion_flow`). A transport without costs stamps each
+    transcript entry with its index.
 
     Returns (outcome, transcript).
     """
@@ -854,8 +847,8 @@ class CoreNetwork:
                     encode_private_share(self.group.field, cross), rng)
 
 
-def _open_cross_share(group, swarm: Swarm, drone: Drone,
-                      msg: ProtocolMessage) -> PrivateShare:
+def _open_cross_share(swarm: Swarm, drone: Drone, msg: ProtocolMessage) -> PrivateShare:
+    group = swarm.group
     cipher = AESGCM(derive_pairwise_key(group, drone.private_share,
                                         swarm.core_public_share))
     return decode_private_share(group.field, open_sealed(cipher, msg, drone.label))
@@ -865,9 +858,9 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
                 away_guards: list[Drone], transport: Transport, rng):
     """One direction of a unification: the designated guard of ``home``
     obtains a share under ``away``'s polynomial and ``away``'s guards check
-    it. Returns (failure reason or None, cross share, the cross public
-    pair as the first guard received it, that guard's own pair)."""
-    group = home.group
+    it. Returns (failure reason or None, the holder of the cross share,
+    the cross public pair as the first guard received it, that guard's own
+    pair)."""
     transport.wait("core")
     request = ProtocolMessage(MessageKind.CROSS_ISSUE_REQUEST, designated.id,
                               fresh_nonce(rng), away.id.encode())
@@ -878,13 +871,15 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
     if delivered is None:
         return "cross-issue-undelivered", None, None, None
     try:
-        cross = _open_cross_share(group, home, designated, delivered)
+        cross = _open_cross_share(home, designated, delivered)
     except (DecryptionFailed, DecodeError):
         return "cross-share-unusable", None, None, None
-    ok, view, own = _guard_check(away, away_guards, designated, cross, transport, rng)
+    # the designated guard's nonce cache was built by the response's delivery
+    holder = Drone(designated.id, cross, nonce_cache=designated.nonce_cache)
+    ok, view, own = _guard_check(away, away_guards, holder, transport, rng)
     if not ok:
         return "verification-failed", None, None, None
-    return None, cross, view, own
+    return None, holder, view, own
 
 
 def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
@@ -919,8 +914,8 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     b_guards = _quorum(swarm_b)
     a_quorum = _quorum(swarm_a) if mutual else None
 
-    failure, cross, view, own = _cross_pass(core, d_a, swarm_a, swarm_b, b_guards,
-                                            transport, rng)
+    failure, holder, view, own = _cross_pass(core, d_a, swarm_a, swarm_b, b_guards,
+                                             transport, rng)
     if failure:
         return Outcome(False, failure)
     if mutual:
@@ -932,10 +927,7 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     # a swarm-B guard returns swarm B's key to the designated guard,
     # encrypted under the pairwise key of the cross share
     transport.wait("hop")
-    # d_a's nonce cache was built by the cross-issue response's delivery
-    cross_holder = Drone(d_a.id, cross, nonce_cache=d_a.nonce_cache)
-    unified_key = _send_group_key(group, b_guards[0], own, cross_holder, view,
-                                  transport, rng)
+    unified_key = _send_group_key(group, b_guards[0], own, holder, view, transport, rng)
     if unified_key is None:
         return Outcome(False, "key-return-failed")
 
@@ -971,8 +963,8 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
 def run_unification(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
                     transport: Transport | None = None, mutual: bool = False):
     """Merge two swarms onto swarm B's group key (see
-    :func:`unification_flow`). The transport's step counter stamps the
-    transcript.
+    :func:`unification_flow`). A transport without costs stamps each
+    transcript entry with its index.
 
     Returns (outcome, transcript).
     """

@@ -25,7 +25,6 @@ __all__ = [
     "GroupPolynomial",
     "PrivateShare",
     "PublicShare",
-    "GroupCommitment",
     "gen_polynomial",
     "issue_share",
     "public_share",
@@ -110,13 +109,6 @@ class PublicShare:
             raise InvalidIdentifier("share identifier must be nonzero")
 
 
-@dataclass(frozen=True)
-class GroupCommitment:
-    """Public point Q = f(0)*P that verifiers check share sets against."""
-
-    point: Point
-
-
 def gen_polynomial(field: ScalarField, t: int, rng) -> GroupPolynomial:
     """Draw a uniform degree-(t-1) polynomial; deterministic given the rng.
 
@@ -132,8 +124,6 @@ def gen_polynomial(field: ScalarField, t: int, rng) -> GroupPolynomial:
 
 def issue_share(poly: GroupPolynomial, x: int) -> PrivateShare:
     x = poly.field.reduce(x)
-    if x == 0:
-        raise InvalidIdentifier("share identifier must be nonzero")
     return PrivateShare(x=x, y=poly.evaluate(x))
 
 
@@ -147,8 +137,9 @@ def public_share(share: PrivateShare, group) -> PublicShare:
     return public_shares([share], group)[0]
 
 
-def group_commitment(poly: GroupPolynomial, group) -> GroupCommitment:
-    return GroupCommitment(point=group.mul(poly.group_key, group.generator))
+def group_commitment(poly: GroupPolynomial, group) -> Point:
+    """Q = f(0)*P, the public point that verifiers check share sets against."""
+    return group.mul(poly.group_key, group.generator)
 
 
 def _check_identifiers(field: ScalarField, xs: Sequence[int]):
@@ -240,7 +231,7 @@ def lagrange_coeff_at_zero(field: ScalarField, xs: Sequence[int], i: int) -> int
     return c[i] * field.inv(d) % field.order
 
 
-def verify_group(shares: Sequence[PublicShare], commitment: GroupCommitment,
+def verify_group(shares: Sequence[PublicShare], commitment: Point,
                  group, threshold: int) -> bool:
     """True iff the Lagrange-weighted sum of the public points equals Q.
 
@@ -262,7 +253,7 @@ def verify_group(shares: Sequence[PublicShare], commitment: GroupCommitment,
     _check_identifiers(group.field, xs)
     c, d = _integer_weights(group.field, xs)
     points = [s.point for s in shares]
-    return group.msm(c + [-d], points + [commitment.point]) == group.identity
+    return group.msm(c + [-d], points + [commitment]) == group.identity
 
 
 def recover_group_key(shares: Sequence[PrivateShare], field: ScalarField,

@@ -393,14 +393,14 @@ class Adversary:
     A's designated guard.
     """
 
-    mode: str = "none"
-    group: object = None
-    rng: random.Random | None = None
+    mode: str
+    group: object
+    rng: random.Random
     captured: list = dc_field(init=False, default_factory=list)
     _target: str | None = dc_field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ADVERSARY_MODES:
+        if self.mode not in ATTACK_MODES:
             raise ValueError(f"unknown adversary mode {self.mode!r}")
 
     def intercept(self, msg, receiver):
@@ -426,8 +426,8 @@ class AttackOutcome:
 class _ScenarioResult:
     report: TimingReport
     transcript: AuthTranscript
-    core: CoreNetwork | None = None
-    adversary: Adversary | None = None
+    core: CoreNetwork | None
+    adversary: Adversary | None
 
 
 def run_scenario(config: ScenarioConfig):

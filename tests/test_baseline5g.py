@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from swarmauth import baseline5g, protocol
 from swarmauth.baseline5g import (
     AuthenticationFailure,
     ChallengeState,
@@ -177,6 +178,20 @@ class TestEndToEnd:
         assert counter.asym_decrypt == 1
         assert counter.hash_ops == 2
         assert counter.round_trips == 2
+
+    def test_ecies_key_from_point_key(self, curve, rng, monkeypatch):
+        # the UE and the UDM each derive the SUCI's key with the package's
+        # one KDF over a shared point, and agree on it
+        keys = gen_bs_keys(curve, rng)
+        derived = []
+
+        def counting(group, point):
+            derived.append(protocol.point_key(group, point))
+            return derived[-1]
+        monkeypatch.setattr(baseline5g, "point_key", counting)
+        supi = random_supi(rng)
+        assert run_ue_authentication(curve, supi, keys, rng) == supi
+        assert len(derived) == 2 and derived[0] == derived[1]
 
     def test_tampering_rejected_at_first_checkpoint(self, curve, rng):
         keys = gen_bs_keys(curve, rng)

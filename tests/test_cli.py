@@ -1,12 +1,33 @@
 """CLI surface: exit codes, report lines, CSV stability."""
 
+import pathlib
 import re
+import shlex
 
 import pytest
 
 from swarmauth import cli, protocol
 from swarmauth.cli import main
 from swarmauth.simnet import LatencyModel, baseline_total_us, time_group_auth
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, expected stdout) of each ``$ swarmauth`` line in README's
+    text blocks: the lines under the command, up to the next command or
+    the end of the block."""
+    readme = README.read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", readme, re.S):
+        for command in re.split(r"^\$ swarmauth ", block, flags=re.M)[1:]:
+            line, _, expected = command.partition("\n")
+            examples.append((shlex.split(line), expected))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
 
 
 def write(tmp_path, name, text):
@@ -374,3 +395,21 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
     assert [w[0] for w in want] == [0, 0, 0, 0, 0, 1] * 2
     assert want[-1][2].startswith("usage: swarmauth attack ")
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        assert {argv[0] for argv, _ in README_EXAMPLES} == {"run", "sweep", "attack"}
+
+    @pytest.mark.parametrize("argv,expected", README_EXAMPLES,
+                             ids=[" ".join(argv[:3]) for argv, _ in README_EXAMPLES])
+    def test_example_prints_its_output(self, argv, expected, tmp_path, monkeypatch,
+                                       capsys):
+        # the run example reads README's first ini block as inclusion.cfg
+        readme = README.read_text(encoding="utf-8")
+        config = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        (tmp_path / "inclusion.cfg").write_text(config, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        # README wraps long lines, so runs of whitespace compare equal
+        assert capsys.readouterr().out.split() == expected.split()

@@ -43,6 +43,7 @@ from swarmauth.protocol import (
     run_inclusion,
     run_unification,
     seal,
+    _cross_pass,
     _open_cross_share,
 )
 from swarmauth.shares import (
@@ -481,7 +482,7 @@ class TestGuardCheckCodec:
         assert set(forged.values()) <= set(decoded)
 
 
-def reference_guard_check(swarm, guards, publisher, private, transport, rng):
+def reference_guard_check(swarm, guards, publisher, transport, rng):
     """The guard check as first written, with a dict of received pairs
     per guard keyed by sender x, a separate list of the publisher's pair
     as each guard received it, and a None branch in ``receive``: the
@@ -490,7 +491,8 @@ def reference_guard_check(swarm, guards, publisher, private, transport, rng):
     spy there counts the reference's calls too."""
     group = swarm.group
     t = swarm.threshold
-    share, *pairs = public_shares([private, *(g.private_share for g in guards)], group)
+    share, *pairs = public_shares([publisher.private_share,
+                                   *(g.private_share for g in guards)], group)
     payload = protocol.encode_public_share(group, share)
     payloads = [protocol.encode_public_share(group, pair) for pair in pairs]
     decoded = {}
@@ -1091,6 +1093,16 @@ class TestProvisioning:
         assert core.core_identity("A") == DroneId("A", 11)
         assert core_pair == public_share(issue_share(poly, 11), group)
 
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+    def test_commitment_is_the_point_q(self, group):
+        core = CoreNetwork(group, random.Random(7))
+        swarm = core.provision_swarm("A", 3, 4)
+        poly = core.dealer("A").poly
+        q = group.mul(poly.group_key, group.generator)
+        assert swarm.commitment == group_commitment(poly, group) == q
+        pubs = public_shares([issue_share(poly, x) for x in (1, 2, 3)], group)
+        assert verify_group(pubs, swarm.commitment, group, 3)
+
 
 class TestCrossIssue:
     def test_response_decrypts_to_valid_share(self, toy61):
@@ -1100,9 +1112,25 @@ class TestCrossIssue:
         core.provision_swarm("B", 3, n_drones=2)
         d_a = swarm_a.guards()[0]
         response = core.core_issue_cross_share(d_a.id, "B", rng)
-        cross = _open_cross_share(toy61, swarm_a, d_a, response)
+        cross = _open_cross_share(swarm_a, d_a, response)
         dealer_b = core.dealer("B")
         assert cross.y == dealer_b.poly.evaluate(cross.x)
+
+    def test_cross_pass_returns_the_holder(self, toy61):
+        # the designated guard holds the cross share under its own id, with
+        # the nonce cache that the response's delivery built
+        rng = random.Random(8)
+        core = CoreNetwork(toy61, rng)
+        swarm_a = core.provision_swarm("A", 3, n_drones=2)
+        swarm_b = core.provision_swarm("B", 3, n_drones=2)
+        d_a = swarm_a.guards()[0]
+        failure, holder, _, _ = _cross_pass(core, d_a, swarm_a, swarm_b,
+                                            swarm_b.guards(), Transport(), rng)
+        assert failure is None
+        assert holder.id == d_a.id
+        assert d_a.nonce_cache is not None and holder.nonce_cache is d_a.nonce_cache
+        cross = holder.private_share
+        assert cross.y == core.dealer("B").poly.evaluate(cross.x)
 
     def test_unknown_requester(self, toy61):
         rng = random.Random(8)
@@ -1140,7 +1168,7 @@ class TestCrossIssue:
         seen = set()
         for _ in range(20):
             response = core.core_issue_cross_share(d_a.id, "B", rng)
-            cross = _open_cross_share(toy61, swarm_a, d_a, response)
+            cross = _open_cross_share(swarm_a, d_a, response)
             assert cross.x not in existing
             assert cross.x not in seen
             seen.add(cross.x)

@@ -152,17 +152,17 @@ class TestPublicShare:
 
 class TestGroupCommitment:
     def test_toy_discrete_log(self, toy101):
-        assert group_commitment(poly_5_7x(toy101), toy101).point == 5
+        assert group_commitment(poly_5_7x(toy101), toy101) == 5
 
     def test_zero_key_gives_identity(self, toy101):
         poly = GroupPolynomial(toy101.field, (0, 7))
-        assert group_commitment(poly, toy101).point == toy101.identity
+        assert group_commitment(poly, toy101) == toy101.identity
 
     def test_curve_cross_check_with_recovery(self, curve, rng):
         poly = gen_polynomial(curve.field, 3, rng)
         shares = [issue_share(poly, x) for x in (2, 5, 9)]
         key = recover_group_key(shares, curve.field, 3)
-        assert group_commitment(poly, curve).point == curve.mul(key, curve.generator)
+        assert group_commitment(poly, curve) == curve.mul(key, curve.generator)
 
 
 class TestLagrange:
@@ -350,7 +350,7 @@ class TestVerifyGroup:
             total = group.identity
             for lam, p in zip(reference_weights(f, xs), points):
                 total = group.add(total, group.mul(lam, p))
-            expected = total == commitment.point
+            expected = total == commitment
             assert verify_group(pubs, commitment, group, t) == expected
             if victim is None:
                 assert expected
@@ -452,7 +452,7 @@ class TestRecoverGroupKey:
             shares = [issue_share(poly, x) for x in range(1, t + 3)]
             for subset in itertools.combinations(shares, t):
                 key = recover_group_key(list(subset), toy61.field, t)
-                assert toy61.mul(key, toy61.generator) == commitment.point
+                assert toy61.mul(key, toy61.generator) == commitment
 
 
 class TestThresholdProperty:

@@ -770,9 +770,14 @@ class TestScenarios:
 class TestAdversaries:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            Adversary(mode="ddos")
+            Adversary("ddos", ToyGroup(), random.Random(0))
         with pytest.raises(ValueError):
             inject_adversary(toy_config(scenario="inclusion"))  # mode none
+
+    def test_none_mode_rejected(self):
+        # no adversary is built for a run without an attack
+        with pytest.raises(ValueError):
+            Adversary("none", ToyGroup(), random.Random(0))
 
     @pytest.mark.parametrize("scenario", ["inclusion", "unification"])
     def test_replay_thwarted(self, scenario):
