@@ -47,6 +47,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -256,28 +257,35 @@ class TranscriptEntry(NamedTuple):
     note: str = ""
 
 
+_ROW_WIDTH = len(TranscriptEntry._fields)
+
+
 class AuthTranscript:
     """Append-only record of deliveries; the outcome is set exactly once.
 
-    Each row is stored as a plain tuple of the :class:`TranscriptEntry`
-    fields: the cyclic garbage collector untracks a tuple of floats and
-    strings at its first pass, but never a tuple subclass, so a large run
-    would leave thousands of rows for every later pass to walk.
+    The rows are stored in one flat list, the six :class:`TranscriptEntry`
+    fields of each row after those of the row before, so a row adds no
+    object of its own: a float and strings, none of which the cyclic
+    garbage collector tracks. :attr:`entries` builds the rows anew.
     """
 
     def __init__(self):
-        self._rows: list[tuple] = []
+        self._flat: list = []
         self.outcome: Outcome | None = None
+
+    def _rows(self):
+        """The rows recorded so far, each as a tuple of its fields."""
+        return zip(*[iter(self._flat)] * _ROW_WIDTH)
 
     @property
     def entries(self) -> list[TranscriptEntry]:
         """The rows recorded so far, in order, each built anew."""
-        return [TranscriptEntry._make(row) for row in self._rows]
+        return [TranscriptEntry._make(row) for row in self._rows()]
 
     def record(self, time_us: float, kind: str, sender: str, receiver: str,
                payload: bytes, note: str = ""):
         digest = _sha256(payload).hexdigest()[:16]
-        self._rows.append((time_us, kind, sender, receiver, digest, note))
+        self._flat.extend((time_us, kind, sender, receiver, digest, note))
 
     def set_outcome(self, outcome: Outcome):
         if self.outcome is not None:
@@ -286,7 +294,7 @@ class AuthTranscript:
 
     def render(self) -> str:
         lines = []
-        for time_us, kind, sender, receiver, digest, note in self._rows:
+        for time_us, kind, sender, receiver, digest, note in self._rows():
             line = f"{time_us / 1000.0:.3f} {kind} {sender} -> {receiver} {digest}"
             if note:
                 line += f" !{note}"
@@ -297,12 +305,20 @@ class AuthTranscript:
 
 class NonceCache(set):
     """The (sender, nonce) pairs a receiver has seen; a repeated pair is a
-    replay. The cache is the set of pairs itself, one object per receiver."""
+    replay. The cache is the set of pairs itself, one object per receiver.
+
+    Each pair is stored as one ``bytes`` key, the nonce followed by the
+    sender's UTF-8 label. A nonce of any length but :data:`NONCE_BYTES`
+    raises ValueError, so a key splits back into exactly one pair, and no
+    key is an object the cyclic garbage collector tracks, as a tuple is.
+    """
 
     __slots__ = ()
 
     def check_and_store(self, sender: str, nonce: bytes) -> bool:
-        key = (sender, nonce)
+        if len(nonce) != NONCE_BYTES:
+            raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
+        key = nonce + sender.encode()
         if key in self:
             return False
         self.add(key)
@@ -358,8 +374,11 @@ class Swarm:
 
     A rebroadcast reaches the members through :meth:`receivers` and
     builds no drone: an unbuilt identifier is delivered to as a
-    :class:`_Receiver`, which holds its label, nonce cache and key. A
-    drone built late holds its share and, if a delivery reached its
+    :class:`_Receiver`, which holds its label, nonce cache and key. The
+    first rebroadcast makes the receivers, one list aligned with the
+    unbuilt range, so the receiver of identifier x is at x minus the
+    range's start; building a prefix of the range takes the list's head.
+    A drone built late holds its share and, if a delivery reached its
     identifier, that receiver's key and nonce cache; otherwise the
     provisioning group key and no nonce cache, as an untouched drone
     would. So it equals the drone that eager provisioning and the same
@@ -382,8 +401,8 @@ class Swarm:
         self._dealer: Dealer | None = None
         self._core_share: PrivateShare | None = None
         self._unbuilt = range(0)
-        # empty, or one receiver per unbuilt identifier, in order
-        self._receivers: dict[int, _Receiver] = {}
+        # empty, or one receiver per unbuilt identifier, aligned with the range
+        self._receivers: list[_Receiver] = []
 
     @cached_property
     def commitment(self) -> Point:
@@ -412,9 +431,11 @@ class Swarm:
         """Build the drones of ``xs``, a prefix of the unbuilt identifiers."""
         self._unbuilt = range(xs.stop, self._unbuilt.stop)
         swarm_id, table, receivers = self.id, self._table, self._receivers
+        # the receivers of xs, if a rebroadcast made any, lead the list
+        reached = receivers[:xs.stop - xs.start]
+        del receivers[:len(reached)]
         untouched = self._dealer.group_key, None
-        for sh in self._dealer.shares_at(xs):
-            r = receivers.pop(sh.x, None)
+        for sh, r in zip_longest(self._dealer.shares_at(xs), reached):
             key, cache = untouched if r is None else (r.group_key, r.nonce_cache)
             table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, key, cache)
 
@@ -445,12 +466,12 @@ class Swarm:
         table, unbuilt, receivers = self._table, self._unbuilt, self._receivers
         if unbuilt and not receivers:
             swarm_id, group_key = self.id, self._dealer.group_key
-            receivers.update((x, _Receiver(f"{swarm_id}/{x}", group_key)) for x in unbuilt)
+            receivers += [_Receiver(f"{swarm_id}/{x}", group_key) for x in unbuilt]
         built = sorted(table)
         start, stop = unbuilt.start, unbuilt.stop
         # no built identifier lies inside the unbuilt range
         return [*(table[x] for x in built if x < start),
-                *receivers.values(),
+                *receivers,
                 *(table[x] for x in built if x >= stop)]
 
 
@@ -485,7 +506,7 @@ class Transport:
         """The clock's stamp, or without costs the index of the next entry."""
         if self._now is not None:
             return self._now
-        return float(len(self.transcript._rows))
+        return float(len(self.transcript._flat) // _ROW_WIDTH)
 
     def record(self, kind: str, sender: str, receiver: str, payload: bytes):
         """Log a message that no receiver checks, stamped like a delivery."""
@@ -942,6 +963,9 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
                                      transport.deliver, group.field.decode)
     seal_copy, open_copy = seal, open_sealed
     members = [m for m in swarm_a.receivers() if m is not d_a]
+    # each distinct opened plaintext is decoded once, so the members that
+    # opened the same key stage one int
+    opened: dict[bytes, int] = {}
     staged = []
     stage = staged.append
     for member in members:
@@ -950,7 +974,11 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
         if delivered is None:
             return Outcome(False, "broadcast-rejected")
         try:
-            stage(decode(open_copy(relay, delivered, label)))
+            plain = open_copy(relay, delivered, label)
+            key = opened.get(plain)
+            if key is None:
+                key = opened[plain] = decode(plain)
+            stage(key)
         except (DecryptionFailed, DecodeError):
             return Outcome(False, "broadcast-tampered")
     for member, key in zip(members, staged):

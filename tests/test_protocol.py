@@ -15,7 +15,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from swarmauth import protocol
-from swarmauth.algebra import CurveGroup, DecodeError, ToyGroup
+from swarmauth.algebra import CurveGroup, DecodeError, ScalarField, ToyGroup
 from swarmauth.protocol import (
     AuthTranscript,
     CoreNetwork,
@@ -231,6 +231,28 @@ class TestTransportFreshness:
         assert cache.check_and_store("A/1", b"n" * 16)
         assert not cache.check_and_store("A/1", b"n" * 16)
         assert cache.check_and_store("A/2", b"n" * 16)
+
+    # labels drawn as prefixes of one text with "/" and non-ASCII letters,
+    # and nonces from a pool of three, so that pairs repeat and labels
+    # extend one another
+    _labels = st.text(alphabet="A/1é中\x00", min_size=1, max_size=6).flatmap(
+        lambda text: st.integers(0, len(text)).map(lambda end: text[:end]))
+    _nonces = st.sampled_from([b"n" * 16, b"n" * 15 + b"A", b"/" * 16])
+
+    @given(pairs=st.lists(st.tuples(_labels, _nonces), max_size=30))
+    def test_nonce_cache_is_fresh_exactly_at_a_pairs_first_sight(self, pairs):
+        cache, seen = NonceCache(), set()
+        for sender, nonce in pairs:
+            assert cache.check_and_store(sender, nonce) == ((sender, nonce) not in seen)
+            seen.add((sender, nonce))
+            assert not cache.check_and_store(sender, nonce)
+
+    @pytest.mark.parametrize("length", [0, 15, 17])
+    def test_nonce_cache_rejects_a_nonce_of_another_length(self, length):
+        # a key is the nonce then the label, which splits only at 16 bytes:
+        # ("A", b"n" * 17) and ("nA", b"n" * 16) would share one
+        with pytest.raises(ValueError, match="nonce must be 16 bytes"):
+            NonceCache().check_and_store("A/1", b"n" * length)
 
 
 class TestRunInclusion:
@@ -1055,17 +1077,27 @@ class TestProvisioning:
 
         assert tracked(2000) - tracked(1000) <= 4 * 1000
 
-    def test_no_stored_transcript_row_stays_tracked(self, toy61):
-        # a row of floats and strings is a plain tuple, which the cyclic GC
-        # untracks at its first pass; a tuple subclass it never untracks
+    def test_at_most_two_tracked_objects_per_rekeyed_member(self, toy61):
+        # a merge leaves each unbuilt member of swarm A its receiver and its
+        # nonce cache; the cache's key, the member's transcript row and its
+        # copy of the key are objects the cyclic GC does not track
+        n = 2000
         rng = random.Random(3)
         core = CoreNetwork(toy61, rng)
-        swarm_a = core.provision_swarm("A", 5, 300)
+        swarm_a = core.provision_swarm("A", 5, n)
         swarm_b = core.provision_swarm("B", 5, 4)
-        outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
-        assert outcome.accepted and len(transcript._rows) > 300
         gc.collect()
-        assert not any(gc.is_tracked(row) for row in transcript._rows)
+        gc.disable()
+        try:
+            before = gc.get_objects()  # kept alive, so no id is reused
+            seen = {id(o) for o in before}
+            outcome, transcript = run_unification(swarm_a, swarm_b, core, rng)
+            tracked = sum(id(o) not in seen for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert outcome.accepted and len(transcript.entries) > n
+        assert len(swarm_a.unbuilt) == n - 4  # the guards are built
+        assert tracked <= 2 * len(swarm_a.unbuilt) + 100
 
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
     def test_public_points_derived_on_first_read(self, group, monkeypatch):
@@ -1585,6 +1617,31 @@ class TestRekeyOfUnbuiltMembers:
                 assert transport.deliver(msg, receiver) is None
                 assert [e.note for e in transport.transcript.entries] == [
                     "replay-rejected"] * 2
+
+    def test_rebroadcast_decodes_the_key_once(self, toy61, monkeypatch):
+        # every member opens the same plaintext, so the rebroadcast decodes
+        # it once and the 38 unbuilt members share one int
+        rng = random.Random(7)
+        core = CoreNetwork(toy61, rng)
+        swarm_a = core.provision_swarm("A", 3, n_drones=40)
+        swarm_b = core.provision_swarm("B", 3, n_drones=4)
+        calls = []
+        decode = ScalarField.decode
+
+        def counted(self, data):
+            if sys._getframe(1).f_code.co_name == "unification_flow":
+                calls.append(data)
+            return decode(self, data)
+
+        monkeypatch.setattr(ScalarField, "decode", counted)
+        outcome, _ = run_unification(swarm_a, swarm_b, core, rng)
+        assert outcome == Outcome(True)
+        key_b = core.dealer("B").group_key
+        assert calls == [toy61.field.encode(key_b)]
+        receivers = [m for m in swarm_a.receivers() if not isinstance(m, Drone)]
+        assert len(receivers) == 38
+        assert all(r.group_key is receivers[0].group_key for r in receivers)
+        assert [d.group_key for d in swarm_a.members()] == [key_b] * 40
 
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
     def test_second_merge_reaches_the_same_receivers(self, group):

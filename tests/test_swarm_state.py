@@ -74,8 +74,12 @@ def row(drone):
 def late_key(swarm, x):
     """The key that building the unbuilt identifier x would give its drone:
     that of the receiver a rebroadcast reached it as, else the dealer's."""
-    receiver = swarm._receivers.get(x)
-    return swarm._dealer.group_key if receiver is None else receiver.group_key
+    receivers = swarm._receivers
+    if not receivers:
+        return swarm._dealer.group_key
+    # the receivers are aligned with the unbuilt identifiers
+    assert len(receivers) == len(swarm.unbuilt)
+    return receivers[x - swarm.unbuilt.start].group_key
 
 
 class SwarmMachine(RuleBasedStateMachine):
