@@ -759,17 +759,22 @@ def inclusion_flow(swarm: Swarm, candidate: Drone, rng, transport: Transport):
 def bulk_flow(swarm: Swarm, arrivals: list[Drone], transport: Transport):
     """A bulk admission; returns its Outcome.
 
-    The public pairs of every arrival and of the guard quorum are derived
-    together, in one batched generator mul, before the first broadcast.
-    Each arrival broadcasts its pair to the swarm; one threshold check of
-    the quorum plus the first arrival admits the batch, and the other
-    arrivals are not verified. An empty batch needs no quorum and no check.
+    The public pairs of the arrivals, then those of the guard quorum, are
+    derived before the first broadcast, in two calls of
+    :func:`public_shares`. The arrivals hold consecutive identifiers of
+    one polynomial, which public_shares walks by differences; the core's
+    share lies between their run and the quorum's, so one call of both
+    would not walk. Each arrival broadcasts its pair to the swarm; one
+    threshold check of the quorum plus the first arrival admits the batch,
+    and the other arrivals are not verified. An empty batch needs no
+    quorum and no check.
     """
     if not arrivals:
         return Outcome(True)
     group = swarm.group
     quorum = _quorum(swarm)
-    pubs = public_shares([d.private_share for d in arrivals + quorum], group)
+    pubs = [*public_shares([d.private_share for d in arrivals], group),
+            *public_shares([d.private_share for d in quorum], group)]
     for arrival, pub in zip(arrivals, pubs):
         transport.wait("broadcast")
         transport.record(MessageKind.SHARE_PUBLISH.name, arrival.label,

@@ -127,9 +127,60 @@ def issue_share(poly: GroupPolynomial, x: int) -> PrivateShare:
     return PrivateShare(x=x, y=poly.evaluate(x))
 
 
+# The highest order of forward differences that public_shares looks for.
+# A walk of order k costs k additions per share, sharing one inversion,
+# where the batch costs about 28 table additions. Walk time over batch
+# time for 100 scalars, medians of 31 interleaved rounds on the curve,
+# 2-core VM, Python 3.11.7:
+#   order k       1     4     8    12    16    20    24
+#   walk/batch  0.26  0.38  0.55  0.72  0.87  1.02  1.03
+_DIFFERENCE_ORDER_CAP = 16
+
+
+def _difference_column(ys: Sequence[int], q: int) -> list | None:
+    """The first column (y_0, D^1_0, ..., D^k_0) of the forward-difference
+    table of ys mod q, where D^i is the i-th row, for the least order
+    1 <= k <= ``_DIFFERENCE_ORDER_CAP`` whose row D^k is constant and at
+    least two entries long; None if there is no such order."""
+    row = [y % q for y in ys]
+    column = row[:1]
+    for _ in range(_DIFFERENCE_ORDER_CAP):
+        row = [(b - a) % q for a, b in zip(row, row[1:])]
+        if len(row) < 2:
+            return None
+        column.append(row[0])
+        if row.count(row[0]) == len(row):
+            return column
+    return None
+
+
 def public_shares(shares: Sequence[PrivateShare], group) -> list:
-    """The public pairs of many shares, from one batched generator mul."""
-    points = group.mul_generator([s.y for s in shares])
+    """The public pairs of many shares, in order.
+
+    Shares whose y's have a constant forward-difference row D^k (see
+    :func:`_difference_column`), as the dealer's shares at consecutive
+    identifiers have at k = t - 1, are walked (Knuth, TAOCP vol. 2,
+    4.6.4): one batched generator mul of the k + 1 scalars of the table's
+    first column, then per further share one ``group.add_all`` of the k
+    pairs (D^i, D^(i+1)) of the column before, whose last point, D^k, is
+    kept. Each new entry is the sum of two whose scalars add up to it mod
+    q, and with D^k constant the table's row D^0 is the y's, so each point
+    is y*P exactly; only the speed depends on the structure of the y's. A
+    walked share costs k additions and, on the curve, at most one
+    inversion, where a batch costs about 28 table additions per scalar.
+    Any other input, and any of fewer than k + 2 shares, takes one batched
+    generator mul of all the y's.
+    """
+    ys = [s.y for s in shares]
+    column = _difference_column(ys, group.order)
+    if column is None:
+        points = group.mul_generator(ys)
+    else:
+        table = group.mul_generator(column)
+        points = table[:1]
+        for _ in range(len(ys) - 1):
+            table[:-1] = group.add_all(list(zip(table, table[1:])))
+            points.append(table[0])
     return [PublicShare(x=s.x, point=p) for s, p in zip(shares, points)]
 
 

@@ -150,6 +150,99 @@ class TestPublicShare:
             assert public_shares([], group) == []
 
 
+class _BatchLog:
+    """A group whose generator batches are logged by size."""
+
+    def __init__(self, group):
+        self.group, self.batches = group, []
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    def mul_generator(self, scalars):
+        self.batches.append(len(scalars))
+        return self.group.mul_generator(scalars)
+
+
+def _run(group, coeffs, start, n):
+    """The shares at identifiers start, start + 1, ... of the polynomial
+    with these coefficients (constant first), y reduced mod the order."""
+    q = group.order
+    return [PrivateShare(x, sum(c * x ** i for i, c in enumerate(coeffs)) % q)
+            for x in range(start, start + n)]
+
+
+class TestPublicSharesByDifferences:
+    """public_shares walks a run whose y's have a constant difference row
+    and equals the per-share generator mul on every input."""
+
+    @given(st.data())
+    def test_toy_walk_equals_per_share(self, toy61, data):
+        q = toy61.order
+        degree = data.draw(st.integers(0, 6), label="degree")
+        coeffs = [data.draw(st.integers(0, q - 1)) for _ in range(degree)]
+        coeffs.append(data.draw(st.integers(0 if degree == 0 else 1, q - 1)))
+        start = data.draw(st.integers(1, q - 1), label="start")
+        n = data.draw(st.integers(0, 30), label="length")
+        run = _run(toy61, coeffs, start, n)
+        change = data.draw(st.sampled_from(["none", "replace", "zero", "repeat"])
+                           if n else st.just("none"), label="change")
+        if change != "none":
+            # a repeat at 0 repeats the last y
+            i = data.draw(st.integers(0, n - 1), label="at")
+            y = (data.draw(st.integers(0, q - 1)) if change == "replace"
+                 else 0 if change == "zero" else run[i - 1].y)
+            run[i] = PrivateShare(run[i].x, y)
+        logged = _BatchLog(toy61)
+        assert public_shares(run, logged) == [public_share(s, toy61) for s in run]
+        # an unchanged run walks from the order of its degree (a constant
+        # run from order 1) once it is two entries longer than that order
+        order = max(degree, 1)
+        if change == "none" and n >= order + 2:
+            assert logged.batches == [order + 1]
+
+    def test_curve_honest_run_walks(self, curve, rng):
+        t = 5
+        run = _run(curve, gen_polynomial(curve.field, t, rng).coeffs, t + 1, t + 2)
+        logged = _BatchLog(curve)
+        assert public_shares(run, logged) == [public_share(s, curve) for s in run]
+        assert logged.batches == [t]
+
+    def test_curve_perturbed_run_falls_back(self, curve, rng):
+        t = 5
+        run = _run(curve, gen_polynomial(curve.field, t, rng).coeffs, t + 1, t + 2)
+        run[3] = PrivateShare(run[3].x, curve.field.rand(rng))
+        logged = _BatchLog(curve)
+        assert public_shares(run, logged) == [public_share(s, curve) for s in run]
+        assert logged.batches == [t + 2]
+
+    def test_curve_walk_through_the_identity(self, curve):
+        q = curve.order
+        run = [PrivateShare(x, y) for x, y in enumerate([2, 1, 0, q - 1, q - 2], 1)]
+        logged = _BatchLog(curve)
+        pubs = public_shares(run, logged)
+        assert pubs == [public_share(s, curve) for s in run]
+        assert pubs[2].point is None
+        assert pubs[3].point == curve.neg(pubs[1].point)
+        assert logged.batches == [2]
+
+    def test_curve_constant_run(self, curve):
+        run = [PrivateShare(x, 1234567) for x in range(1, 6)]
+        logged = _BatchLog(curve)
+        pubs = public_shares(run, logged)
+        assert [p.point for p in pubs] == [curve.mul(1234567, curve.generator)] * 5
+        assert logged.batches == [2]
+
+    def test_curve_order_above_the_cap_falls_back(self, curve):
+        # degree cap walks at order cap; degree cap + 1 is not looked for
+        cap = shares._DIFFERENCE_ORDER_CAP
+        for degree, batches in ((cap, [cap + 1]), (cap + 1, [cap + 3])):
+            run = _run(curve, range(1, degree + 2), 1, cap + 3)
+            logged = _BatchLog(curve)
+            assert public_shares(run, logged) == [public_share(s, curve) for s in run]
+            assert logged.batches == batches, degree
+
+
 class TestGroupCommitment:
     def test_toy_discrete_log(self, toy101):
         assert group_commitment(poly_5_7x(toy101), toy101) == 5

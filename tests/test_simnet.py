@@ -570,11 +570,18 @@ class TestScenarios:
         # every arrival and t-1 guards). A batched generator mul counts one
         # fixed-base mul per scalar; its batches are listed in call order:
         # each guard check derives the publisher's pair and the quorum's in
-        # one batch of t, then reads the commitment, and bulk derives all
-        # its pairs in one. The core forms its side of the cross-issue key
+        # one batch of t, then reads the commitment. Bulk derives the
+        # arrivals' pairs, then the quorum's (a batch of t-1), then reads
+        # the commitment. The n arrivals hold consecutive identifiers of
+        # the degree-(t-1) polynomial, so for n >= t+1 their pairs are
+        # walked by differences: one batch of the t scalars of the
+        # difference table's first column, then n-1 add_all calls of t-1
+        # pairs, 2t fixed-base muls in all. A single arrival is a batch of
+        # 1 and no add_all. The core forms its side of the cross-issue key
         # as one fixed-base mul of the two shares' product, a batch of 1,
         # so unification makes 1 + 1 + t + 1. An empty bulk checks nothing,
-        # so it reads no commitment and makes no fixed-base mul.
+        # so it reads no commitment and makes no fixed-base mul. Only the
+        # walk calls add_all.
         # Variable-base: the pairwise keys (inclusion: the key agreement's
         # two sides; unification: the requester's side of the cross-issue
         # key and the key return's two sides). Each guard check verifies
@@ -582,8 +589,9 @@ class TestScenarios:
         # the same t pairs, so it is one msm of t + 1 points: the t public
         # points and the commitment, folded in with weight -d.
         counts = collections.Counter()
-        batches = []
+        batches, additions = [], []
         mul, mul_generator, msm = ToyGroup.mul, ToyGroup.mul_generator, ToyGroup.msm
+        add_all = ToyGroup.add_all
 
         def counting_mul(group, s, point):
             counts["fixed" if point == group.generator else "variable"] += 1
@@ -599,19 +607,25 @@ class TestScenarios:
             counts["msm points"] += len(points)
             return msm(group, scalars, points)
 
+        def counting_add_all(group, pairs):
+            additions.append(len(pairs))
+            return add_all(group, pairs)
+
         monkeypatch.setattr(ToyGroup, "mul", counting_mul)
         monkeypatch.setattr(ToyGroup, "mul_generator", counting_mul_generator)
         monkeypatch.setattr(ToyGroup, "msm", counting_msm)
+        monkeypatch.setattr(ToyGroup, "add_all", counting_add_all)
         expected = {
-            ("inclusion", None): ((t + 1, 2, 1, t + 1), [t, 1]),
-            ("unification", None): ((t + 3, 3, 1, t + 1), [1, 1, t, 1]),
-            ("bulk", 1): ((1 + t, 0, 1, t + 1), [1 + t - 1, 1]),
-            ("bulk", 25): ((25 + t, 0, 1, t + 1), [25 + t - 1, 1]),
-            ("bulk", 0): ((0, 0, 0, 0), []),
+            ("inclusion", None): ((t + 1, 2, 1, t + 1), [t, 1], []),
+            ("unification", None): ((t + 3, 3, 1, t + 1), [1, 1, t, 1], []),
+            ("bulk", 1): ((1 + t, 0, 1, t + 1), [1, t - 1, 1], []),
+            ("bulk", 25): ((2 * t, 0, 1, t + 1), [t, t - 1, 1], [t - 1] * 24),
+            ("bulk", 0): ((0, 0, 0, 0), [], []),
         }
-        for (scenario, n), (want, want_batches) in expected.items():
+        for (scenario, n), (want, want_batches, want_additions) in expected.items():
             counts.clear()
             batches.clear()
+            additions.clear()
             sized = {} if n is None else {"n_drones": n}
             report, _ = run_scenario(toy_config(scenario=scenario, threshold=t,
                                                 **sized))
@@ -619,6 +633,7 @@ class TestScenarios:
             assert (counts["fixed"], counts["variable"], counts["msm"],
                     counts["msm points"]) == want, (scenario, n)
             assert batches == want_batches, (scenario, n)
+            assert additions == want_additions, (scenario, n)
 
     @pytest.mark.parametrize("t", (2, 5, 9))
     def test_aead_and_message_counts_meet_analytic_forms(self, t, monkeypatch):
