@@ -44,10 +44,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import heapq
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
@@ -180,17 +181,9 @@ class ProtocolMessage:
     nonce: bytes
     payload: bytes
 
-    # written out in place of the generated __init__ and a __post_init__,
-    # since a merge seals one message per rebroadcast receiver; the
-    # generated method would call object.__setattr__ per field and then
-    # __post_init__
-    def __init__(self, kind: MessageKind, sender: DroneId, nonce: bytes, payload: bytes):
-        if len(nonce) != NONCE_BYTES:
+    def __post_init__(self):
+        if len(self.nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-        _set_msg_kind(self, kind)
-        _set_msg_sender(self, sender)
-        _set_msg_nonce(self, nonce)
-        _set_msg_payload(self, payload)
 
     def to_bytes(self) -> bytes:
         """Wire form: kind tag, sender id, nonce, length-prefixed payload."""
@@ -226,13 +219,6 @@ class ProtocolMessage:
             # the label is too long for its associated-data frame
             raise DecodeError("sender identifier has no label") from None
         return cls(kind, sender, nonce, payload)
-
-
-# the slot descriptors of the class that @dataclass(slots=True) returned;
-# setting through them skips the frozen __setattr__
-_set_msg_kind, _set_msg_sender, _set_msg_nonce, _set_msg_payload = (
-    ProtocolMessage.kind.__set__, ProtocolMessage.sender.__set__,
-    ProtocolMessage.nonce.__set__, ProtocolMessage.payload.__set__)
 
 
 @dataclass(frozen=True)
@@ -308,21 +294,23 @@ class NonceCache(set):
     replay. The cache is the set of pairs itself, one object per receiver.
 
     Each pair is stored as one ``bytes`` key, the nonce followed by the
-    sender's UTF-8 label. A nonce of any length but :data:`NONCE_BYTES`
-    raises ValueError, so a key splits back into exactly one pair, and no
-    key is an object the cyclic garbage collector tracks, as a tuple is.
+    sender's UTF-8 label, after the ``scope`` the check is given. A nonce
+    of any length but :data:`NONCE_BYTES` raises ValueError, so a key
+    splits back into exactly one pair, and no key is an object the cyclic
+    garbage collector tracks, as a tuple is. A swarm keeps the receipts of
+    all its unbuilt members in one cache, each scoped by the member's
+    framed label (see :class:`Swarm`).
     """
 
     __slots__ = ()
 
-    def check_and_store(self, sender: str, nonce: bytes) -> bool:
+    def check_and_store(self, sender: str, nonce: bytes, scope: bytes = b"") -> bool:
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-        key = nonce + sender.encode()
-        if key in self:
-            return False
-        self.add(key)
-        return True
+        # the pair is fresh when storing its key grows the set
+        size = len(self)
+        self.add(scope + nonce + sender.encode())
+        return len(self) > size
 
 
 @dataclass(slots=True)
@@ -332,7 +320,8 @@ class Drone:
 
     ``nonce_cache`` is built by the first delivery to the drone, so the
     members that never receive a message build none; a drone built after
-    a delivery to its identifier takes that receiver's (see :class:`Swarm`).
+    a rebroadcast reached its identifier takes its slice of the swarm's
+    receipts (see :class:`Swarm`).
     """
 
     id: DroneId
@@ -343,21 +332,6 @@ class Drone:
     @property
     def label(self) -> str:
         return self.id.label
-
-
-class _Receiver:
-    """An unbuilt member as a delivery reaches it: its label, its nonce
-    cache and the group key its last accepted rebroadcast gave it. Its
-    drone, when built, takes over the key and the cache (see
-    :meth:`Swarm._build`); the cache is made with the receiver, so the
-    two objects always share one."""
-
-    __slots__ = ("label", "nonce_cache", "group_key")
-
-    def __init__(self, label: str, group_key: int):
-        self.label = label
-        self.nonce_cache = NonceCache()
-        self.group_key = group_key
 
 
 class Swarm:
@@ -372,17 +346,17 @@ class Swarm:
     pass of the dealer. ``drones`` maps identifier to drone in order of
     building and admission; :meth:`members` lists them by identifier.
 
-    A rebroadcast reaches the members through :meth:`receivers` and
-    builds no drone: an unbuilt identifier is delivered to as a
-    :class:`_Receiver`, which holds its label, nonce cache and key. The
-    first rebroadcast makes the receivers, one list aligned with the
-    unbuilt range, so the receiver of identifier x is at x minus the
-    range's start; building a prefix of the range takes the list's head.
-    A drone built late holds its share and, if a delivery reached its
-    identifier, that receiver's key and nonce cache; otherwise the
-    provisioning group key and no nonce cache, as an untouched drone
-    would. So it equals the drone that eager provisioning and the same
-    runs would have built.
+    A rebroadcast reaches the unbuilt members without building a drone or
+    any other object per member, so the swarm holds their state once. A
+    rebroadcast moves every member or none (see :func:`unification_flow`),
+    so they all hold one key, ``_member_key``. Their receipts are one
+    :class:`NonceCache`, ``_receipts``, each key scoped by its receiver's
+    label framed as :func:`_aad` frames it, so the set rejects exactly
+    what one cache per member would. A drone built late holds its share,
+    ``_member_key`` and, if a rebroadcast reached its identifier, a nonce
+    cache of its slice of the receipts, which leaves the swarm's set;
+    otherwise no nonce cache, as an untouched drone would. So it equals
+    the drone that eager provisioning and the same runs would have built.
 
     The two public points are derived on first read, each by a one-scalar
     generator mul, so a run pays only for the one it reads:
@@ -401,8 +375,9 @@ class Swarm:
         self._dealer: Dealer | None = None
         self._core_share: PrivateShare | None = None
         self._unbuilt = range(0)
-        # empty, or one receiver per unbuilt identifier, aligned with the range
-        self._receivers: list[_Receiver] = []
+        # the key and the receipts of the unbuilt members
+        self._member_key: int | None = None
+        self._receipts = NonceCache()
 
     @cached_property
     def commitment(self) -> Point:
@@ -428,16 +403,22 @@ class Swarm:
         return self._table
 
     def _build(self, xs: range):
-        """Build the drones of ``xs``, a prefix of the unbuilt identifiers."""
+        """Build the drones of ``xs``, a prefix of the unbuilt identifiers,
+        each with the members' key and its receipts, which leave the
+        swarm's set; the caches hold the same keys in whatever order the
+        set is walked."""
         self._unbuilt = range(xs.stop, self._unbuilt.stop)
-        swarm_id, table, receivers = self.id, self._table, self._receivers
-        # the receivers of xs, if a rebroadcast made any, lead the list
-        reached = receivers[:xs.stop - xs.start]
-        del receivers[:len(reached)]
-        untouched = self._dealer.group_key, None
-        for sh, r in zip_longest(self._dealer.shares_at(xs), reached):
-            key, cache = untouched if r is None else (r.group_key, r.nonce_cache)
-            table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, key, cache)
+        swarm_id, table, receipts = self.id, self._table, self._receipts
+        # a receipt's scope frames the label "swarm/x": its length prefix,
+        # the swarm id and "/" come before x
+        head, caches = 3 + len(swarm_id.encode()), defaultdict(NonceCache)
+        for key in [*receipts]:
+            end = 2 + int.from_bytes(key[:2], "big")
+            if (x := int(key[head:end])) in xs:
+                receipts.remove(key)
+                caches[x].add(key[end:])
+        for sh in self._dealer.shares_at(xs):
+            table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, self._member_key, caches.get(sh.x))
 
     def add_drone(self, drone: Drone):
         if drone.id.x in self:
@@ -459,20 +440,25 @@ class Swarm:
         table = self.drones
         return [table[x] for x in sorted(table)]
 
-    def receivers(self) -> list:
-        """Every member as a delivery reaches it, by identifier, building
-        no drone: a built drone as itself and an unbuilt identifier as its
-        receiver, made by the first call."""
-        table, unbuilt, receivers = self._table, self._unbuilt, self._receivers
-        if unbuilt and not receivers:
-            swarm_id, group_key = self.id, self._dealer.group_key
-            receivers += [_Receiver(f"{swarm_id}/{x}", group_key) for x in unbuilt]
-        built = sorted(table)
-        start, stop = unbuilt.start, unbuilt.stop
-        # no built identifier lies inside the unbuilt range
-        return [*(table[x] for x in built if x < start),
-                *receivers,
-                *(table[x] for x in built if x >= stop)]
+
+# An unbuilt member of ``swarm`` as a rebroadcast copy reaches it through
+# an intercept hook: its identifier and label, over its slice of the
+# swarm's receipts. Made per copy, only when a hook is installed; once the
+# member's drone is built, a delivery to the view reaches the drone.
+_UnbuiltMember = namedtuple("_UnbuiltMember", "swarm x label")
+
+
+def _receipts_of(receiver) -> tuple[NonceCache, bytes]:
+    """The nonce cache a delivery to ``receiver`` checks, and the scope of
+    its keys: an unbuilt member's slice of its swarm's receipts, or the
+    receiver's own cache, built if it has none yet."""
+    if type(receiver) is _UnbuiltMember:
+        if receiver.x in receiver.swarm.unbuilt:
+            return receiver.swarm._receipts, _lp(receiver.label.encode())
+        receiver = receiver.swarm._table[receiver.x]
+    if receiver.nonce_cache is None:
+        receiver.nonce_cache = NonceCache()
+    return receiver.nonce_cache, b""
 
 
 class Transport:
@@ -513,30 +499,36 @@ class Transport:
         self.transcript.record(self._stamp(), kind, sender, receiver, payload)
 
     def deliver(self, msg: ProtocolMessage, receiver) -> ProtocolMessage | None:
-        """Deliver to anything with ``label`` and ``nonce_cache``, building
-        the receiver's cache if it has none yet; returns the (possibly
-        intercepted) message, or None when rejected as a replay.
+        """Deliver to a drone, an unbuilt member's view or anything else
+        with ``label`` and ``nonce_cache`` (see :func:`_receipts_of`);
+        returns the (possibly intercepted) message, or None when it is
+        dropped or rejected as a replay.
 
-        Every delivery passes the intercept hook, one
-        :meth:`NonceCache.check_and_store` and one transcript row. A
-        rebroadcast makes one delivery per member, so the clock's stamp is
-        read here rather than through :meth:`_stamp` when costs are set.
+        Every delivery passes the intercept hook. A hook that returns None
+        drops the message: no row is recorded, and the flow takes the path
+        of a rejected replay. Any other message is received through
+        :meth:`_receive`, as each copy of a rebroadcast without a hook is.
         """
         if self.intercept is not None:
             msg = self.intercept(msg, receiver)
-        sender = msg.sender.label
-        cache = receiver.nonce_cache
-        if cache is None:
-            cache = receiver.nonce_cache = NonceCache()
-        fresh = cache.check_and_store(sender, msg.nonce)
-        now = self._now
-        if now is None:
-            now = self._stamp()
+            if msg is None:
+                return None
         # an enum's ``name`` is a property over the stored ``_name_``, and
         # hashing a member for a lookup runs Enum.__hash__ in Python
-        self.transcript.record(now, msg.kind._name_, sender, receiver.label,
-                               msg.payload, "" if fresh else "replay-rejected")
-        return msg if fresh else None
+        return msg if self._receive(*_receipts_of(receiver), msg.kind._name_, msg.sender.label,
+                                    receiver.label, msg.nonce, msg.payload) else None
+
+    def _receive(self, cache: NonceCache, scope: bytes, kind: str, sender: str,
+                 receiver: str, nonce: bytes, payload: bytes) -> bool:
+        """One receipt check of (sender, nonce) in ``cache`` under
+        ``scope`` and its transcript row; returns whether the pair was
+        fresh. A rebroadcast receives one copy per member, so the clock's
+        stamp is read here rather than through :meth:`_stamp` when costs
+        are set."""
+        fresh = cache.check_and_store(sender, nonce, scope)
+        self.transcript.record(self._stamp() if self._now is None else self._now, kind,
+                               sender, receiver, payload, "" if fresh else "replay-rejected")
+        return fresh
 
 
 def fresh_nonce(rng) -> bytes:
@@ -615,7 +607,8 @@ def _publish_share(sender: Drone, payload: bytes, receiver,
                    transport: Transport, rng) -> bytes | None:
     """Send a SHARE_PUBLISH of an encoded public pair; returns the payload
     as the receiver got it (the in-path intercept hook may have replaced
-    it), or None when the receiver rejects it as a replay."""
+    it), or None when it is dropped or the receiver rejects it as a
+    replay."""
     msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, sender.id, fresh_nonce(rng), payload)
     delivered = transport.deliver(msg, receiver)
     return None if delivered is None else delivered.payload
@@ -635,8 +628,8 @@ def _send_group_key(group, deliverer: Drone, deliverer_pub: PublicShare,
                     transport: Transport, rng) -> int | None:
     """KEY_AGREEMENT_INIT (the deliverer's public pair, as derived for the
     guard check) followed by the encrypted group key; returns the key as
-    recovered by the recipient, or None when the recipient rejects a
-    message as a replay or cannot decode or authenticate it."""
+    recovered by the recipient, or None when a message is dropped, or the
+    recipient rejects it as a replay or cannot decode or authenticate it."""
     init = ProtocolMessage(MessageKind.KEY_AGREEMENT_INIT, deliverer.id,
                            fresh_nonce(rng), encode_public_share(group, deliverer_pub))
     try:
@@ -830,6 +823,7 @@ class CoreNetwork:
         unbuilt = dealer.register_range(n_drones)
         swarm = Swarm(swarm_id, self.group, threshold)
         swarm._dealer, swarm._unbuilt = dealer, unbuilt
+        swarm._member_key = dealer.group_key
         swarm._core_share = dealer.issue_next()
         self.swarms[swarm_id] = swarm
         return swarm
@@ -921,12 +915,21 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     ``mutual=True`` adds the mirrored pass (a swarm-B guard verified by
     swarm A) before any key moves.
 
-    Each member of swarm A but the designated guard gets its own copy: one
-    :func:`seal`, one :meth:`Transport.deliver` and one
-    :func:`open_sealed`, whose associated data the member frames from the
-    delivered message. The sender's label is framed once, with its id
-    (``DroneId.aad_label``), and the loop's invariant lookups are bound
-    before it.
+    Each member of swarm A but the designated guard gets its own copy, in
+    order of identifier, sealed with one AES-GCM context of swarm A's key
+    under a nonce drawn as :func:`fresh_nonce` draws it. A member's label
+    is framed once, for the copy's associated data, which the open reuses
+    when the copy arrives untouched, and for the scope of an unbuilt
+    member's receipt. Without an intercept hook a copy is no object: it is
+    received through :meth:`Transport._receive`, the receipt check and
+    transcript row of every delivery, into a built drone's nonce cache or
+    the unbuilt members' one set (see :class:`Swarm`). With a hook, each
+    copy is a :class:`ProtocolMessage` delivered through
+    :meth:`Transport.deliver` to the drone, or to an unbuilt member's view
+    (:class:`_UnbuiltMember`); a hook that drops a copy ends the run as a
+    rejected replay does. A copy that does not open to the key broadcast,
+    such as one tampered with or an earlier rebroadcast's copy held back,
+    ends it ``broadcast-tampered``.
     """
     if swarm_a.group is not swarm_b.group:
         raise ValueError("swarms must share one group configuration")
@@ -957,39 +960,49 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     if unified_key is None:
         return Outcome(False, "key-return-failed")
 
-    # rebroadcast under swarm A's current group key: one AES-GCM context
-    # seals and opens every member's copy, and each opened key is staged
-    # until the last copy has opened. The members are reached as they are
-    # delivered to, so no unbuilt drone is built (see Swarm.receivers)
+    # rebroadcast under swarm A's current group key, built members and
+    # unbuilt identifiers in one order; the loop's invariant lookups are
+    # bound before it
     transport.wait("hop")
     relay = AESGCM(group_key_cipher_key(group.field, d_a.group_key))
-    unified_plain = group.field.encode(unified_key)
-    kind, sender, deliver, decode = (MessageKind.UNIFIED_KEY_BROADCAST, d_a.id,
-                                     transport.deliver, group.field.decode)
-    seal_copy, open_copy = seal, open_sealed
-    members = [m for m in swarm_a.receivers() if m is not d_a]
-    # each distinct opened plaintext is decoded once, so the members that
-    # opened the same key stage one int
-    opened: dict[bytes, int] = {}
-    staged = []
-    stage = staged.append
-    for member in members:
-        label = member.label
-        delivered = deliver(seal_copy(kind, relay, sender, label, unified_plain, rng), member)
-        if delivered is None:
-            return Outcome(False, "broadcast-rejected")
+    encrypt, decrypt, plain = relay.encrypt, relay.decrypt, group.field.encode(unified_key)
+    kind, sender, prefix = MessageKind.UNIFIED_KEY_BROADCAST, d_a.id, f"{swarm_a.id}/"
+    kind_name, sender_label, sender_frame = kind._name_, sender.label, sender.aad_label
+    intercept, deliver, receive = transport.intercept, transport.deliver, transport._receive
+    getrandbits, bits = rng.getrandbits, 8 * NONCE_BYTES
+    table, unbuilt, receipts = swarm_a._table, swarm_a.unbuilt, swarm_a._receipts
+    built = sorted(x for x in table if x != sender.x)
+    # no built identifier lies inside the unbuilt range
+    for x in chain([x for x in built if x < unbuilt.start], unbuilt,
+                   [x for x in built if x >= unbuilt.stop]):
+        drone = table.get(x)
+        label = f"{prefix}{x}" if drone is None else drone.label
+        frame = _lp(label.encode())
+        nonce = getrandbits(bits).to_bytes(NONCE_BYTES, "big")
+        aad = sender_frame + frame + nonce
+        payload = encrypt(nonce, plain, aad)
+        if intercept is None:
+            cache, scope = (receipts, frame) if drone is None else _receipts_of(drone)
+            if not receive(cache, scope, kind_name, sender_label, label, nonce, payload):
+                return Outcome(False, "broadcast-rejected")
+        else:
+            msg = ProtocolMessage(kind, sender, nonce, payload)
+            got = deliver(msg, drone or _UnbuiltMember(swarm_a, x, label))
+            if got is None:
+                return Outcome(False, "broadcast-rejected")
+            if got is not msg:
+                nonce, payload = got.nonce, got.payload
+                aad = got.sender.aad_label + frame + nonce
         try:
-            plain = open_copy(relay, delivered, label)
-            key = opened.get(plain)
-            if key is None:
-                key = opened[plain] = decode(plain)
-            stage(key)
-        except (DecryptionFailed, DecodeError):
+            if decrypt(nonce, payload, aad) != plain:
+                return Outcome(False, "broadcast-tampered")
+        except InvalidTag:
             return Outcome(False, "broadcast-tampered")
-    for member, key in zip(members, staged):
-        member.group_key = key
-    d_a.group_key = unified_key
-    # both swarms now share swarm B's key for intra-group traffic
+    # every copy opened: the whole swarm moves onto swarm B's key, which
+    # both swarms now share for intra-group traffic
+    for drone in table.values():
+        drone.group_key = unified_key
+    swarm_a._member_key = unified_key
     return Outcome(True)
 
 

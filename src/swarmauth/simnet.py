@@ -539,7 +539,8 @@ def _judge_mitm(result: _ScenarioResult) -> AttackOutcome:
 
 def _judge_replay(result: _ScenarioResult) -> AttackOutcome:
     """Every captured message is re-delivered once and must be rejected by
-    the receivers' nonce caches."""
+    the receivers' nonce caches: a drone's own, or an unbuilt member's
+    slice of its swarm's receipts."""
     outcome, captured = result.transcript.outcome, result.adversary.captured
     if not outcome.accepted:
         return AttackOutcome(False, f"honest run failed under observation: {outcome}")
@@ -563,9 +564,10 @@ def _judge_eavesdrop(result: _ScenarioResult) -> AttackOutcome:
     core, group = result.core, result.core.group
     # every scalar the core dealt: each group key and every evaluated
     # share, the core's own and the cross-issued shares included. The core
-    # evaluates shares only in Dealer.shares_at and a _Receiver holds none,
-    # so the share of a member still in its swarm's unbuilt range was never
-    # computed and cannot be on the wire: the scan skips that range.
+    # evaluates shares only in Dealer.shares_at, and a rebroadcast reaches
+    # an unbuilt member with no share (see protocol.Swarm), so the share of
+    # a member still in its swarm's unbuilt range was never computed and
+    # cannot be on the wire: the scan skips that range.
     for swarm_id, swarm in core.swarms.items():
         dealer, unbuilt = core.dealer(swarm_id), swarm.unbuilt
         xs = [*range(1, unbuilt.start),

@@ -211,7 +211,7 @@ class TestAttack:
     def test_accepted_replays_exit_2(self, monkeypatch, capsys):
         # negative control: a nonce cache that accepts everything
         monkeypatch.setattr(protocol.NonceCache, "check_and_store",
-                            lambda cache, sender, nonce: True)
+                            lambda cache, sender, nonce, scope=b"": True)
         assert main(["attack", "--mode", "replay"]) == 2
         out = capsys.readouterr().out
         assert out.splitlines() == [

@@ -210,6 +210,24 @@ def test_output_matches_golden_file(case):
         pytest.fail("".join(diff), pytrace=False)
 
 
+PASS_THROUGH_CASES = sorted(c for c in CASES if "inclusion" in c or "unification" in c)
+
+
+@pytest.mark.parametrize("case", PASS_THROUGH_CASES)
+def test_pass_through_hook_leaves_output_unchanged(case, monkeypatch):
+    # every transport built without an intercept hook gets one that passes
+    # each message on: a rebroadcast then makes each copy a message and
+    # delivers it, where without a hook it makes none, and a member built
+    # late reads its receipts from the swarm's set either way
+    init = Transport.__init__
+
+    def hooked(self, intercept=None, costs=None):
+        init(self, intercept or (lambda msg, receiver: msg), costs)
+
+    monkeypatch.setattr(Transport, "__init__", hooked)
+    assert _render(case) == _golden_path(case).read_bytes()
+
+
 def test_golden_directory_holds_one_file_per_case():
     recorded = {path.stem for path in GOLDEN_DIR.glob("*.txt")}
     orphans, missing = sorted(recorded - CASES.keys()), sorted(CASES.keys() - recorded)

@@ -644,20 +644,31 @@ class TestScenarios:
         # Unification adds the cross-issue request and its sealed response,
         # the key return (two messages, one seal) and one sealed rebroadcast
         # to each of the n-1 other drones of swarm A. Bulk delivers nothing:
-        # each of its n broadcasts is only recorded.
+        # each of its n broadcasts is only recorded. A rebroadcast copy is
+        # no message and no delivery, so each count is taken where every
+        # copy passes: AES-GCM encrypt and decrypt, and receipt checks.
         counts = collections.Counter()
-        seal, open_sealed, deliver = (protocol.seal, protocol.open_sealed,
-                                      protocol.Transport.deliver)
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        class CountingAESGCM:
+            def __init__(self, key):
+                self._cipher = AESGCM(key)
 
-        monkeypatch.setattr(protocol, "seal", counting("seal", seal))
-        monkeypatch.setattr(protocol, "open_sealed", counting("open", open_sealed))
-        monkeypatch.setattr(protocol.Transport, "deliver", counting("deliver", deliver))
+            def encrypt(self, *args):
+                counts["seal"] += 1
+                return self._cipher.encrypt(*args)
+
+            def decrypt(self, *args):
+                counts["open"] += 1
+                return self._cipher.decrypt(*args)
+
+        check_and_store = protocol.NonceCache.check_and_store
+
+        def counting_check(cache, *args):
+            counts["deliver"] += 1
+            return check_and_store(cache, *args)
+
+        monkeypatch.setattr(protocol, "AESGCM", CountingAESGCM)
+        monkeypatch.setattr(protocol.NonceCache, "check_and_store", counting_check)
         check = t * (t - 1)
         expected = {
             ("inclusion", None): (1, 1, check + 2, check + 2),
@@ -816,18 +827,19 @@ class TestAdversaries:
         assert outcome.thwarted, outcome.detail
         assert "leak no private share" in outcome.detail
 
+    @pytest.mark.parametrize("n", [12, 50])
     @pytest.mark.parametrize("group", ["toy", "production"])
-    def test_attacks_on_a_rekey_of_unbuilt_members(self, group):
+    def test_attacks_on_a_rekey_of_unbuilt_members(self, group, n):
         # at t = 5 swarm A's guards are A/1-A/4, and the rebroadcast reaches
-        # A/5-A/12 without building their drones; a replay to each is
-        # rejected by its receiver's nonce cache
-        config = ScenarioConfig(scenario="unification", n_drones=12, seed=4,
+        # A/5-A/n without building their drones; a replay to each is
+        # rejected by its slice of the swarm's receipts
+        config = ScenarioConfig(scenario="unification", n_drones=n, seed=4,
                                 group=group, adversary="replay")
         captured = simnet._run(config).adversary.captured
         receivers = [receiver.label for msg, receiver in captured
                      if msg.kind is MessageKind.UNIFIED_KEY_BROADCAST
                      and not isinstance(receiver, protocol.Drone)]
-        assert receivers == [f"A/{x}" for x in range(5, 13)]
+        assert receivers == [f"A/{x}" for x in range(5, n + 1)]
         outcome = inject_adversary(config)
         assert outcome.thwarted, outcome.detail
         assert outcome.detail == (f"all {len(captured)} replayed messages "
@@ -855,7 +867,7 @@ class TestAdversaries:
     def test_replay_control_nonce_cache_accepts_everything(self, scenario,
                                                            monkeypatch):
         monkeypatch.setattr(protocol.NonceCache, "check_and_store",
-                            lambda cache, sender, nonce: True)
+                            lambda cache, sender, nonce, scope=b"": True)
         config = toy_config(scenario=scenario, adversary="replay", seed=2)
         outcome = inject_adversary(config)
         assert not outcome.thwarted

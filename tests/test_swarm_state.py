@@ -4,14 +4,16 @@ Rules provision swarms, run inclusions, one-way and mutual merges and bulk
 runs, admit a drone straight through ``add_drone``, and read a swarm's
 table through ``guards()``, ``members()`` or ``drones``. An inclusion or
 a merge may run over a transport that drops, replays or tampers with the
-k-th delivery of one kind of message; a bulk run delivers nothing, so it
-runs unfaulted. A shadow of every swarm is built eagerly, share by share,
-at provisioning and changes only as an accepted run says it must; after
-every rule each swarm's built drones must equal their shadow rows, and
-each unbuilt identifier must be one whose drone a build would give its
-shadow's key. So a rejected run changes no member's key and no swarm's
-drones, and whatever a swarm has read, admitted or been merged onto so
-far, its drones are the ones eager provisioning and the same runs build.
+k-th delivery of one kind of message, each rebroadcast copy included; a
+bulk run delivers nothing, so it runs unfaulted. A shadow of every swarm
+is built eagerly, share by share, at provisioning and changes only as an
+accepted run says it must; after every rule each swarm's built drones
+must equal their shadow rows, each unbuilt identifier must be one whose
+drone a build would give its shadow's key, and the swarm's receipts must
+be those of unbuilt identifiers. So a rejected run changes no member's
+key and no swarm's drones, and whatever a swarm has read, admitted or
+been merged onto so far, its drones are the ones eager provisioning and
+the same runs build.
 """
 
 import random
@@ -41,18 +43,19 @@ FAULTS = st.none() | st.tuples(st.sampled_from(("drop", "replay", "tamper")),
 
 
 class FaultyTransport(Transport):
-    """A transport that drops the k-th delivery of one kind of message,
-    counted from 0 (the receiver never gets it), replaces it with the
-    message delivered just before it, or flips its first payload byte.
+    """A transport whose intercept hook drops the k-th delivery of one kind
+    of message, counted from 0 (the receiver never gets it), replaces it
+    with the message delivered just before it, or flips its first payload
+    byte. The hook sees every delivery, each rebroadcast copy included.
     ``fault`` is None or (action, kind, k)."""
 
     def __init__(self, fault):
-        super().__init__()
+        super().__init__(intercept=self.inject)
         self.fault = fault
         self.seen = 0
         self.last = None
 
-    def deliver(self, msg, receiver):
+    def inject(self, msg, receiver):
         if self.fault is not None and msg.kind is self.fault[1]:
             action, _, k = self.fault
             if self.seen == k:
@@ -64,7 +67,7 @@ class FaultyTransport(Transport):
                     msg = replace(msg, payload=bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
             self.seen += 1
         self.last = msg
-        return super().deliver(msg, receiver)
+        return msg
 
 
 def row(drone):
@@ -73,13 +76,16 @@ def row(drone):
 
 def late_key(swarm, x):
     """The key that building the unbuilt identifier x would give its drone:
-    that of the receiver a rebroadcast reached it as, else the dealer's."""
-    receivers = swarm._receivers
-    if not receivers:
-        return swarm._dealer.group_key
-    # the receivers are aligned with the unbuilt identifiers
-    assert len(receivers) == len(swarm.unbuilt)
-    return receivers[x - swarm.unbuilt.start].group_key
+    the one key the swarm holds for its unbuilt members."""
+    assert x in swarm.unbuilt
+    return swarm._member_key
+
+
+def receipt_owners(swarm):
+    """The identifiers whose receipts the swarm's set holds; each key is
+    scoped by its receiver's framed label "swarm/x"."""
+    head = 3 + len(swarm.id.encode())
+    return {int(key[head:2 + int.from_bytes(key[:2], "big")]) for key in swarm._receipts}
 
 
 class SwarmMachine(RuleBasedStateMachine):
@@ -134,8 +140,9 @@ class SwarmMachine(RuleBasedStateMachine):
                                      FaultyTransport(fault), mutual=mutual)
         event(f"{'mutual ' * mutual}merge {outcome}")
         if outcome.accepted:
-            # read as the rebroadcast reached them, so swarm A stays unbuilt
-            assert all(m.group_key == key_b for m in swarm_a.receivers())
+            # read without building, so swarm A stays unbuilt
+            assert all(d.group_key == key_b for d in swarm_a._table.values())
+            assert not swarm_a.unbuilt or swarm_a._member_key == key_b
             if swarm_a._unbuilt:
                 event("merged with members unbuilt")
             self.shadow[a] = {x: (*r[:3], key_b) for x, r in self.shadow[a].items()}
@@ -183,6 +190,8 @@ class SwarmMachine(RuleBasedStateMachine):
             keys = {r[3] for r in shadow.values()}
             assert len(keys) == 1
             assert all(late_key(swarm, x) == shadow[x][3] for x in unbuilt)
+            # the swarm's receipts are those of its unbuilt members only
+            assert receipt_owners(swarm) <= set(unbuilt)
 
 
 SwarmMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25)
