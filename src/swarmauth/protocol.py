@@ -34,7 +34,7 @@ payload); the delivery names its receiver.
 
 Every message carries a fresh nonce; receivers keep the (sender, nonce)
 pairs they have seen for the scenario lifetime, so replayed messages are
-rejected.
+rejected. A swarm keeps the pairs of all its members in one set.
 All randomness flows through a caller-provided ``random.Random``, which
 makes transcripts reproducible for a fixed seed.
 """
@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import heapq
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -290,21 +290,22 @@ class AuthTranscript:
 
 
 class NonceCache(set):
-    """The (sender, nonce) pairs a receiver has seen; a repeated pair is a
-    replay. The cache is the set of pairs itself, one object per receiver.
+    """The (sender, nonce) pairs its receivers have seen; a repeated pair
+    is a replay to the same receiver.
 
-    Each pair is stored as one ``bytes`` key, the nonce followed by the
-    sender's UTF-8 label, after the ``scope`` the check is given. A nonce
-    of any length but :data:`NONCE_BYTES` raises ValueError, so a key
-    splits back into exactly one pair, and no key is an object the cyclic
-    garbage collector tracks, as a tuple is. A swarm keeps the receipts of
-    all its unbuilt members in one cache, each scoped by the member's
-    framed label (see :class:`Swarm`).
+    Each pair is stored as one ``bytes`` key: the ``scope`` the check is
+    given, which a delivery sets to its receiver's label framed as
+    :func:`_aad` frames it, then the nonce, then the sender's UTF-8 label.
+    A nonce of any length but :data:`NONCE_BYTES` raises ValueError, so a
+    key splits back into exactly one pair, and no key is an object the
+    cyclic garbage collector tracks, as a tuple is. So one set rejects
+    exactly what one cache per receiver would, and a swarm keeps one for
+    all its members (see :class:`Swarm`).
     """
 
     __slots__ = ()
 
-    def check_and_store(self, sender: str, nonce: bytes, scope: bytes = b"") -> bool:
+    def check_and_store(self, sender: str, nonce: bytes, scope: bytes) -> bool:
         if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
         # the pair is fresh when storing its key grows the set
@@ -318,10 +319,9 @@ class Drone:
     """A swarm participant and the key material it holds. Its role follows
     from its swarm: see :meth:`Swarm.guards`.
 
-    ``nonce_cache`` is built by the first delivery to the drone, so the
-    members that never receive a message build none; a drone built after
-    a rebroadcast reached its identifier takes its slice of the swarm's
-    receipts (see :class:`Swarm`).
+    ``nonce_cache`` is its swarm's receipt set once the drone is a
+    member (see :class:`Swarm`); a drone of no swarm builds its own at the
+    first delivery to it.
     """
 
     id: DroneId
@@ -349,14 +349,12 @@ class Swarm:
     A rebroadcast reaches the unbuilt members without building a drone or
     any other object per member, so the swarm holds their state once. A
     rebroadcast moves every member or none (see :func:`unification_flow`),
-    so they all hold one key, ``_member_key``. Their receipts are one
-    :class:`NonceCache`, ``_receipts``, each key scoped by its receiver's
-    label framed as :func:`_aad` frames it, so the set rejects exactly
-    what one cache per member would. A drone built late holds its share,
-    ``_member_key`` and, if a rebroadcast reached its identifier, a nonce
-    cache of its slice of the receipts, which leaves the swarm's set;
-    otherwise no nonce cache, as an untouched drone would. So it equals
-    the drone that eager provisioning and the same runs would have built.
+    so they all hold one key, ``_member_key``. Every member's receipts,
+    built or not, are one :class:`NonceCache`, ``_receipts``, each key
+    scoped by its receiver's label, and every member's ``nonce_cache`` is
+    that set. So no receipt moves when a drone is built, and a drone built
+    late equals the one eager provisioning and the same runs would have
+    built.
 
     The two public points are derived on first read, each by a one-scalar
     generator mul, so a run pays only for the one it reads:
@@ -375,7 +373,7 @@ class Swarm:
         self._dealer: Dealer | None = None
         self._core_share: PrivateShare | None = None
         self._unbuilt = range(0)
-        # the key and the receipts of the unbuilt members
+        # the key of the unbuilt members, and every member's receipts
         self._member_key: int | None = None
         self._receipts = NonceCache()
 
@@ -404,25 +402,18 @@ class Swarm:
 
     def _build(self, xs: range):
         """Build the drones of ``xs``, a prefix of the unbuilt identifiers,
-        each with the members' key and its receipts, which leave the
-        swarm's set; the caches hold the same keys in whatever order the
-        set is walked."""
+        each with the members' key and the swarm's receipts."""
         self._unbuilt = range(xs.stop, self._unbuilt.stop)
-        swarm_id, table, receipts = self.id, self._table, self._receipts
-        # a receipt's scope frames the label "swarm/x": its length prefix,
-        # the swarm id and "/" come before x
-        head, caches = 3 + len(swarm_id.encode()), defaultdict(NonceCache)
-        for key in [*receipts]:
-            end = 2 + int.from_bytes(key[:2], "big")
-            if (x := int(key[head:end])) in xs:
-                receipts.remove(key)
-                caches[x].add(key[end:])
+        swarm_id, key, receipts = self.id, self._member_key, self._receipts
         for sh in self._dealer.shares_at(xs):
-            table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, self._member_key, caches.get(sh.x))
+            self._table[sh.x] = Drone(DroneId(swarm_id, sh.x), sh, key, receipts)
 
     def add_drone(self, drone: Drone):
+        """Admit a drone, whose receipts join the swarm's set."""
         if drone.id.x in self:
             raise DuplicateIdentifier(f"identifier {drone.id.x} already present in swarm {self.id}")
+        self._receipts.update(drone.nonce_cache or ())
+        drone.nonce_cache = self._receipts
         self._table[drone.id.x] = drone
 
     def guards(self) -> list[Drone]:
@@ -441,24 +432,10 @@ class Swarm:
         return [table[x] for x in sorted(table)]
 
 
-# An unbuilt member of ``swarm`` as a rebroadcast copy reaches it through
-# an intercept hook: its identifier and label, over its slice of the
-# swarm's receipts. Made per copy, only when a hook is installed; once the
-# member's drone is built, a delivery to the view reaches the drone.
-_UnbuiltMember = namedtuple("_UnbuiltMember", "swarm x label")
-
-
-def _receipts_of(receiver) -> tuple[NonceCache, bytes]:
-    """The nonce cache a delivery to ``receiver`` checks, and the scope of
-    its keys: an unbuilt member's slice of its swarm's receipts, or the
-    receiver's own cache, built if it has none yet."""
-    if type(receiver) is _UnbuiltMember:
-        if receiver.x in receiver.swarm.unbuilt:
-            return receiver.swarm._receipts, _lp(receiver.label.encode())
-        receiver = receiver.swarm._table[receiver.x]
-    if receiver.nonce_cache is None:
-        receiver.nonce_cache = NonceCache()
-    return receiver.nonce_cache, b""
+# An unbuilt member as a rebroadcast copy reaches it through an intercept
+# hook: its label over its swarm's receipts, made per copy only when a
+# hook is installed.
+_UnbuiltMember = namedtuple("_UnbuiltMember", "label nonce_cache")
 
 
 class Transport:
@@ -500,9 +477,10 @@ class Transport:
 
     def deliver(self, msg: ProtocolMessage, receiver) -> ProtocolMessage | None:
         """Deliver to a drone, an unbuilt member's view or anything else
-        with ``label`` and ``nonce_cache`` (see :func:`_receipts_of`);
-        returns the (possibly intercepted) message, or None when it is
-        dropped or rejected as a replay.
+        with ``label`` and ``nonce_cache``, checked under the receiver's
+        framed label; a receiver with no cache yet is given one. Returns
+        the (possibly intercepted) message, or None when it is dropped or
+        rejected as a replay.
 
         Every delivery passes the intercept hook. A hook that returns None
         drops the message: no row is recorded, and the flow takes the path
@@ -513,10 +491,13 @@ class Transport:
             msg = self.intercept(msg, receiver)
             if msg is None:
                 return None
+        if receiver.nonce_cache is None:
+            receiver.nonce_cache = NonceCache()
+        label = receiver.label
         # an enum's ``name`` is a property over the stored ``_name_``, and
         # hashing a member for a lookup runs Enum.__hash__ in Python
-        return msg if self._receive(*_receipts_of(receiver), msg.kind._name_, msg.sender.label,
-                                    receiver.label, msg.nonce, msg.payload) else None
+        return msg if self._receive(receiver.nonce_cache, _lp(label.encode()), msg.kind._name_,
+                                    msg.sender.label, label, msg.nonce, msg.payload) else None
 
     def _receive(self, cache: NonceCache, scope: bytes, kind: str, sender: str,
                  receiver: str, nonce: bytes, payload: bytes) -> bool:
@@ -894,7 +875,7 @@ def _cross_pass(core: CoreNetwork, designated: Drone, home: Swarm, away: Swarm,
         cross = _open_cross_share(home, designated, delivered)
     except (DecryptionFailed, DecodeError):
         return "cross-share-unusable", None, None, None
-    # the designated guard's nonce cache was built by the response's delivery
+    # the holder is the designated guard, so it shares the guard's receipts
     holder = Drone(designated.id, cross, nonce_cache=designated.nonce_cache)
     ok, view, own = _guard_check(away, away_guards, holder, transport, rng)
     if not ok:
@@ -919,12 +900,11 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
     order of identifier, sealed with one AES-GCM context of swarm A's key
     under a nonce drawn as :func:`fresh_nonce` draws it. A member's label
     is framed once, for the copy's associated data, which the open reuses
-    when the copy arrives untouched, and for the scope of an unbuilt
-    member's receipt. Without an intercept hook a copy is no object: it is
-    received through :meth:`Transport._receive`, the receipt check and
-    transcript row of every delivery, into a built drone's nonce cache or
-    the unbuilt members' one set (see :class:`Swarm`). With a hook, each
-    copy is a :class:`ProtocolMessage` delivered through
+    when the copy arrives untouched, and for the scope of its receipt.
+    Without an intercept hook a copy is no object: it is received through
+    :meth:`Transport._receive`, the receipt check and transcript row of
+    every delivery, into swarm A's one receipt set (see :class:`Swarm`).
+    With a hook, each copy is a :class:`ProtocolMessage` delivered through
     :meth:`Transport.deliver` to the drone, or to an unbuilt member's view
     (:class:`_UnbuiltMember`); a hook that drops a copy ends the run as a
     rejected replay does. A copy that does not open to the key broadcast,
@@ -982,12 +962,11 @@ def unification_flow(swarm_a: Swarm, swarm_b: Swarm, core: CoreNetwork, rng,
         aad = sender_frame + frame + nonce
         payload = encrypt(nonce, plain, aad)
         if intercept is None:
-            cache, scope = (receipts, frame) if drone is None else _receipts_of(drone)
-            if not receive(cache, scope, kind_name, sender_label, label, nonce, payload):
+            if not receive(receipts, frame, kind_name, sender_label, label, nonce, payload):
                 return Outcome(False, "broadcast-rejected")
         else:
             msg = ProtocolMessage(kind, sender, nonce, payload)
-            got = deliver(msg, drone or _UnbuiltMember(swarm_a, x, label))
+            got = deliver(msg, drone or _UnbuiltMember(label, receipts))
             if got is None:
                 return Outcome(False, "broadcast-rejected")
             if got is not msg:

@@ -539,8 +539,8 @@ def _judge_mitm(result: _ScenarioResult) -> AttackOutcome:
 
 def _judge_replay(result: _ScenarioResult) -> AttackOutcome:
     """Every captured message is re-delivered once and must be rejected by
-    the receivers' nonce caches: a drone's own, or an unbuilt member's
-    slice of its swarm's receipts."""
+    the receivers' nonce caches: a member's swarm's receipt set, or a
+    non-member's own cache."""
     outcome, captured = result.transcript.outcome, result.adversary.captured
     if not outcome.accepted:
         return AttackOutcome(False, f"honest run failed under observation: {outcome}")

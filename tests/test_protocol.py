@@ -238,16 +238,16 @@ class TestTransportFreshness:
 
     def test_nonce_cache_scoped_per_sender(self):
         cache = NonceCache()
-        assert cache.check_and_store("A/1", b"n" * 16)
-        assert not cache.check_and_store("A/1", b"n" * 16)
-        assert cache.check_and_store("A/2", b"n" * 16)
+        assert cache.check_and_store("A/1", b"n" * 16, b"")
+        assert not cache.check_and_store("A/1", b"n" * 16, b"")
+        assert cache.check_and_store("A/2", b"n" * 16, b"")
 
     def test_nonce_cache_scoped_per_receiver(self):
         # one cache of scoped keys rejects what one cache per scope would
         cache = NonceCache()
         assert cache.check_and_store("A/1", b"n" * 16, b"\x00\x03A/2")
         assert cache.check_and_store("A/1", b"n" * 16, b"\x00\x03A/3")
-        assert cache.check_and_store("A/1", b"n" * 16)
+        assert cache.check_and_store("A/1", b"n" * 16, b"")
         assert not cache.check_and_store("A/1", b"n" * 16, b"\x00\x03A/2")
         assert cache == {b"\x00\x03A/2nnnnnnnnnnnnnnnnA/1", b"\x00\x03A/3nnnnnnnnnnnnnnnnA/1",
                          b"nnnnnnnnnnnnnnnnA/1"}
@@ -263,16 +263,16 @@ class TestTransportFreshness:
     def test_nonce_cache_is_fresh_exactly_at_a_pairs_first_sight(self, pairs):
         cache, seen = NonceCache(), set()
         for sender, nonce in pairs:
-            assert cache.check_and_store(sender, nonce) == ((sender, nonce) not in seen)
+            assert cache.check_and_store(sender, nonce, b"") == ((sender, nonce) not in seen)
             seen.add((sender, nonce))
-            assert not cache.check_and_store(sender, nonce)
+            assert not cache.check_and_store(sender, nonce, b"")
 
     @pytest.mark.parametrize("length", [0, 15, 17])
     def test_nonce_cache_rejects_a_nonce_of_another_length(self, length):
         # a key is the nonce then the label, which splits only at 16 bytes:
         # ("A", b"n" * 17) and ("nA", b"n" * 16) would share one
         with pytest.raises(ValueError, match="nonce must be 16 bytes"):
-            NonceCache().check_and_store("A/1", b"n" * length)
+            NonceCache().check_and_store("A/1", b"n" * length, b"")
 
 
 class TestRunInclusion:
@@ -741,7 +741,7 @@ class TestHotPathTypes:
     def test_round_trips(self, copier):
         drone_id, share = DroneId("A", 3), PrivateShare(3, 9)
         cache = NonceCache()
-        cache.check_and_store("B/1", b"n" * 16)
+        cache.check_and_store("B/1", b"n" * 16, b"")
         drone = Drone(drone_id, share, group_key=5, nonce_cache=cache)
         msg = ProtocolMessage(MessageKind.AUTH_VERDICT, drone_id, b"n" * 16, b"p")
         for obj in (drone_id, share, drone, msg):
@@ -755,7 +755,7 @@ class TestHotPathTypes:
         twin = copier(drone)
         assert twin.label == twin.id.label == "A/3"
         assert type(twin.nonce_cache) is NonceCache
-        assert not twin.nonce_cache.check_and_store("B/1", b"n" * 16)
+        assert not twin.nonce_cache.check_and_store("B/1", b"n" * 16, b"")
 
     def test_drone_holds_no_role(self):
         assert [f.name for f in dataclasses.fields(Drone)] == [
@@ -1148,7 +1148,7 @@ class TestCrossIssue:
 
     def test_cross_pass_returns_the_holder(self, toy61):
         # the designated guard holds the cross share under its own id, with
-        # the nonce cache that the response's delivery built
+        # its swarm's receipts
         rng = random.Random(8)
         core = CoreNetwork(toy61, rng)
         swarm_a = core.provision_swarm("A", 3, n_drones=2)
@@ -1158,7 +1158,7 @@ class TestCrossIssue:
                                             swarm_b.guards(), Transport(), rng)
         assert failure is None
         assert holder.id == d_a.id
-        assert d_a.nonce_cache is not None and holder.nonce_cache is d_a.nonce_cache
+        assert holder.nonce_cache is d_a.nonce_cache is swarm_a._receipts
         cross = holder.private_share
         assert cross.y == core.dealer("B").poly.evaluate(cross.x)
 
@@ -1568,11 +1568,19 @@ class TestTargetedIntercepts:
         assert [d.group_key for d in swarm_a.members()] == [key_a] * sizes[0]
 
 
+def scoped(receipts, label):
+    """The receipts of the receiver ``label`` in a swarm's set: the keys its
+    framed label scopes, without the scope."""
+    frame = _lp(label.encode())
+    return {key[len(frame):] for key in receipts if key.startswith(frame)}
+
+
 class TestRekeyOfUnbuiltMembers:
     """A merge reaches swarm A's unbuilt members without building their
     drones. A drone built after the merge equals the one built before it
-    and rekeyed: it holds swarm B's key, the same nonce cache, and the
-    copy of the key it was sent is a replay to it."""
+    and rekeyed: it holds swarm B's key and swarm A's one receipt set,
+    which equals the eager run's, and the copy of the key it was sent is a
+    replay to it."""
 
     @staticmethod
     def merge(group, read_first, hooked=True):
@@ -1610,8 +1618,9 @@ class TestRekeyOfUnbuiltMembers:
             late, built = swarm_a.drones[x], eager.drones[x]
             assert (late.id, late.label, late.private_share, late.group_key) == (
                 built.id, built.label, built.private_share, key_b)
-            assert late.nonce_cache == built.nonce_cache == unhooked.drones[x].nonce_cache
-            assert len(late.nonce_cache) == 1
+            assert late.nonce_cache is swarm_a._receipts
+            assert built.nonce_cache is eager._receipts
+            assert len(scoped(swarm_a._receipts, late.label)) == 1
             for drone, (msg, receiver) in ((late, captured[late.label]),
                                            (built, eager_captured[built.label])):
                 transport = Transport()
@@ -1619,12 +1628,13 @@ class TestRekeyOfUnbuiltMembers:
                 assert transport.deliver(msg, receiver) is None
                 assert [e.note for e in transport.transcript.entries] == [
                     "replay-rejected"] * 2
-        # every receipt left the swarm's set with its drone
-        assert not swarm_a._receipts and not unhooked._receipts
+        # no receipt moved when a drone was built
+        assert swarm_a._receipts == eager._receipts == unhooked._receipts
 
     def test_rebroadcast_decodes_no_copy(self, toy61, monkeypatch):
         # every copy that opens is compared with the key's encoding, so the
         # rebroadcast decodes none, and the 38 unbuilt members share one key
+        # and one receipt set, one receipt each
         rng = random.Random(7)
         core = CoreNetwork(toy61, rng)
         swarm_a = core.provision_swarm("A", 3, n_drones=40)
@@ -1643,13 +1653,14 @@ class TestRekeyOfUnbuiltMembers:
         assert calls == []
         key_b = core.dealer("B").group_key
         assert len(swarm_a.unbuilt) == 38 and swarm_a._member_key == key_b
-        assert len(swarm_a._receipts) == 38
+        assert [len(scoped(swarm_a._receipts, f"A/{x}")) for x in swarm_a.unbuilt] == [1] * 38
         assert [d.group_key for d in swarm_a.members()] == [key_b] * 40
 
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
     def test_drone_built_after_two_merges_rejects_both_copies(self, group):
         # a second merge onto a third swarm rekeys the unbuilt members
-        # again; a drone built after it holds both copies' receipts
+        # again; a drone built after it holds both copies' receipts in its
+        # swarm's set
         core, swarm_a, first, _ = self.merge(group, read_first=False)
         swarm_c = core.provision_swarm("C", 3, n_drones=3)
         second = {}
@@ -1665,7 +1676,8 @@ class TestRekeyOfUnbuiltMembers:
         key_c = core.dealer("C").group_key
         drone = swarm_a.drones[5]
         assert [d.group_key for d in swarm_a.members()] == [key_c] * 8
-        assert len(drone.nonce_cache) == 2
+        assert drone.nonce_cache is swarm_a._receipts
+        assert len(scoped(swarm_a._receipts, "A/5")) == 2
         transport = Transport()
         for msg in (first["A/5"][0], second["A/5"]):
             assert transport.deliver(msg, drone) is None
@@ -1703,3 +1715,46 @@ class TestRekeyOfUnbuiltMembers:
         assert outcome == Outcome(False, "broadcast-tampered")
         key_a = core.dealer("A").group_key
         assert [d.group_key for d in swarm_a.members()] == [key_a] * 8
+
+
+class TestOneReceiptSetPerSwarm:
+    """An admitted drone's receipts join its swarm's set, and the drone
+    holds that set from then on."""
+
+    def test_admitted_candidate_rejects_its_key_messages(self, toy61):
+        rng = random.Random(54)
+        core = CoreNetwork(toy61, rng)
+        swarm = core.provision_swarm("A", 3, n_drones=4)
+        candidate = core.issue_candidate("A")
+        received = []
+
+        def intercept(msg, receiver):
+            if receiver is candidate:
+                received.append(msg)
+            return msg
+
+        outcome, _ = run_inclusion(swarm, candidate, rng, Transport(intercept=intercept))
+        assert outcome == Outcome(True)
+        assert candidate.nonce_cache is swarm._receipts
+        # the two guards' verdicts, then the key agreement and the key
+        assert [msg.kind for msg in received] == [
+            MessageKind.AUTH_VERDICT, MessageKind.AUTH_VERDICT,
+            MessageKind.KEY_AGREEMENT_INIT, MessageKind.ENCRYPTED_GROUP_KEY]
+        transport = Transport()
+        for msg in received:
+            assert transport.deliver(msg, candidate) is None
+        assert [e.note for e in transport.transcript.entries] == ["replay-rejected"] * 4
+
+    def test_add_drone_keeps_earlier_receipts(self, toy61, rng):
+        core = CoreNetwork(toy61, rng)
+        swarm = core.provision_swarm("A", 3, n_drones=4)
+        drone = core.issue_candidate("A")
+        msg = ProtocolMessage(MessageKind.SHARE_PUBLISH, DroneId("A", 1),
+                              fresh_nonce(rng), b"data")
+        assert Transport().deliver(msg, drone) is not None
+        earlier = set(drone.nonce_cache)
+        swarm.add_drone(drone)
+        assert drone.nonce_cache is swarm._receipts and earlier <= swarm._receipts
+        transport = Transport()
+        assert transport.deliver(msg, drone) is None
+        assert transport.transcript.entries[-1].note == "replay-rejected"

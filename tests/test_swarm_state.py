@@ -9,11 +9,14 @@ bulk run delivers nothing, so it runs unfaulted. A shadow of every swarm
 is built eagerly, share by share, at provisioning and changes only as an
 accepted run says it must; after every rule each swarm's built drones
 must equal their shadow rows, each unbuilt identifier must be one whose
-drone a build would give its shadow's key, and the swarm's receipts must
-be those of unbuilt identifiers. So a rejected run changes no member's
-key and no swarm's drones, and whatever a swarm has read, admitted or
-been merged onto so far, its drones are the ones eager provisioning and
-the same runs build.
+drone a build would give its shadow's key, every built drone must hold
+the swarm's one receipt set, and every receipt in it must be scoped by a
+member's label. So a rejected run changes no member's key and no swarm's
+drones, and whatever a swarm has read, admitted or been merged onto so
+far, its drones are the ones eager provisioning and the same runs build.
+After every inclusion and merge, each message any run so far passed on
+is delivered again to its receiver and must be rejected as a replay, so
+no receipt is lost when a drone is built, admitted or merged.
 """
 
 import random
@@ -47,26 +50,30 @@ class FaultyTransport(Transport):
     of message, counted from 0 (the receiver never gets it), replaces it
     with the message delivered just before it, or flips its first payload
     byte. The hook sees every delivery, each rebroadcast copy included.
-    ``fault`` is None or (action, kind, k)."""
+    ``fault`` is None or (action, kind, k). ``passed`` lists each
+    (message, receiver) the hook passes on."""
 
     def __init__(self, fault):
         super().__init__(intercept=self.inject)
         self.fault = fault
         self.seen = 0
         self.last = None
+        self.passed = []
 
     def inject(self, msg, receiver):
         if self.fault is not None and msg.kind is self.fault[1]:
             action, _, k = self.fault
-            if self.seen == k:
+            hit = self.seen == k
+            self.seen += 1
+            if hit:
                 if action == "drop":
                     return None
                 if action == "replay" and self.last is not None:
                     msg = self.last
                 elif action == "tamper" and msg.payload:
                     msg = replace(msg, payload=bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
-            self.seen += 1
         self.last = msg
+        self.passed.append((msg, receiver))
         return msg
 
 
@@ -82,10 +89,9 @@ def late_key(swarm, x):
 
 
 def receipt_owners(swarm):
-    """The identifiers whose receipts the swarm's set holds; each key is
-    scoped by its receiver's framed label "swarm/x"."""
-    head = 3 + len(swarm.id.encode())
-    return {int(key[head:2 + int.from_bytes(key[:2], "big")]) for key in swarm._receipts}
+    """The labels whose receipts the swarm's set holds; each key is scoped
+    by its receiver's framed label."""
+    return {key[2:2 + int.from_bytes(key[:2], "big")].decode() for key in swarm._receipts}
 
 
 class SwarmMachine(RuleBasedStateMachine):
@@ -96,6 +102,8 @@ class SwarmMachine(RuleBasedStateMachine):
     def start(self, seed, thresholds):
         self.rng = random.Random(seed)
         self.core = CoreNetwork(GROUP, self.rng)
+        # every (message, receiver) a faulty transport passed on
+        self.passed = []
         # swarm id -> {x: row of the drone}
         self.shadow = {}
         # two swarms to merge from the first step on
@@ -103,6 +111,13 @@ class SwarmMachine(RuleBasedStateMachine):
 
     def key_of(self, swarm_id):
         return next(iter(self.shadow[swarm_id].values()))[3]
+
+    def replays_rejected(self, transport):
+        """Deliver again every message passed on so far, this run's too:
+        each receiver must still hold its receipt."""
+        self.passed += transport.passed
+        replay = Transport()
+        assert all(replay.deliver(msg, receiver) is None for msg, receiver in self.passed)
 
     @rule(target=swarms, threshold=st.integers(2, 4), extra=st.integers(0, 5))
     def provision_swarm(self, threshold, extra):
@@ -122,7 +137,8 @@ class SwarmMachine(RuleBasedStateMachine):
     def include(self, swarm_id, fault):
         swarm = self.core.swarms[swarm_id]
         candidate = self.core.issue_candidate(swarm_id)
-        outcome, _ = run_inclusion(swarm, candidate, self.rng, FaultyTransport(fault))
+        transport = FaultyTransport(fault)
+        outcome, _ = run_inclusion(swarm, candidate, self.rng, transport)
         event(f"inclusion {outcome}")
         if outcome.accepted:
             assert candidate.group_key == self.key_of(swarm_id)
@@ -130,14 +146,16 @@ class SwarmMachine(RuleBasedStateMachine):
             self.shadow[swarm_id][candidate.id.x] = row(candidate)
         else:
             assert candidate.group_key is None
+        self.replays_rejected(transport)
 
     @rule(a=swarms, b=swarms, mutual=st.booleans(), fault=FAULTS)
     def merge(self, a, b, mutual, fault):
         assume(a != b)
         swarm_a, swarm_b = self.core.swarms[a], self.core.swarms[b]
         key_b = self.key_of(b)
+        transport = FaultyTransport(fault)
         outcome, _ = run_unification(swarm_a, swarm_b, self.core, self.rng,
-                                     FaultyTransport(fault), mutual=mutual)
+                                     transport, mutual=mutual)
         event(f"{'mutual ' * mutual}merge {outcome}")
         if outcome.accepted:
             # read without building, so swarm A stays unbuilt
@@ -146,6 +164,7 @@ class SwarmMachine(RuleBasedStateMachine):
             if swarm_a._unbuilt:
                 event("merged with members unbuilt")
             self.shadow[a] = {x: (*r[:3], key_b) for x, r in self.shadow[a].items()}
+        self.replays_rejected(transport)
 
     @rule(swarm_id=swarms)
     def admit(self, swarm_id):
@@ -190,8 +209,11 @@ class SwarmMachine(RuleBasedStateMachine):
             keys = {r[3] for r in shadow.values()}
             assert len(keys) == 1
             assert all(late_key(swarm, x) == shadow[x][3] for x in unbuilt)
-            # the swarm's receipts are those of its unbuilt members only
-            assert receipt_owners(swarm) <= set(unbuilt)
+            # one receipt set holds every member's receipts, and no one
+            # else's: each is scoped by a member's label, which names an
+            # identifier the swarm's dealer issued
+            assert all(d.nonce_cache is swarm._receipts for d in built.values())
+            assert receipt_owners(swarm) <= {f"{swarm_id}/{x}" for x in shadow}
 
 
 SwarmMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25)
